@@ -189,15 +189,15 @@ func BenchmarkAreaModel(b *testing.B) {
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	k := sim.NewKernel()
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		n++
 		if n < b.N {
-			k.Schedule(1, tick)
+			k.ScheduleCtx(1, tick, nil)
 		}
 	}
 	b.ResetTimer()
-	k.Schedule(1, tick)
+	k.ScheduleCtx(1, tick, nil)
 	if _, err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 }
 
 // expFlags is the experiment-selection trio (-exp, -scale, -seed)
-// shared by run, plan, coord and work.
+// shared by run, plan and coord.
 type expFlags struct {
 	exp   *string
 	scale *string
@@ -217,10 +217,9 @@ func newServeFlags(stderr io.Writer) (*flag.FlagSet, *serveFlags) {
 	return fs, f
 }
 
-// workFlags is the `pimbench work` flag set.
+// workFlags is the `pimbench work` flag set. It has no experiment
+// flags: every job frame carries the spec the worker plans for.
 type workFlags struct {
-	expFlags
-	dynamic   *bool
 	snapDir   *string
 	verbose   *bool
 	failAfter *int
@@ -230,8 +229,6 @@ type workFlags struct {
 func newWorkFlags(stderr io.Writer) (*flag.FlagSet, *workFlags) {
 	fs := newFlagSet("pimbench work", stderr)
 	f := &workFlags{
-		expFlags:  addExpFlags(fs, "serve"),
-		dynamic:   fs.Bool("dynamic", false, "serve-fleet mode: plan per job spec instead of per startup flags (-exp/-scale/-seed are ignored)"),
 		snapDir:   addSnapshotDir(fs, "workload snapshot store shared with the coordinator and sibling workers"),
 		verbose:   addVerbose(fs, "log served jobs on stderr"),
 		failAfter: addFailAfter(fs, "crash-injection test hook: exit 3 when job N+1 arrives"),

@@ -65,38 +65,35 @@ func TestSharedFlagParity(t *testing.T) {
 			t.Errorf("-diff on %s: got %v, want %v", cmd, got, want)
 		}
 	}
-	// The experiment-selection trio rides every planning subcommand.
-	for _, cmd := range []string{"run", "plan", "coord", "work"} {
+	// The experiment-selection trio rides every planning subcommand;
+	// workers take it from each job frame's spec instead.
+	for cmd, want := range map[string]bool{"run": true, "plan": true, "coord": true, "work": false} {
 		for _, name := range []string{"exp", "scale", "seed"} {
-			if !has(cmd, name) {
-				t.Errorf("%s is missing -%s", cmd, name)
+			if got := has(cmd, name); got != want {
+				t.Errorf("-%s on %s: got %v, want %v", name, cmd, got, want)
 			}
 		}
 	}
 }
 
 // TestWorkFlagsParseCoordArgs: the work flag set must parse exactly
-// the argv shapes coordWorkArgs and serveWorkArgs build — the cmd-side
-// half of the bulkpim round-trip tests (TestCoordWorkArgsRoundTrip,
-// TestServeWorkArgsRoundTrip).
+// the argv shape workArgs builds for coord and serve fleets (plus the
+// crash-injection hook) — the cmd-side half of the bulkpim round-trip
+// test TestServeWorkArgsRoundTrip — and reject the retired static-plan
+// flags.
 func TestWorkFlagsParseCoordArgs(t *testing.T) {
 	snapDir := t.TempDir()
 	fs, f := newWorkFlags(io.Discard)
-	if err := fs.Parse([]string{"-exp", "fig7", "-scale", "smoke", "-seed", "3",
-		"-snapshot-dir", snapDir, "-fail-after", "2"}); err != nil {
+	if err := fs.Parse([]string{"-snapshot-dir", snapDir, "-fail-after", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if *f.exp != "fig7" || *f.scale != "smoke" || *f.seed != 3 ||
-		*f.snapDir != snapDir || *f.failAfter != 2 {
-		t.Fatalf("round-trip skew: exp=%q scale=%q seed=%d snap=%q failAfter=%d",
-			*f.exp, *f.scale, *f.seed, *f.snapDir, *f.failAfter)
+	if *f.snapDir != snapDir || *f.failAfter != 2 {
+		t.Fatalf("round-trip skew: snap=%q failAfter=%d", *f.snapDir, *f.failAfter)
 	}
-
-	fs2, f2 := newWorkFlags(io.Discard)
-	if err := fs2.Parse([]string{"-dynamic", "-snapshot-dir", snapDir}); err != nil {
-		t.Fatal(err)
-	}
-	if !*f2.dynamic || *f2.snapDir != snapDir {
-		t.Fatalf("dynamic argv skew: dynamic=%v snap=%q", *f2.dynamic, *f2.snapDir)
+	for _, retired := range []string{"-dynamic", "-exp=fig7"} {
+		fs, _ := newWorkFlags(io.Discard)
+		if err := fs.Parse([]string{retired}); err == nil {
+			t.Errorf("work accepted retired flag %s", retired)
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //	pimbench merge -o DIR SRC...  merge collected result caches
 //	pimbench coord [flags]      dispatch jobs to a fault-tolerant worker fleet
 //	pimbench serve [flags]      HTTP daemon: cached results instantly, misses on a live fleet
-//	pimbench work [flags]       worker protocol endpoint (spawned by coord and serve)
+//	pimbench work [flags]       worker endpoint spawned by coord and serve (jobs carry their spec)
 //	pimbench snapshot [flags]   inspect / garbage-collect workload snapshots
 //	pimbench version [-v]       print build identity (module, Go, VCS revision)
 //
@@ -59,9 +59,11 @@
 //	pimbench coord -workers 8 -exp all -scale full -cache-dir d
 //	pimbench run -exp all -scale full -cache-dir d        # warm report pass
 //
-// The run survives worker death (it completes as long as one worker
-// lives), and a mid-run kill of the coordinator loses at most the
-// in-flight jobs — re-running resumes from the cache.
+// The run survives worker death (a lost worker is replaced and its job
+// retried elsewhere, up to 3 attempts per job), and a mid-run kill of
+// the coordinator loses at most the in-flight jobs — re-running
+// resumes from the cache. coord and serve share one executor
+// (coord.Pool) and one worker mode: every job frame carries its spec.
 //
 // The serve daemon is the coordinator promoted to an always-on service:
 // an HTTP/JSON API over the same cache and a persistent worker fleet.
@@ -575,16 +577,14 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 
 // workCmd is the hidden worker endpoint `pimbench coord` and `pimbench
 // serve` spawn: it speaks the line-delimited JSON protocol on
-// stdin/stdout (stdout carries nothing else) and logs on stderr.
+// stdin/stdout (stdout carries nothing else) and logs on stderr. It
+// takes no experiment flags: every job frame carries its spec.
 func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs, f := newWorkFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
-		return 2
-	}
-	if !f.validScale(stderr) {
 		return 2
 	}
 	stopProfiles, err := startProfiles(*f.prof.cpu, *f.prof.mem)
@@ -598,7 +598,7 @@ func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}()
 	fmt.Fprintf(stderr, "pimbench: build: %s\n", buildLine())
-	opts := f.options()
+	var opts bulkpim.Options
 	if *f.verbose {
 		opts.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
@@ -610,13 +610,7 @@ func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer snapFooter()
-	var workErr error
-	if *f.dynamic {
-		workErr = bulkpim.ServeDynamicWork(opts, stdin, stdout, *f.failAfter)
-	} else {
-		workErr = bulkpim.ServeWork(*f.exp, opts, stdin, stdout, *f.failAfter)
-	}
-	if workErr != nil {
+	if workErr := bulkpim.ServeWorker(opts, stdin, stdout, *f.failAfter); workErr != nil {
 		fmt.Fprintf(stderr, "pimbench: work: %v\n", workErr)
 		return 1
 	}

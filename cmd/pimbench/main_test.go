@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMain doubles as the worker re-exec hook: `pimbench coord` spawns
@@ -15,9 +18,22 @@ import (
 // the test binary — so with PIMBENCH_EXEC set, the spawn routes into
 // run() instead of the test suite. Coordinator e2e tests set the
 // variable via t.Setenv and inherit it into their worker subprocesses.
+// PIMBENCH_EXEC=skew stands in for a worker binary that plans
+// differently: it plans every smoke-scale job frame at bench scale.
 func TestMain(m *testing.M) {
-	if os.Getenv("PIMBENCH_EXEC") == "1" {
+	switch os.Getenv("PIMBENCH_EXEC") {
+	case "1":
 		os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	case "skew":
+		pr, pw := io.Pipe()
+		go func() {
+			sc := bufio.NewScanner(os.Stdin)
+			for sc.Scan() {
+				io.WriteString(pw, strings.ReplaceAll(sc.Text(), `"scale":"smoke"`, `"scale":"bench"`)+"\n")
+			}
+			pw.Close()
+		}()
+		os.Exit(run(os.Args[1:], pr, os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
 }
@@ -384,20 +400,138 @@ func TestCoordRequiresCache(t *testing.T) {
 	}
 }
 
-// TestWorkProtocolEndpoint drives the hidden worker endpoint directly:
-// hello on stdout, then EOF on stdin is a clean exit.
-func TestWorkProtocolEndpoint(t *testing.T) {
+// runWithin is run with a deadline: a coordinated run that stops
+// settling jobs fails the test instead of hanging the suite.
+func runWithin(t *testing.T, d time.Duration, args []string, stdout, stderr io.Writer) int {
+	t.Helper()
+	code := make(chan int, 1)
+	go func() { code <- run(args, nil, stdout, stderr) }()
+	select {
+	case c := <-code:
+		return c
+	case <-time.After(d):
+		t.Fatalf("pimbench %v did not finish within %v", args, d)
+		return -1
+	}
+}
+
+// TestCoordEveryLaunchFails: when no worker can launch, every job
+// settles failed promptly — the run neither hangs on the pool's queue
+// nor hides the loss — and the footer still ends with its final
+// accounting line.
+func TestCoordEveryLaunchFails(t *testing.T) {
+	falseBin, err := exec.LookPath("false")
+	if err != nil {
+		t.Skip("no false(1) to launch")
+	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"work", "-exp", "fig3", "-scale", "smoke"},
-		strings.NewReader(""), &stdout, &stderr); code != 0 {
+	code := runWithin(t, 10*time.Second, []string{"coord", "-workers", "2", "-exp", "fig3", "-scale", "smoke",
+		"-cache-dir", t.TempDir(), "-worker-cmd", falseBin + " {args}"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	se := stderr.String()
+	if !strings.Contains(se, "0/3 distinct jobs done (3 planned, 3 failed, 0 retried, 2 workers lost)") {
+		t.Fatalf("jobs not failed against the lost fleet:\n%s", se)
+	}
+	if !strings.Contains(se, "\rcoord: 0/3 jobs done (3 failed, 0 retried, 2 workers lost) in ") {
+		t.Fatalf("footer missing its final accounting line:\n%q", se)
+	}
+	if !strings.Contains(se, "worker 0: launch: no hello (EOF)") || strings.Contains(se, "launch: worker") {
+		t.Fatalf("launch error must name the worker exactly once:\n%s", se)
+	}
+}
+
+// TestCoordPlanSkewFailsFast: a fleet whose worker binary plans
+// differently from the coordinator's fails the run on the first job it
+// reports as plan skew, instead of failing job by job through every
+// retry and backoff.
+func TestCoordPlanSkewFailsFast(t *testing.T) {
+	t.Setenv("PIMBENCH_EXEC", "skew")
+	var stdout, stderr bytes.Buffer
+	code := runWithin(t, 10*time.Second, []string{"coord", "-workers", "2", "-exp", "fig3", "-scale", "smoke",
+		"-cache-dir", t.TempDir()}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	se := stderr.String()
+	if !strings.Contains(se, "0/3 distinct jobs done (3 planned, 3 failed, 0 retried") ||
+		!strings.Contains(se, "plan skew between coordinator and worker") {
+		t.Fatalf("plan skew did not fail the run:\n%s", se)
+	}
+}
+
+// TestCoordNoJobs: a plan with no simulations launches no worker (the
+// template would fail if it did) and succeeds.
+func TestCoordNoJobs(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"coord", "-exp", "table1", "-scale", "smoke",
+		"-cache-dir", t.TempDir(), "-worker-cmd", "/nonexistent/pimbench {args}"}, nil, &stdout, &stderr)
+	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	var hello struct {
-		Type     string `json:"type"`
-		Distinct int    `json:"distinct"`
+	if !strings.Contains(stderr.String(), "0/0 distinct jobs done") {
+		t.Fatalf("stderr:\n%s", stderr.String())
 	}
-	if err := json.Unmarshal(stdout.Bytes(), &hello); err != nil || hello.Type != "hello" || hello.Distinct == 0 {
-		t.Fatalf("worker hello = %+v, %v (stdout %q)", hello, err, stdout.String())
+}
+
+// TestCoordExpAllUppercase: the experiment name is case-insensitive
+// on the coordinator, so the spec workers plan from must be too.
+func TestCoordExpAllUppercase(t *testing.T) {
+	t.Setenv("PIMBENCH_EXEC", "1")
+	var stdout, stderr bytes.Buffer
+	code := runWithin(t, 2*time.Minute, []string{"coord", "-workers", "2", "-exp", "ALL", "-scale", "smoke",
+		"-cache-dir", t.TempDir()}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), " 0 failed, 0 retried, 0 workers lost") {
+		t.Fatalf("fleet run not clean:\n%s", stderr.String())
+	}
+}
+
+// TestWorkProtocolEndpoint drives the hidden worker endpoint directly:
+// a bare hello on stdout, then each job planned from the spec in its
+// frame — a planned fingerprint runs, an unplanned one is a job-level
+// error flagged as plan skew — and EOF on stdin is a clean exit.
+func TestWorkProtocolEndpoint(t *testing.T) {
+	var plan, planErr bytes.Buffer
+	if code := run([]string{"plan", "-exp", "fig3", "-scale", "smoke"}, nil, &plan, &planErr); code != 0 {
+		t.Fatalf("plan exit %d, stderr:\n%s", code, planErr.String())
+	}
+	fields := strings.Fields(strings.SplitN(plan.String(), "\n", 2)[0]) // experiment key fingerprint
+	if len(fields) != 3 {
+		t.Fatalf("unexpected manifest line in %q", plan.String())
+	}
+	key, fp := fields[1], fields[2]
+	spec := `"spec":{"exp":"fig3","scale":"smoke"}`
+	in := `{"type":"job","key":"` + key + `","fp":"` + fp + `",` + spec + "}\n" +
+		`{"type":"job","key":"` + key + `","fp":"nope",` + spec + "}\n"
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"work"}, strings.NewReader(in), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	dec := json.NewDecoder(&stdout)
+	var hello map[string]any
+	if err := dec.Decode(&hello); err != nil || len(hello) != 1 || hello["type"] != "hello" {
+		t.Fatalf("worker hello = %v, %v", hello, err)
+	}
+	var ok, bad struct {
+		Type        string `json:"type"`
+		Fingerprint string `json:"fp"`
+		Result      struct {
+			Cycles uint64 `json:"cycles"`
+		} `json:"result"`
+		Error string `json:"error"`
+		Skew  bool   `json:"skew"`
+	}
+	if err := dec.Decode(&ok); err != nil || ok.Type != "result" || ok.Fingerprint != fp ||
+		ok.Error != "" || ok.Result.Cycles == 0 {
+		t.Fatalf("planned job result = %+v, %v", ok, err)
+	}
+	if err := dec.Decode(&bad); err != nil || !strings.Contains(bad.Error, "unknown fingerprint") || !bad.Skew {
+		t.Fatalf("unplanned job result = %+v, %v", bad, err)
 	}
 }
 

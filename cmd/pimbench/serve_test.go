@@ -66,7 +66,7 @@ func awaitJobView(t *testing.T, url, id string) jobView {
 }
 
 // TestServeDaemonE2E is the serving acceptance contract end to end,
-// through real `work -dynamic` subprocess workers: a daemon over a
+// through real `work` subprocess workers: a daemon over a
 // pre-warmed cache answers cached requests in the submit response —
 // 100% hit rate, byte-identical results across submissions — and a
 // cold request with one worker crash-injected mid-run (the -fail-after

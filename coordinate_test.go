@@ -1,17 +1,24 @@
 package bulkpim
 
-// Tests for the coordinator's bulkpim-side wiring: the dedup-then-
-// dispatch property over the real suite manifest, the worker launch
-// template, and the cache precondition. The dispatch machinery itself
-// (retry, exclusion, fleet loss) is tested in internal/coord; the
-// subprocess protocol end to end in cmd/pimbench.
+// Tests for the coordinator's bulkpim-side wiring: the batch run on
+// coord.Pool over in-memory workers (exactly-once delivery over the
+// real suite manifest, job failure, launch failure, fleet loss, a
+// stranded job, plan skew, the progress footer), the fleet's
+// replacement policy, the worker launch template, and the cache
+// precondition. The pool's own retry/exclusion machinery is tested in
+// internal/coord; the subprocess protocol end to end in cmd/pimbench.
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,29 +27,64 @@ import (
 )
 
 // manifestWorker is an in-memory coord.Worker over the real planned
-// suite: it "executes" a task by recording its fingerprint, with
-// seeded random delays to shuffle dispatch order.
+// suite: it "executes" a task by recording its fingerprint and spec,
+// with seeded random delays to shuffle dispatch order.
 type manifestWorker struct {
 	rng   *rand.Rand
 	mu    *sync.Mutex
 	count map[string]int
+	specs map[coord.JobSpec]bool
 }
 
 func (w *manifestWorker) Run(t coord.Task) (system.Result, error) {
 	time.Sleep(time.Duration(w.rng.Intn(100)) * time.Microsecond)
 	w.mu.Lock()
 	w.count[t.Fingerprint]++
+	w.specs[t.Spec] = true
 	w.mu.Unlock()
-	return system.Result{}, nil
+	return system.Result{Cycles: 1}, nil
 }
 
 func (w *manifestWorker) Close() error { return nil }
 
+// coordinateWithin runs the batch path over launch and fails the test,
+// instead of hanging it, if the run does not settle in time.
+func coordinateWithin(t *testing.T, name string, opts Options, copts CoordOptions,
+	launch func(id int) (coord.Worker, error)) (CoordSummary, error) {
+	t.Helper()
+	if opts.Cache == nil {
+		cache, err := OpenResultCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cache.Close() })
+		opts.Cache = cache
+	}
+	type ret struct {
+		sum CoordSummary
+		err error
+	}
+	done := make(chan ret, 1)
+	go func() {
+		sum, err := coordinate(name, opts, copts, launch)
+		done <- ret{sum, err}
+	}()
+	select {
+	case r := <-done:
+		return r.sum, r.err
+	case <-time.After(60 * time.Second):
+		t.Fatalf("coordinated %s run did not settle", name)
+		return CoordSummary{}, nil
+	}
+}
+
 // TestCoordinateDeliversEachFingerprintOnce: over the paper's
-// full-scale manifest, the coordinator's dedup-then-dispatch must
-// deliver each distinct fingerprint to exactly one execution under
-// randomized worker timing (seeded), for several fleet sizes — the
-// distributed counterpart of the shard partition property.
+// full-scale manifest, the coordinator's dedup-then-dispatch on the
+// pool must deliver each distinct fingerprint to exactly one execution
+// under randomized worker timing (seeded), for several fleet sizes —
+// the distributed counterpart of the shard partition property — with
+// every task carrying the run's spec (experiment name lowercased, as
+// workers plan it) and every key, aliases included, stored.
 func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {
 	planned, err := planFor("all", Options{Scale: ScaleFull})
 	if err != nil {
@@ -52,25 +94,25 @@ func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {
 	if len(groups) == 0 || len(groups) >= len(manifest) {
 		t.Fatalf("degenerate dedup: %d groups of %d planned entries", len(groups), len(manifest))
 	}
-	tasks := make([]coord.Task, len(groups))
-	for i, g := range groups {
-		tasks[i] = coord.Task{Key: g.keys[0], Fingerprint: g.fp}
+	keys := 0
+	for _, g := range groups {
+		keys += len(g.keys)
 	}
 
 	for _, workers := range []int{1, 3, 8} {
 		var mu sync.Mutex
 		count := map[string]int{}
-		sum, err := coord.Run(tasks, coord.Options{
-			Workers: workers,
-			Launch: func(id int) (coord.Worker, error) {
+		specs := map[coord.JobSpec]bool{}
+		sum, err := coordinateWithin(t, "ALL", Options{Scale: ScaleFull}, CoordOptions{Workers: workers},
+			func(id int) (coord.Worker, error) {
 				return &manifestWorker{rng: rand.New(rand.NewSource(int64(workers*100 + id))),
-					mu: &mu, count: count}, nil
-			},
-		})
+					mu: &mu, count: count, specs: specs}, nil
+			})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if sum.Done != len(groups) || sum.Failed != 0 || sum.Retried != 0 {
+		if sum.Distinct != len(groups) || sum.Done != len(groups) || sum.Failed != 0 ||
+			sum.Retried != 0 || sum.WorkersLost != 0 || sum.Stored != keys {
 			t.Fatalf("workers=%d: summary %+v", workers, sum)
 		}
 		for _, g := range groups {
@@ -78,6 +120,276 @@ func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {
 				t.Fatalf("workers=%d: fingerprint %s (key %s) executed %d times, want exactly 1",
 					workers, g.fp, g.keys[0], got)
 			}
+		}
+		want := map[coord.JobSpec]bool{{Exp: "all", Scale: "full"}: true}
+		if !reflect.DeepEqual(specs, want) {
+			t.Fatalf("workers=%d: tasks carried specs %v, want %v", workers, specs, want)
+		}
+	}
+}
+
+// scriptedWorker is an in-memory worker that fails the fingerprints in
+// jobErrs at job level and, with dieAfter >= 0, crashes (a worker-lost
+// error) once it has served dieAfter jobs.
+type scriptedWorker struct {
+	jobErrs  map[string]bool
+	dieAfter int
+	served   int
+}
+
+func (w *scriptedWorker) Run(t coord.Task) (system.Result, error) {
+	if w.dieAfter >= 0 && w.served >= w.dieAfter {
+		return system.Result{}, errors.New("simulated crash")
+	}
+	w.served++
+	if w.jobErrs[t.Fingerprint] {
+		return system.Result{}, &coord.JobError{Msg: "simulated job failure"}
+	}
+	return system.Result{Cycles: 1}, nil
+}
+
+func (w *scriptedWorker) Close() error { return nil }
+
+// fig3Groups plans fig3 at smoke scale: three distinct jobs.
+func fig3Groups(t *testing.T) []*fpGroup {
+	t.Helper()
+	planned, err := planFor("fig3", Options{Scale: ScaleSmoke})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _ := dedupPlan(planned)
+	if len(groups) < 2 {
+		t.Fatalf("fig3 plans %d distinct jobs", len(groups))
+	}
+	return groups
+}
+
+// TestCoordinatePermanentFailure: a job that fails on every worker
+// settles as permanently failed — reported against its key — without
+// taking the rest of the batch down.
+func TestCoordinatePermanentFailure(t *testing.T) {
+	groups := fig3Groups(t)
+	bad := groups[1]
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+		func(int) (coord.Worker, error) {
+			return &scriptedWorker{dieAfter: -1, jobErrs: map[string]bool{bad.fp: true}}, nil
+		})
+	if err == nil || !strings.Contains(err.Error(), bad.keys[0]) {
+		t.Fatalf("error must name the failed job %s: %v", bad.keys[0], err)
+	}
+	if sum.Done != len(groups)-1 || sum.Failed != 1 || sum.WorkersLost != 0 {
+		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// TestCoordinateLaunchFailure: a worker that cannot launch is a lost
+// worker, not a fatal error — the rest of the fleet absorbs its share —
+// and the returned error names it exactly once.
+func TestCoordinateLaunchFailure(t *testing.T) {
+	groups := fig3Groups(t)
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 3},
+		func(id int) (coord.Worker, error) {
+			if id == 2 {
+				return nil, errors.New("ssh: connection refused")
+			}
+			return &scriptedWorker{dieAfter: -1}, nil
+		})
+	if err == nil || err.Error() != "worker 2: launch: ssh: connection refused" {
+		t.Fatalf("launch failure must be reported once: %v", err)
+	}
+	if sum.Done != len(groups) || sum.Failed != 0 || sum.WorkersLost != 1 {
+		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// TestCoordinateAllWorkersLost: when every worker dies and no
+// replacement launches, the remaining jobs settle as failed and the run
+// returns instead of waiting on the pool for a worker that never joins.
+func TestCoordinateAllWorkersLost(t *testing.T) {
+	groups := fig3Groups(t)
+	var launches atomic.Int32
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+		func(id int) (coord.Worker, error) {
+			if launches.Add(1) > 2 {
+				return nil, fmt.Errorf("host %d unreachable", id)
+			}
+			return &scriptedWorker{dieAfter: 0}, nil
+		})
+	if err == nil || !strings.Contains(err.Error(), "no live worker") {
+		t.Fatalf("a fleet-wide loss must fail the remaining jobs: %v", err)
+	}
+	// Two deaths plus the two replacements that failed to launch.
+	if sum.WorkersLost != 4 || sum.Done != 0 || sum.Failed != len(groups) {
+		t.Fatalf("every job must settle failed: %+v", sum)
+	}
+}
+
+// funcWorker is an in-memory worker whose Run is the function itself.
+type funcWorker func(coord.Task) (system.Result, error)
+
+func (f funcWorker) Run(t coord.Task) (system.Result, error) { return f(t) }
+func (funcWorker) Close() error                              { return nil }
+
+// TestCoordinateStrandedJobFails: worker 0 fails one job, which is
+// then left for worker 1 alone; worker 1 crashes and its replacement
+// cannot launch. The job every survivor is excluded from settles as
+// failed instead of waiting for a worker that never joins, and the
+// rest of the batch completes on worker 0.
+func TestCoordinateStrandedJobFails(t *testing.T) {
+	groups := fig3Groups(t)
+	bad := groups[0]
+	started, running, requeued := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var startOnce, requeueOnce sync.Once
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+		func(id int) (coord.Worker, error) {
+			switch id {
+			case 0: // takes the first job, bad, before worker 1 joins
+				failedBad := false
+				return funcWorker(func(tk coord.Task) (system.Result, error) {
+					startOnce.Do(func() { close(started) })
+					if tk.Fingerprint == bad.fp {
+						<-running // fail bad with worker 1 in the fleet
+						failedBad = true
+						return system.Result{}, &coord.JobError{Msg: "simulated job failure"}
+					}
+					if failedBad {
+						// The pool requeued bad before this dispatch.
+						requeueOnce.Do(func() { close(requeued) })
+					}
+					return system.Result{Cycles: 1}, nil
+				}), nil
+			case 1: // crashes on its first job once bad waits for it alone
+				<-started
+				return funcWorker(func(coord.Task) (system.Result, error) {
+					close(running)
+					<-requeued
+					return system.Result{}, errors.New("simulated crash")
+				}), nil
+			}
+			return nil, fmt.Errorf("host %d unreachable", id)
+		})
+	if err == nil || !strings.Contains(err.Error(), bad.keys[0]+": failed after 1 attempt(s): simulated job failure") {
+		t.Fatalf("the stranded job must fail: %v", err)
+	}
+	// One death plus the replacement that failed to launch.
+	if sum.Done != len(groups)-1 || sum.Failed != 1 || sum.WorkersLost != 2 {
+		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// TestCoordinatePlanSkewFailsFast: workers that plan differently from
+// the coordinator (here: planning every spec at another scale, as a
+// different build might) report plan skew, and the run fails every job
+// on the first report instead of spending each job's retries and
+// backoffs on it.
+func TestCoordinatePlanSkewFailsFast(t *testing.T) {
+	groups := fig3Groups(t)
+	pc := newPlanCache(Options{})
+	var runs atomic.Int32
+	start := time.Now()
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+		func(int) (coord.Worker, error) {
+			return funcWorker(func(tk coord.Task) (system.Result, error) {
+				runs.Add(1)
+				tk.Spec.Scale = string(ScaleBench)
+				v, err := pc.execute(tk.Spec, tk.Key, tk.Fingerprint)
+				if err != nil {
+					return v, &coord.JobError{Msg: err.Error(), Skew: errors.Is(err, coord.ErrPlanSkew)}
+				}
+				return v, nil
+			}), nil
+		})
+	if !errors.Is(err, coord.ErrPlanSkew) || sum.Failed != len(groups) || sum.Done != 0 {
+		t.Fatalf("plan skew must fail the run: %+v, %v", sum, err)
+	}
+	if n := runs.Load(); n > 2 || sum.Retried != 0 {
+		t.Fatalf("%d executions (%d retried) after plan skew, want at most one per worker", n, sum.Retried)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("plan skew took %v to fail the run", el)
+	}
+}
+
+// TestCoordinateProgressFooter: the live footer carries jobs-done/ETA
+// and terminates with the final accounting on its own line.
+func TestCoordinateProgressFooter(t *testing.T) {
+	groups := fig3Groups(t)
+	var progress bytes.Buffer
+	if _, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke},
+		CoordOptions{Workers: 2, Progress: &progress},
+		func(int) (coord.Worker, error) { return &scriptedWorker{dieAfter: -1}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	out := progress.String()
+	if !strings.Contains(out, "coord: ") || !strings.Contains(out, "ETA") {
+		t.Fatalf("footer missing: %q", out)
+	}
+	lines := strings.Split(out, "\r")
+	final := fmt.Sprintf("coord: %d/%d jobs done (0 failed, 0 retried, 0 workers lost) in ", len(groups), len(groups))
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, final) || !strings.HasSuffix(last, "\n") {
+		t.Fatalf("footer does not end with the final accounting line: %q", out)
+	}
+}
+
+// TestCoordinateEmpty: a plan with no distinct jobs completes
+// immediately without launching a worker.
+func TestCoordinateEmpty(t *testing.T) {
+	sum, err := coordinateWithin(t, "table1", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 4},
+		func(int) (coord.Worker, error) {
+			t.Error("launched a worker for zero jobs")
+			return nil, errors.New("unreachable")
+		})
+	if err != nil || sum.Distinct != 0 || sum.Done != 0 {
+		t.Fatalf("%+v, %v", sum, err)
+	}
+}
+
+// TestFleetStop: once stopped (a daemon shutting down), a fleet
+// replaces no lost worker and logs no replacement; and a daemon's fleet
+// (no onEmpty) keeps no launch-error history, which would only grow.
+func TestFleetStop(t *testing.T) {
+	var launches atomic.Int32
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	f := newFleet(coord.PoolOptions{
+		Launch: func(id int) (coord.Worker, error) {
+			if launches.Add(1) == 2 {
+				return nil, errors.New("host unreachable")
+			}
+			return &scriptedWorker{dieAfter: 0}, nil
+		},
+		Log: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	}, 2, nil)
+	defer f.pool.Close()
+	if errs := f.grow(2); len(errs) != 1 || len(f.failedLaunches()) != 0 {
+		t.Fatalf("grow errors %v, kept %v", errs, f.failedLaunches())
+	}
+	f.stop()
+	lost := make(chan coord.Outcome, 1)
+	if err := f.pool.Submit(coord.Task{Key: "k", Fingerprint: "fp"}, func(o coord.Outcome) { lost <- o }); err != nil {
+		t.Fatal(err)
+	}
+	for f.pool.Stats().Lost == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	f.pool.Close()
+	if o := <-lost; !errors.Is(o.Err, coord.ErrClosed) {
+		t.Fatalf("queued task outcome %+v", o)
+	}
+	if n := launches.Load(); n != 2 {
+		t.Fatalf("%d launches after stop, want the 2 initial ones", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "replacement") {
+			t.Fatalf("stopped fleet logged %q", l)
 		}
 	}
 }
@@ -145,105 +457,41 @@ func TestWorkerArgv(t *testing.T) {
 	}
 }
 
-// workFlagSet mirrors the `pimbench work` subcommand's flag set. Keep
-// it in sync with workCmd in cmd/pimbench — TestCoordWorkArgsRoundTrip
-// parses coordWorkArgs through it, so an option the coordinator emits
-// that workers cannot parse fails here instead of at fleet launch.
-func workFlagSet() (*flag.FlagSet, map[string]*string) {
-	fs := flag.NewFlagSet("work", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	got := map[string]*string{
-		"exp":          fs.String("exp", "all", ""),
-		"scale":        fs.String("scale", "quick", ""),
-		"seed":         fs.String("seed", "0", ""),
-		"snapshot-dir": fs.String("snapshot-dir", "", ""),
-	}
-	fs.Bool("v", false, "")
-	fs.Bool("dynamic", false, "")
-	fs.Int("fail-after", 0, "")
-	return fs, got
-}
-
-// TestCoordWorkArgsRoundTrip: the full worker argv must round-trip
-// through the work subcommand's flag set — every option propagated,
-// nothing dropped, nothing the workers cannot parse. This is the guard
-// the -snapshot-dir propagation fix added: a silently dropped flag
-// would let workers plan with skewed options (or regenerate every
-// database the store already holds).
-func TestCoordWorkArgsRoundTrip(t *testing.T) {
-	snap, err := OpenSnapshotStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Scale: ScaleMedium, Seed: 7, Snapshots: snap}
-	args := coordWorkArgs("fig7", opts)
-	if len(args) == 0 || args[0] != "work" {
-		t.Fatalf("argv must start with the work subcommand: %v", args)
-	}
-	fs, got := workFlagSet()
-	if err := fs.Parse(args[1:]); err != nil {
-		t.Fatalf("work flag set rejects coordinator argv %v: %v", args, err)
-	}
-	if fs.NArg() != 0 {
-		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", args, fs.Args())
-	}
-	want := map[string]string{
-		"exp": "fig7", "scale": "medium", "seed": "7", "snapshot-dir": snap.Dir(),
-	}
-	for name, w := range want {
-		if *got[name] != w {
-			t.Errorf("-%s = %q, want %q", name, *got[name], w)
-		}
-	}
-
-	// Without a snapshot store the flag is omitted entirely, keeping
-	// workers on their no-store default.
-	args = coordWorkArgs("all", Options{Scale: ScaleSmoke})
-	for _, a := range args {
-		if a == "-snapshot-dir" {
-			t.Fatalf("store-less coordinator emitted -snapshot-dir: %v", args)
-		}
-	}
-	fs, got = workFlagSet()
-	if err := fs.Parse(args[1:]); err != nil || fs.NArg() != 0 {
-		t.Fatalf("argv %v does not round-trip: %v, %v", args, err, fs.Args())
-	}
-	if *got["exp"] != "all" || *got["scale"] != "smoke" || *got["seed"] != "0" {
-		t.Fatalf("defaults did not round-trip: %v", args)
-	}
-}
-
-// TestServeWorkArgsRoundTrip: a serve daemon's dynamic-worker argv must
-// also round-trip through the work flag set — the same skew guard as
-// the coordinator's, for the fleet that plans per job spec.
+// TestServeWorkArgsRoundTrip: the worker argv Coordinate and Server
+// launch must round-trip through the work subcommand's flag set —
+// every option propagated, nothing dropped, nothing the workers cannot
+// parse. This is the guard the -snapshot-dir propagation fix added: a
+// silently dropped flag would let workers regenerate every database
+// the store already holds. Experiment, scale and seed ride each job's
+// spec, never the command line.
 func TestServeWorkArgsRoundTrip(t *testing.T) {
 	snap, err := OpenSnapshotStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := serveWorkArgs(Options{Snapshots: snap})
+	fs := flag.NewFlagSet("work", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	snapDir := fs.String("snapshot-dir", "", "")
+	fs.Bool("v", false, "")
+	fs.Int("fail-after", 0, "")
+	args := workArgs(Options{Scale: ScaleMedium, Seed: 7, Snapshots: snap})
 	if len(args) == 0 || args[0] != "work" {
 		t.Fatalf("argv must start with the work subcommand: %v", args)
 	}
-	fs, got := workFlagSet()
 	if err := fs.Parse(args[1:]); err != nil {
-		t.Fatalf("work flag set rejects serve argv %v: %v", args, err)
+		t.Fatalf("work flag set rejects worker argv %v: %v", args, err)
 	}
 	if fs.NArg() != 0 {
 		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", args, fs.Args())
 	}
-	if fs.Lookup("dynamic").Value.String() != "true" {
-		t.Fatalf("serve argv %v did not set -dynamic: static workers cannot join a serve fleet", args)
-	}
-	if *got["snapshot-dir"] != snap.Dir() {
-		t.Errorf("-snapshot-dir = %q, want %q", *got["snapshot-dir"], snap.Dir())
+	if *snapDir != snap.Dir() {
+		t.Errorf("-snapshot-dir = %q, want %q", *snapDir, snap.Dir())
 	}
 
-	// Store-less daemons omit the flag, like store-less coordinators.
-	for _, a := range serveWorkArgs(Options{}) {
-		if a == "-snapshot-dir" {
-			t.Fatalf("store-less serve argv emitted -snapshot-dir: %v", serveWorkArgs(Options{}))
-		}
+	// Store-less runs omit the flag, keeping workers on their no-store
+	// default.
+	if args := workArgs(Options{}); !reflect.DeepEqual(args, []string{"work"}) {
+		t.Fatalf("store-less worker argv = %v", args)
 	}
 }
 

@@ -330,7 +330,7 @@ func TestStaleMissBypassesCache(t *testing.T) {
 	// fill returns.
 	p := pimReq(scope)
 	p.PIM.Program.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base, 0x02) }
-	r.k.Schedule(40, func() { r.llc.Receive(p) })
+	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestStaleExclusiveMissReplays(t *testing.T) {
 	}})
 	p := pimReq(scope)
 	p.PIM.Program.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base+1, 0x0B) }
-	r.k.Schedule(40, func() { r.llc.Receive(p) })
+	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,81 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"bulkpim/internal/system"
 )
 
-// Pool is the persistent, elastic counterpart of Run: where Run
-// dispatches one fixed task list to a fleet and returns, a Pool
-// outlives any batch — tasks are submitted one at a time as they
-// arrive (a serving daemon's cache misses), workers join and leave the
-// live pool, and every settled task is delivered through its own
-// callback. The fault model is Run's: a job-level error (*JobError)
+// Task is one distinct unit of work: a planned suite's fingerprint
+// group, represented by its canonical key. Fingerprints content-address
+// the simulations, so the caller keeps them unique among live tasks.
+// Spec rides to the worker, which plans for it on demand.
+type Task struct {
+	Key         string
+	Fingerprint string
+	Spec        JobSpec
+}
+
+// JobError is a job-level failure reported by a healthy worker: the
+// job's simulation returned an error, the worker itself keeps serving.
+// The pool retries the job on other workers with the reporting worker
+// excluded. Any other error from Worker.Run means the worker is lost
+// (crashed, pipe broken) and is removed from the fleet.
+type JobError struct {
+	Msg string
+	// Skew marks plan skew: the error unwraps to ErrPlanSkew.
+	Skew bool
+}
+
+func (e *JobError) Error() string { return e.Msg }
+
+func (e *JobError) Unwrap() error {
+	if e.Skew {
+		return ErrPlanSkew
+	}
+	return nil
+}
+
+// ErrPlanSkew is a worker's report that the job's spec plans no job
+// with its fingerprint: coordinator and worker plan differently
+// (different builds), so every job sent to that worker fails alike.
+var ErrPlanSkew = errors.New("plan skew between coordinator and worker")
+
+// Worker executes one task at a time. Implementations: ProcWorker
+// (a pimbench work subprocess), in-process workers, and test fakes.
+type Worker interface {
+	// Run executes the task, blocking until its outcome. A *JobError
+	// return means the job failed on a healthy worker; any other error
+	// means the worker is lost.
+	Run(t Task) (system.Result, error)
+	Close() error
+}
+
+// Outcome is one settled task, delivered to its Submit callback as it
+// lands (so a mid-run kill loses at most in-flight jobs).
+type Outcome struct {
+	Task  Task
+	Value system.Result
+	// Err is non-nil when the task failed permanently: its retry budget
+	// was spent, every live worker was excluded from it, or the pool
+	// closed before it ran.
+	Err error
+	// Worker is the worker that settled the task (-1 when no worker
+	// could).
+	Worker int
+	// Attempts counts dispatches, including the settling one.
+	Attempts int
+}
+
+// ErrClosed is returned by a closed pool's AddWorker and Submit, and
+// fails the tasks Close drops from the queue.
+var ErrClosed = errors.New("pool closed")
+
+// Pool is the executor behind both `pimbench coord` and `pimbench
+// serve`: a persistent, elastic fleet of workers pulling tasks from one
+// queue with dynamic work-stealing. Tasks are submitted one at a time
+// (a batch run's whole plan, or a daemon's cache misses as they
+// arrive), workers join and leave the live pool, and every settled task
+// is delivered through its own callback. A job-level error (*JobError)
 // retries the task on other workers with the reporting worker
 // excluded; any other error loses the worker, requeues its task and
 // removes it from the fleet.
@@ -28,10 +95,12 @@ import (
 // absorb the load while the flaky one cools off; one success resets
 // its streak.
 //
-// A task that every current worker is excluded from settles as failed
-// only while the fleet is non-empty; with no workers at all it stays
-// queued, waiting for a join (the elastic case: a daemon replacing a
-// lost worker). Close fails everything still queued.
+// A task that every live worker is excluded from settles as failed —
+// when it is requeued, and again for every queued task whenever a
+// worker leaves or dies (after OnWorkerLost had its chance to replace
+// it). With no live worker at all it stays queued, waiting for a join
+// (the elastic case: a daemon replacing a lost worker). Close fails
+// everything still queued.
 type Pool struct {
 	o PoolOptions
 
@@ -162,7 +231,7 @@ func (p *Pool) AddWorker() (int, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return -1, errors.New("pool closed")
+		return -1, ErrClosed
 	}
 	id := p.nextID
 	p.nextID++
@@ -177,7 +246,7 @@ func (p *Pool) AddWorker() (int, error) {
 	if p.closed {
 		p.mu.Unlock()
 		w.Close()
-		return -1, errors.New("pool closed")
+		return -1, ErrClosed
 	}
 	p.workers[id] = pw
 	p.wg.Add(1)
@@ -209,7 +278,7 @@ func (p *Pool) Submit(t Task, done func(Outcome)) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return errors.New("pool closed")
+		return ErrClosed
 	}
 	p.queue = append(p.queue, &poolTask{t: t, excluded: map[int]bool{}, done: done})
 	p.cond.Broadcast()
@@ -235,9 +304,11 @@ func (p *Pool) Stats() PoolStats {
 	return s
 }
 
-// Close fails every queued task, dismisses the fleet and waits for the
-// worker loops (and their subprocesses) to exit. In-flight tasks still
-// deliver their outcomes before Close returns.
+// Close fails every queued task, dismisses the fleet (waking workers in
+// backoff) and waits for the worker loops (and their subprocesses) to
+// exit. In-flight tasks still deliver their outcomes before Close
+// returns. Close must not be called from a Submit or OnWorkerLost
+// callback: it waits for the worker loop running that callback.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -251,7 +322,7 @@ func (p *Pool) Close() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	for _, t := range dropped {
-		t.done(Outcome{Task: t.t, Err: errors.New("pool closed"), Worker: -1, Attempts: t.attempts})
+		t.done(Outcome{Task: t.t, Err: ErrClosed, Worker: -1, Attempts: t.attempts})
 	}
 	p.wg.Wait()
 }
@@ -284,32 +355,79 @@ func (p *Pool) take(pw *poolWorker) *poolTask {
 
 // requeueLocked puts t back for the rest of the fleet after worker
 // `worker` failed it — or settles it as permanently failed when its
-// retry budget is gone or every current worker (of a non-empty fleet)
-// is excluded. Callers hold mu; the returned task, when non-nil, must
-// have its done invoked after releasing it.
+// retry budget is gone or no current worker may run it (see
+// runnableLocked). Callers hold mu; the returned task, when non-nil,
+// must have its done invoked after releasing it.
 func (p *Pool) requeueLocked(t *poolTask, worker int, err error) (failed *poolTask) {
 	t.excluded[worker] = true
 	t.lastErr = err
-	if t.attempts >= p.o.maxAttempts() {
+	if t.attempts >= p.o.maxAttempts() || !p.runnableLocked(t) {
 		return t
 	}
-	if len(p.workers) > 0 {
-		eligible := false
-		for id, pw := range p.workers {
-			if !t.excluded[id] && !pw.leaving {
-				eligible = true
-				break
-			}
-		}
-		if !eligible {
-			return t
-		}
-	}
-	// An empty fleet keeps the task queued: the pool is elastic, a
-	// replacement worker may join (OnWorkerLost typically adds one).
 	p.queue = append(p.queue, t)
 	p.cond.Broadcast()
 	return nil
+}
+
+// runnableLocked reports whether t can still run: some live (not
+// leaving) worker is not excluded from it, or there is no live worker
+// at all — the pool is elastic, and a replacement may join
+// (OnWorkerLost typically adds one). Callers hold mu.
+func (p *Pool) runnableLocked(t *poolTask) bool {
+	live := false
+	for id, pw := range p.workers {
+		if pw.leaving {
+			continue
+		}
+		if !t.excluded[id] {
+			return true
+		}
+		live = true
+	}
+	return !live
+}
+
+// settleStranded fails every queued task no remaining worker may run.
+// A task is excluded only from workers that failed it, so this matters
+// once a worker leaves the fleet: the survivors may all be excluded
+// from a task that was waiting for the one that left.
+func (p *Pool) settleStranded() {
+	p.mu.Lock()
+	var stranded []*poolTask
+	kept := p.queue[:0]
+	for _, t := range p.queue {
+		if p.runnableLocked(t) {
+			kept = append(kept, t)
+		} else {
+			stranded = append(stranded, t)
+		}
+	}
+	clear(p.queue[len(kept):])
+	p.queue = kept
+	p.mu.Unlock()
+	for _, t := range stranded {
+		t.done(failOutcome(t))
+	}
+}
+
+// cooldown is worker pw's backoff after a job error: it sleeps for d,
+// or less when Close or RemoveWorker ends it early. The backoff is the
+// worker sleeping, not the task waiting: the requeued task is already
+// available to the rest of the fleet.
+func (p *Pool) cooldown(pw *poolWorker, d time.Duration) {
+	deadline := time.Now().Add(d)
+	timer := time.AfterFunc(d, func() {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	})
+	defer timer.Stop()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.closed && !pw.leaving && time.Now().Before(deadline) {
+		p.cond.Wait()
+	}
+	pw.state = "idle"
 }
 
 // failOutcome renders a permanently failed task's outcome.
@@ -350,23 +468,15 @@ func (p *Pool) loop(pw *poolWorker) {
 			pw.failed++
 			pw.busy += el
 			pw.streak++
-			d := p.o.backoff(pw.streak)
 			pw.state = "backoff"
+			d := p.o.backoff(pw.streak)
 			failed := p.requeueLocked(t, pw.id, err)
 			p.mu.Unlock()
 			p.o.log("pool: worker %d: job %s failed (%v), backing off %s", pw.id, t.t.Key, err, d)
 			if failed != nil {
 				failed.done(failOutcome(failed))
 			}
-			// The backoff is the worker sleeping, not the task waiting:
-			// the requeued task is already available to the rest of the
-			// fleet while this worker cools off.
-			time.Sleep(d)
-			p.mu.Lock()
-			if pw.state == "backoff" {
-				pw.state = "idle"
-			}
-			p.mu.Unlock()
+			p.cooldown(pw, d)
 		default:
 			p.mu.Lock()
 			delete(p.workers, pw.id)
@@ -381,6 +491,8 @@ func (p *Pool) loop(pw *poolWorker) {
 			if p.o.OnWorkerLost != nil {
 				p.o.OnWorkerLost(pw.id, err)
 			}
+			// After OnWorkerLost, so a replacement it added counts.
+			p.settleStranded()
 			return
 		}
 	}
@@ -389,4 +501,5 @@ func (p *Pool) loop(pw *poolWorker) {
 	delete(p.workers, pw.id)
 	p.mu.Unlock()
 	p.o.log("pool: worker %d left", pw.id)
+	p.settleStranded()
 }

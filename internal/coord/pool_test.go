@@ -4,11 +4,73 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"bulkpim/internal/system"
 )
+
+// tally counts executions per fingerprint across a fleet of fake
+// workers.
+type tally struct {
+	mu    sync.Mutex
+	count map[string]int
+}
+
+func newTally() *tally { return &tally{count: map[string]int{}} }
+
+func (c *tally) add(fp string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.count[fp]++
+}
+
+// fakeWorker runs tasks in memory with seeded random delays. dieAfter
+// >= 0 makes Run return a worker-lost error (without executing) on the
+// (dieAfter+1)th call; jobErrs lists fingerprints it reports as failed
+// jobs.
+type fakeWorker struct {
+	id       int
+	rng      *rand.Rand
+	rngMu    sync.Mutex
+	tally    *tally
+	dieAfter int
+	runs     int
+	jobErrs  map[string]bool
+	closed   bool
+}
+
+func (w *fakeWorker) Run(t Task) (system.Result, error) {
+	w.rngMu.Lock()
+	d := time.Duration(w.rng.Intn(200)) * time.Microsecond
+	w.rngMu.Unlock()
+	time.Sleep(d)
+	if w.dieAfter >= 0 && w.runs >= w.dieAfter {
+		return system.Result{}, fmt.Errorf("worker %d: simulated crash", w.id)
+	}
+	w.runs++
+	if w.jobErrs[t.Fingerprint] {
+		return system.Result{}, &JobError{Msg: "simulated job failure"}
+	}
+	w.tally.add(t.Fingerprint)
+	return system.Result{Cycles: 1}, nil
+}
+
+func (w *fakeWorker) Close() error {
+	w.closed = true
+	return nil
+}
+
+func mkTasks(n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{Key: fmt.Sprintf("key-%d", i), Fingerprint: fmt.Sprintf("fp-%d", i)}
+	}
+	return tasks
+}
 
 // submitAll pushes every task into the pool and returns a channel that
 // yields the settled outcomes.
@@ -138,6 +200,44 @@ func TestPoolWorkerLostRetriesAndReplaces(t *testing.T) {
 	// Replacement ids never reuse a dead worker's: 0 and the fresh 2.
 	if len(s.Workers) != 2 || s.Workers[0].ID != 0 || s.Workers[1].ID != 2 {
 		t.Fatalf("fleet after replacement: %+v", s.Workers)
+	}
+	p.Close()
+}
+
+// TestPoolRetriesJobErrorElsewhere: a job-level failure on one worker
+// is retried on another (the failing worker excluded), and the batch
+// completes without losing the worker.
+func TestPoolRetriesJobErrorElsewhere(t *testing.T) {
+	tl := newTally()
+	p := NewPool(PoolOptions{
+		BaseBackoff: time.Millisecond,
+		Launch: func(id int) (Worker, error) {
+			w := &fakeWorker{id: id, rng: rand.New(rand.NewSource(int64(id) + 7)),
+				tally: tl, dieAfter: -1}
+			if id == 0 {
+				w.jobErrs = map[string]bool{"fp-13": true}
+			}
+			return w, nil
+		},
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := p.AddWorker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range drain(t, submitAll(t, p, mkTasks(20)), 20) {
+		if o.Err != nil {
+			t.Fatalf("%s failed: %v", o.Task.Key, o.Err)
+		}
+		if o.Task.Fingerprint == "fp-13" && o.Worker != 1 {
+			t.Fatalf("fp-13 settled on worker %d, want the non-failing worker 1", o.Worker)
+		}
+	}
+	if got := tl.count["fp-13"]; got != 1 {
+		t.Fatalf("fp-13 executed %d times, want 1 (on the non-failing worker)", got)
+	}
+	if s := p.Stats(); s.Lost != 0 || len(s.Workers) != 2 {
+		t.Fatalf("stats %+v", s)
 	}
 	p.Close()
 }
@@ -371,17 +471,142 @@ func TestPoolBackoffAfterJobError(t *testing.T) {
 	p.Close()
 }
 
+// TestPoolCloseInterruptsBackoff: a worker cooling off after a job
+// error must not hold its own dismissal, or Close, for the rest of the
+// backoff.
+func TestPoolCloseInterruptsBackoff(t *testing.T) {
+	const backoff = 3 * time.Second
+	tl := newTally()
+	p := NewPool(PoolOptions{
+		BaseBackoff: backoff,
+		MaxBackoff:  backoff,
+		Launch: func(id int) (Worker, error) {
+			return &fakeWorker{id: id, rng: rand.New(rand.NewSource(int64(id))), tally: tl,
+				dieAfter: -1, jobErrs: map[string]bool{"fp-0": true, "fp-1": true}}, nil
+		},
+	})
+	// A lone worker failing a task leaves it in a 3s backoff; the task
+	// settles failed with every live worker excluded.
+	cool := func(task Task) int {
+		t.Helper()
+		id, err := p.AddWorker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := drain(t, submitAll(t, p, []Task{task}), 1)[0]; o.Err == nil {
+			t.Fatalf("outcome %+v", o)
+		}
+		pollWorkerState(t, p, id, "backoff")
+		return id
+	}
+
+	id := cool(Task{Key: "key-0", Fingerprint: "fp-0"})
+	start := time.Now()
+	if err := p.RemoveWorker(id); err != nil {
+		t.Fatal(err)
+	}
+	for len(p.Stats().Workers) != 0 {
+		if time.Since(start) > backoff/3 {
+			t.Fatalf("removed worker still sleeping out its backoff after %v", time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cool(Task{Key: "key-1", Fingerprint: "fp-1"})
+	start = time.Now()
+	p.Close()
+	if el := time.Since(start); el > backoff/3 {
+		t.Fatalf("Close took %v with a worker in a %v backoff", el, backoff)
+	}
+}
+
+// funcWorker is a Worker whose Run is the function itself.
+type funcWorker func(Task) (system.Result, error)
+
+func (f funcWorker) Run(t Task) (system.Result, error) { return f(t) }
+func (funcWorker) Close() error                        { return nil }
+
+// TestPoolWorkerLossFailsStrandedTask: a queued task the survivors are
+// all excluded from settles as failed once the worker it was waiting
+// for dies and no replacement joins, instead of staying queued forever.
+func TestPoolWorkerLossFailsStrandedTask(t *testing.T) {
+	running, crash := make(chan struct{}), make(chan struct{})
+	var p *Pool
+	p = NewPool(PoolOptions{
+		MaxAttempts: 10,
+		BaseBackoff: time.Millisecond,
+		Launch: func(id int) (Worker, error) {
+			switch id {
+			case 0: // holds its first task until told to crash
+				return funcWorker(func(Task) (system.Result, error) {
+					close(running)
+					<-crash
+					return system.Result{}, errors.New("simulated crash")
+				}), nil
+			case 1:
+				return funcWorker(func(t Task) (system.Result, error) {
+					if t.Fingerprint == "fp-bad" {
+						return system.Result{}, &JobError{Msg: "simulated job failure"}
+					}
+					return system.Result{Cycles: 1}, nil
+				}), nil
+			}
+			return nil, errors.New("host unreachable")
+		},
+		OnWorkerLost: func(int, error) {
+			if _, err := p.AddWorker(); err == nil {
+				t.Error("replacement launched")
+			}
+		},
+	})
+	defer p.Close()
+	if _, err := p.AddWorker(); err != nil {
+		t.Fatal(err)
+	}
+	out := submitAll(t, p, []Task{{Key: "key-slow", Fingerprint: "fp-slow"}})
+	<-running
+	if _, err := p.AddWorker(); err != nil {
+		t.Fatal(err)
+	}
+	bad := submitAll(t, p, []Task{{Key: "key-bad", Fingerprint: "fp-bad"}})
+	// fp-bad is requeued for worker 0, the only worker not excluded.
+	for p.Stats().Workers[1].Failed == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(crash)
+	if o := drain(t, bad, 1)[0]; o.Err == nil || o.Attempts != 1 {
+		t.Fatalf("stranded task outcome %+v", o)
+	}
+	if o := drain(t, out, 1)[0]; o.Err != nil || o.Worker != 1 || o.Attempts != 2 {
+		t.Fatalf("lost worker's task outcome %+v", o)
+	}
+}
+
 // TestPoolLaunchFailure: AddWorker surfaces launch errors without
-// registering anything.
+// registering anything, naming the worker exactly once — also for a
+// subprocess that exits before its hello.
 func TestPoolLaunchFailure(t *testing.T) {
 	p := NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
 		return nil, fmt.Errorf("ssh: connection refused")
 	}})
-	if _, err := p.AddWorker(); err == nil || !strings.Contains(err.Error(), "connection refused") {
+	if _, err := p.AddWorker(); err == nil || err.Error() != "worker 0: launch: ssh: connection refused" {
 		t.Fatalf("err = %v", err)
 	}
 	if n := len(p.Stats().Workers); n != 0 {
 		t.Fatalf("%d workers registered after failed launch", n)
+	}
+	p.Close()
+
+	falseBin, err := exec.LookPath("false")
+	if err != nil {
+		t.Skip("no false(1) to launch")
+	}
+	p = NewPool(PoolOptions{Launch: func(id int) (Worker, error) {
+		return StartProc(id, []string{falseBin}, nil)
+	}})
+	_, err = p.AddWorker()
+	if err == nil || err.Error() != "worker 0: launch: no hello (EOF)" {
+		t.Fatalf("subprocess launch err = %v", err)
 	}
 	p.Close()
 }

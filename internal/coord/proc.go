@@ -23,13 +23,14 @@ type ProcWorker struct {
 	broken bool
 }
 
-// StartProc launches argv, wires the protocol pipes, and blocks until
-// the worker's hello (a worker that dies at startup surfaces as a
-// decode error here, not a hang). stderr receives the worker's log;
-// nil discards it.
-func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, error) {
+// StartProc launches argv as worker id, wires the protocol pipes, and
+// blocks until the worker's hello (a worker that dies at startup
+// surfaces as a decode error here, not a hang). stderr receives the
+// worker's log; nil discards it. Launch errors do not name the worker:
+// Pool.AddWorker prefixes them.
+func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, error) {
 	if len(argv) == 0 {
-		return nil, Hello{}, errors.New("empty worker argv")
+		return nil, errors.New("empty worker argv")
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	if stderr == nil {
@@ -38,14 +39,14 @@ func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, err
 	cmd.Stderr = stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, Hello{}, fmt.Errorf("worker %d: %w", id, err)
+		return nil, err
 	}
 	w := &ProcWorker{id: id, cmd: cmd, stdin: stdin,
 		enc: json.NewEncoder(stdin), dec: json.NewDecoder(stdout)}
@@ -53,9 +54,9 @@ func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, err
 	if err := w.dec.Decode(&h); err != nil || h.Type != "hello" {
 		w.broken = true
 		w.Close()
-		return nil, Hello{}, fmt.Errorf("worker %d: no hello (%v)", id, err)
+		return nil, fmt.Errorf("no hello (%v)", err)
 	}
-	return w, Hello{Distinct: h.Distinct}, nil
+	return w, nil
 }
 
 // Run sends one job and blocks for its result. A result frame carrying
@@ -63,7 +64,7 @@ func StartProc(id int, argv []string, stderr io.Writer) (*ProcWorker, Hello, err
 // failure or protocol violation marks the worker broken and is
 // returned as a worker-lost error.
 func (w *ProcWorker) Run(t Task) (system.Result, error) {
-	if err := w.enc.Encode(request{Type: "job", Key: t.Key, Fingerprint: t.Fingerprint, Spec: t.Spec}); err != nil {
+	if err := w.enc.Encode(request{Type: "job", Key: t.Key, Fingerprint: t.Fingerprint, Spec: &t.Spec}); err != nil {
 		w.broken = true
 		return system.Result{}, fmt.Errorf("worker %d: send: %w", w.id, err)
 	}
@@ -78,7 +79,7 @@ func (w *ProcWorker) Run(t Task) (system.Result, error) {
 			w.id, resp.Fingerprint, t.Fingerprint)
 	}
 	if resp.Error != "" {
-		return system.Result{}, &JobError{Msg: resp.Error}
+		return system.Result{}, &JobError{Msg: resp.Error, Skew: resp.Skew}
 	}
 	return resp.Result, nil
 }

@@ -1,33 +1,29 @@
-// Package coord is the fault-tolerant local coordinator of a
-// distributed pimbench run: it dispatches a planned suite's distinct
-// jobs — dynamic work-stealing, one job at a time per worker — to a
-// fleet of worker subprocesses speaking a line-delimited JSON protocol
-// over stdin/stdout, retries jobs from crashed or erroring workers on
-// surviving ones (the failed worker excluded per job), streams every
-// finished result to the caller as it lands, and renders a live
-// jobs-done/ETA footer.
+// Package coord is the fault-tolerant executor behind `pimbench coord`
+// and `pimbench serve`: a Pool dispatches distinct simulation jobs —
+// dynamic work-stealing, one job at a time per worker — to a fleet of
+// worker subprocesses speaking a line-delimited JSON protocol over
+// stdin/stdout, retries jobs from crashed or erroring workers on the
+// survivors (the failed worker excluded per job, under a per-task
+// retry budget), and delivers every finished result to the caller as
+// it lands.
 //
 // The wire protocol (one JSON value per line, worker side implemented
 // by Serve):
 //
-//	worker -> coordinator  {"type":"hello","distinct":N}
-//	coordinator -> worker  {"type":"job","key":K,"fp":F}
-//	worker -> coordinator  {"type":"result","key":K,"fp":F,"result":{...},"error":""}
+//	worker -> coordinator  {"type":"hello"}
+//	coordinator -> worker  {"type":"job","key":K,"fp":F,"spec":{"exp":E,"scale":S,...}}
+//	worker -> coordinator  {"type":"result","key":K,"fp":F,"result":{...},"error":"","skew":false}
 //	coordinator -> worker  {"type":"bye"}        (or stdin EOF)
 //
-// Both sides plan the same suite independently (planning is
-// deterministic), so a job travels as its identity — key plus
-// fingerprint — and the worker resolves the fingerprint to the job
-// closure it planned locally; results travel back as the same
-// system.Result JSON the result cache persists. The hello handshake
-// carries the worker's distinct-job count so a version- or flag-skewed
-// worker fails fast instead of computing wrong points.
-//
-// Dynamic mode (the `pimbench serve` fleet) extends the job frame with
-// a spec — {"type":"job","key":K,"fp":F,"spec":{"exp":E,...}} — so a
-// worker launched with no suite flags can plan on demand: it announces
-// distinct = DynamicDistinct in its hello and derives each job's plan
-// from the spec it rides in with.
+// The hello is a liveness handshake: a worker that dies at startup
+// surfaces as a launch error rather than a hang. Workers start with no
+// plan; every job frame carries the spec its fingerprint was planned
+// under, and the worker plans for it on demand (planning is
+// deterministic, so both sides derive the same fingerprints) and
+// resolves the fingerprint to the job it planned; a fingerprint its
+// plan lacks is plan skew (different builds), flagged in the result
+// frame so the coordinator can stop sending that fleet work. Results
+// travel back as the same system.Result JSON the result cache persists.
 package coord
 
 import (
@@ -37,14 +33,10 @@ import (
 	"bulkpim/internal/system"
 )
 
-// DynamicDistinct is the hello distinct-count a dynamic-mode worker
-// announces: it plans per job spec, so it has no startup plan to skew.
-const DynamicDistinct = -1
-
-// JobSpec is a dynamic job's full identity: the request parameters a
-// serve-fleet worker needs to re-derive the plan a fingerprint belongs
-// to. Overrides carries the request's raw config-override JSON (empty
-// for none) so the worker reproduces the exact mutated Config.
+// JobSpec is a job's full identity: the parameters a worker needs to
+// re-derive the plan a fingerprint belongs to. Overrides carries the
+// request's raw config-override JSON (empty for none) so the worker
+// reproduces the exact mutated Config.
 type JobSpec struct {
 	Exp       string `json:"exp"`
 	Scale     string `json:"scale"`
@@ -54,8 +46,7 @@ type JobSpec struct {
 
 // helloMsg is the worker's startup handshake.
 type helloMsg struct {
-	Type     string `json:"type"` // "hello"
-	Distinct int    `json:"distinct"`
+	Type string `json:"type"` // "hello"
 }
 
 // request is a coordinator-to-worker message.
@@ -104,8 +95,6 @@ type response struct {
 	Fingerprint string        `json:"fp"`
 	Result      system.Result `json:"result"`
 	Error       string        `json:"error,omitempty"`
+	// Skew marks Error as plan skew (ErrPlanSkew).
+	Skew bool `json:"skew,omitempty"`
 }
-
-// Hello is the decoded startup handshake StartProc returns: how many
-// distinct jobs the worker planned.
-type Hello struct{ Distinct int }

@@ -12,17 +12,10 @@ import (
 
 // ServeOptions configures the worker half of the protocol.
 type ServeOptions struct {
-	// Distinct is the worker's planned distinct-job count, announced in
-	// the hello handshake for skew detection.
-	Distinct int
-	// Execute resolves and runs the job planned under fingerprint. An
-	// error becomes a job-level failure on the wire; the worker keeps
-	// serving.
-	Execute func(key, fingerprint string) (system.Result, error)
-	// ExecuteSpec handles dynamic jobs — frames carrying a JobSpec. A
-	// worker that leaves it nil reports such frames as job-level errors
-	// (it cannot plan for them); the serve fleet sets it and announces
-	// Distinct = DynamicDistinct.
+	// ExecuteSpec plans for the job's spec and runs the job planned
+	// under fingerprint. An error becomes a job-level failure on the
+	// wire (flagged as skew when it wraps ErrPlanSkew); the worker
+	// keeps serving.
 	ExecuteSpec func(spec JobSpec, key, fingerprint string) (system.Result, error)
 	// FailAfter > 0 is a crash-injection test hook: the worker serves
 	// exactly FailAfter jobs, then dies via Fail when the next job
@@ -50,7 +43,7 @@ func (o ServeOptions) log(format string, args ...any) {
 // back in the result frame).
 func Serve(in io.Reader, out io.Writer, o ServeOptions) error {
 	enc := json.NewEncoder(out)
-	if err := enc.Encode(helloMsg{Type: "hello", Distinct: o.Distinct}); err != nil {
+	if err := enc.Encode(helloMsg{Type: "hello"}); err != nil {
 		return fmt.Errorf("coord worker: hello: %w", err)
 	}
 	dec := json.NewDecoder(in)
@@ -79,16 +72,13 @@ func Serve(in io.Reader, out io.Writer, o ServeOptions) error {
 		}
 		resp := response{Type: "result", Key: req.Key, Fingerprint: req.Fingerprint}
 		var v system.Result
-		switch {
-		case req.Spec != nil && o.ExecuteSpec != nil:
+		if req.Spec == nil {
+			err = errors.New("job frame without a spec")
+		} else {
 			v, err = o.ExecuteSpec(*req.Spec, req.Key, req.Fingerprint)
-		case req.Spec != nil:
-			err = errors.New("worker does not support dynamic jobs")
-		default:
-			v, err = o.Execute(req.Key, req.Fingerprint)
 		}
 		if err != nil {
-			resp.Error = err.Error()
+			resp.Error, resp.Skew = err.Error(), errors.Is(err, ErrPlanSkew)
 			o.log("worker: %s failed: %v", req.Key, err)
 		} else {
 			resp.Result = v

@@ -13,7 +13,7 @@ func TestBacklogGrowsAndDrains(t *testing.T) {
 		t.Fatal("fresh link has backlog")
 	}
 	for i := 0; i < 4; i++ {
-		l.Send(func() {})
+		l.SendCtx(callFn, func() {})
 	}
 	if got := l.Backlog(); got != 40 {
 		t.Fatalf("backlog = %d, want 40 (4 msgs x 10 cycles)", got)
@@ -48,10 +48,10 @@ func TestMixedOrderedAndJittered(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
 			i := i
-			l.SendOrdered(func() { got = append(got, "o") })
+			l.SendOrderedCtx(callFn, func() { got = append(got, "o") })
 			_ = i
 		} else {
-			l.Send(func() { got = append(got, "j") })
+			l.SendCtx(callFn, func() { got = append(got, "j") })
 		}
 	}
 	if _, err := k.Run(); err != nil {

@@ -6,11 +6,15 @@ import (
 	"bulkpim/internal/sim"
 )
 
+// callFn runs the closure carried in the ctx slot, so tests can send
+// plain closures through the (fn, ctx) API.
+func callFn(ctx any) { ctx.(func())() }
+
 func TestLinkLatency(t *testing.T) {
 	k := sim.NewKernel()
 	l := NewLink(k, "t", 10, 0, 1, sim.NewRand(1))
 	var at sim.Tick
-	l.Send(func() { at = k.Now() })
+	l.SendCtx(callFn, func() { at = k.Now() })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +28,7 @@ func TestLinkBandwidthSerializes(t *testing.T) {
 	l := NewLink(k, "t", 5, 0, 4, sim.NewRand(1))
 	var times []sim.Tick
 	for i := 0; i < 3; i++ {
-		l.Send(func() { times = append(times, k.Now()) })
+		l.SendCtx(callFn, func() { times = append(times, k.Now()) })
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -51,7 +55,7 @@ func TestLinkJitterCanReorder(t *testing.T) {
 		var order []int
 		for i := 0; i < 10; i++ {
 			i := i
-			l.Send(func() { order = append(order, i) })
+			l.SendCtx(callFn, func() { order = append(order, i) })
 		}
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -73,7 +77,7 @@ func TestSendOrderedNeverReorders(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		l.SendOrdered(func() { order = append(order, i) })
+		l.SendOrderedCtx(callFn, func() { order = append(order, i) })
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -91,7 +95,7 @@ func TestLinkDeterministic(t *testing.T) {
 		l := NewLink(k, "t", 4, 8, 2, sim.NewRand(99))
 		var times []sim.Tick
 		for i := 0; i < 20; i++ {
-			l.Send(func() { times = append(times, k.Now()) })
+			l.SendCtx(callFn, func() { times = append(times, k.Now()) })
 		}
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)

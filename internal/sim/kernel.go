@@ -125,27 +125,11 @@ func (k *Kernel) Now() Tick { return k.now }
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// callPlain adapts a no-argument closure to the (fn, ctx) event shape: the
-// closure itself rides in the ctx slot. Func values are pointer-shaped, so
-// the conversion to any does not allocate.
-func callPlain(ctx any) { ctx.(func())() }
-
-// Schedule runs fn after delay cycles (delay 0 means "later this cycle",
-// after already-queued events for the current tick).
-func (k *Kernel) Schedule(delay Tick, fn func()) {
-	k.ScheduleAtCtx(k.now+delay, callPlain, fn)
-}
-
-// ScheduleAt runs fn at absolute time when. Scheduling in the past is a
-// programming error and panics.
-func (k *Kernel) ScheduleAt(when Tick, fn func()) {
-	k.ScheduleAtCtx(when, callPlain, fn)
-}
-
-// ScheduleCtx runs fn(ctx) after delay cycles. Passing a long-lived fn (a
-// package-level function or a field initialized once) with a per-event ctx
-// schedules without allocating, where Schedule with a capturing closure
-// would allocate the closure.
+// ScheduleCtx runs fn(ctx) after delay cycles (delay 0 means "later this
+// cycle", after already-queued events for the current tick). Passing a
+// long-lived fn (a package-level function or a field initialized once)
+// with a per-event ctx schedules without allocating, where a capturing
+// closure would allocate.
 func (k *Kernel) ScheduleCtx(delay Tick, fn func(any), ctx any) {
 	k.ScheduleAtCtx(k.now+delay, fn, ctx)
 }

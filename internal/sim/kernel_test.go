@@ -5,12 +5,16 @@ import (
 	"testing/quick"
 )
 
+// callFn runs the closure carried in the ctx slot, so tests can schedule
+// plain closures through the (fn, ctx) API.
+func callFn(ctx any) { ctx.(func())() }
+
 func TestKernelFiresInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var got []Tick
-	k.Schedule(30, func() { got = append(got, 30) })
-	k.Schedule(10, func() { got = append(got, 10) })
-	k.Schedule(20, func() { got = append(got, 20) })
+	k.ScheduleCtx(30, callFn, func() { got = append(got, 30) })
+	k.ScheduleCtx(10, callFn, func() { got = append(got, 10) })
+	k.ScheduleCtx(20, callFn, func() { got = append(got, 20) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +35,7 @@ func TestKernelFIFOWithinTick(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(5, func() { got = append(got, i) })
+		k.ScheduleCtx(5, callFn, func() { got = append(got, i) })
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -46,10 +50,10 @@ func TestKernelFIFOWithinTick(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var trace []Tick
-	k.Schedule(1, func() {
+	k.ScheduleCtx(1, callFn, func() {
 		trace = append(trace, k.Now())
-		k.Schedule(4, func() { trace = append(trace, k.Now()) })
-		k.Schedule(0, func() { trace = append(trace, k.Now()) })
+		k.ScheduleCtx(4, callFn, func() { trace = append(trace, k.Now()) })
+		k.ScheduleCtx(0, callFn, func() { trace = append(trace, k.Now()) })
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -65,12 +69,12 @@ func TestKernelNestedScheduling(t *testing.T) {
 func TestKernelZeroDelayRunsAfterQueuedSameTick(t *testing.T) {
 	k := NewKernel()
 	var got []string
-	k.Schedule(2, func() { got = append(got, "a") })
-	k.Schedule(2, func() {
+	k.ScheduleCtx(2, callFn, func() { got = append(got, "a") })
+	k.ScheduleCtx(2, callFn, func() {
 		got = append(got, "b")
-		k.Schedule(0, func() { got = append(got, "d") })
+		k.ScheduleCtx(0, callFn, func() { got = append(got, "d") })
 	})
-	k.Schedule(2, func() { got = append(got, "c") })
+	k.ScheduleCtx(2, callFn, func() { got = append(got, "c") })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +90,13 @@ func TestKernelZeroDelayRunsAfterQueuedSameTick(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {
+	k.ScheduleCtx(10, callFn, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.ScheduleAt(5, func() {})
+		k.ScheduleAtCtx(5, callFn, func() {})
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -103,8 +107,8 @@ func TestEventLimit(t *testing.T) {
 	k := NewKernel()
 	k.EventLimit = 100
 	var tick func()
-	tick = func() { k.Schedule(1, tick) }
-	k.Schedule(1, tick)
+	tick = func() { k.ScheduleCtx(1, callFn, tick) }
+	k.ScheduleCtx(1, callFn, tick)
 	if _, err := k.Run(); err != ErrEventLimit {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
 	}
@@ -114,7 +118,7 @@ func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	for i := Tick(1); i <= 10; i++ {
-		k.Schedule(i*10, func() { fired++ })
+		k.ScheduleCtx(i*10, callFn, func() { fired++ })
 	}
 	if _, err := k.RunUntil(50); err != nil {
 		t.Fatal(err)
@@ -136,8 +140,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.Schedule(1, func() { fired++; k.Stop() })
-	k.Schedule(2, func() { fired++ })
+	k.ScheduleCtx(1, callFn, func() { fired++; k.Stop() })
+	k.ScheduleCtx(2, callFn, func() { fired++ })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestKernelOrderProperty(t *testing.T) {
 		var fires []fire
 		for i, d := range delays {
 			i, d := i, d
-			k.Schedule(Tick(d%512), func() { fires = append(fires, fire{k.Now(), i}) })
+			k.ScheduleCtx(Tick(d%512), callFn, func() { fires = append(fires, fire{k.Now(), i}) })
 		}
 		if _, err := k.Run(); err != nil {
 			return false

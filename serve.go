@@ -6,8 +6,7 @@ package bulkpim
 // request (experiment × scale × seed × config overrides) to its
 // deduplicated plan, strict config-override validation, the shared
 // result cache, and the two execution backends (in-process local
-// workers, or a fleet of `pimbench work -dynamic` subprocesses that
-// plan per job spec instead of per startup flags).
+// workers, or the `pimbench work` subprocess fleet Coordinate uses).
 
 import (
 	"bytes"
@@ -21,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bulkpim/internal/coord"
@@ -72,9 +70,8 @@ type resolvedPlan struct {
 
 // planCache memoizes resolved plans by full spec identity
 // (experiment × scale × seed × overrides). Planning is deterministic,
-// so the daemon and every dynamic worker derive identical fingerprints
-// from the same spec — the serve-fleet analogue of the coordinator's
-// hello-skew guarantee.
+// so the daemon, the coordinator and every worker derive identical
+// fingerprints from the same spec.
 type planCache struct {
 	opts  Options
 	mu    sync.Mutex
@@ -157,8 +154,9 @@ func (pc *planCache) resolve(spec coord.JobSpec) (*resolvedPlan, error) {
 	return rp, nil
 }
 
-// execute resolves a dynamic job's spec and runs the fingerprint's
-// simulation, with the worker protocol's panic capture.
+// execute resolves a job's spec and runs the fingerprint's simulation.
+// A panicking point becomes a job-level error, mirroring the in-process
+// runner's panic capture: the worker survives to serve its siblings.
 func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Result, err error) {
 	rp, err := pc.resolve(spec)
 	if err != nil {
@@ -166,8 +164,7 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 	}
 	j, ok := rp.byFP[fingerprint]
 	if !ok {
-		return r, fmt.Errorf("unknown fingerprint %s for %s (plan skew between daemon and worker?)",
-			fingerprint, key)
+		return r, fmt.Errorf("unknown fingerprint %s for %s: %w", fingerprint, key, coord.ErrPlanSkew)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -177,35 +174,19 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 	return j.Job().Run()
 }
 
-// ServeDynamicWork is the worker half of a serve fleet — `pimbench
-// work -dynamic`: it plans nothing at startup (hello announces
-// DynamicDistinct), derives each job's plan from the spec riding in
+// ServeWorker is the worker half of a fleet — the hidden `pimbench
+// work` endpoint `pimbench coord` and `pimbench serve` spawn: it plans
+// nothing at startup, derives each job's plan from the spec riding in
 // its frame, and memoizes resolved plans across jobs. failAfter > 0 is
-// the same crash-injection hook the static worker has.
-func ServeDynamicWork(opts Options, in io.Reader, out io.Writer, failAfter int) error {
+// the crash-injection test hook (serve that many jobs, then exit 3 on
+// the next).
+func ServeWorker(opts Options, in io.Reader, out io.Writer, failAfter int) error {
 	pc := newPlanCache(opts)
 	return coord.Serve(in, out, coord.ServeOptions{
-		Distinct: coord.DynamicDistinct,
-		Execute: func(key, fingerprint string) (Result, error) {
-			return Result{}, errors.New("dynamic worker requires a job spec")
-		},
 		ExecuteSpec: pc.execute,
 		FailAfter:   failAfter,
 		Log:         opts.Log,
 	})
-}
-
-// serveWorkArgs builds the dynamic work-subcommand argv a serve daemon
-// hands its fleet. Unlike coordWorkArgs there is no experiment, scale
-// or seed — those travel per job in the spec — only the shared
-// resources workers attach to. TestServeWorkArgsRoundTrip asserts the
-// round-trip through the work flag set.
-func serveWorkArgs(opts Options) []string {
-	args := []string{"work", "-dynamic"}
-	if opts.Snapshots != nil {
-		args = append(args, "-snapshot-dir", opts.Snapshots.Dir())
-	}
-	return args
 }
 
 // ServerOptions configures the daemon around Options (which carries
@@ -240,15 +221,13 @@ type ServerOptions struct {
 // Server is a running pimbench serve daemon: an HTTP listener in front
 // of the result cache and an elastic worker pool.
 type Server struct {
-	opts    Options
-	sopts   ServerOptions
-	pc      *planCache
-	pool    *coord.Pool
-	hs      *http.Server
-	ln      net.Listener
-	target  int
-	closing atomic.Bool
-	logf    func(format string, args ...any)
+	opts  Options
+	pc    *planCache
+	fleet *fleet
+	pool  *coord.Pool
+	hs    *http.Server
+	ln    net.Listener
+	logf  func(format string, args ...any)
 }
 
 // NewServer wires the daemon and starts its initial worker fleet, but
@@ -257,7 +236,7 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 	if opts.Cache == nil {
 		return nil, errors.New("pimbench serve needs Options.Cache: the daemon is a results CDN over the shared result cache")
 	}
-	s := &Server{opts: opts, sopts: sopts, pc: newPlanCache(opts)}
+	s := &Server{opts: opts, pc: newPlanCache(opts)}
 
 	// The pool (and the HTTP handlers) log from many goroutines, but
 	// Options.Log's contract does not require goroutine-safety.
@@ -272,24 +251,23 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 		}
 	}
 
-	s.target = sopts.Workers
-	if s.target <= 0 {
-		s.target = 2
+	target := sopts.Workers
+	if target <= 0 {
+		target = 2
 	}
-	s.pool = coord.NewPool(coord.PoolOptions{
-		Launch:       s.launchWorker,
-		MaxAttempts:  sopts.MaxAttempts,
-		BaseBackoff:  sopts.BaseBackoff,
-		MaxBackoff:   sopts.MaxBackoff,
-		Log:          s.logf,
-		OnWorkerLost: s.onWorkerLost,
-	})
-	var launchErrs []error
-	for i := 0; i < s.target; i++ {
-		if _, err := s.pool.AddWorker(); err != nil {
-			launchErrs = append(launchErrs, err)
-		}
+	launch := func(int) (coord.Worker, error) { return &localServeWorker{pc: s.pc}, nil }
+	if !sopts.Local {
+		launch = procLauncher(opts, sopts.WorkerCmd, sopts.WorkerStderr, sopts.FailWorker, sopts.FailAfter)
 	}
+	f := newFleet(coord.PoolOptions{
+		Launch:      launch,
+		MaxAttempts: sopts.MaxAttempts,
+		BaseBackoff: sopts.BaseBackoff,
+		MaxBackoff:  sopts.MaxBackoff,
+		Log:         s.logf,
+	}, target, nil)
+	s.fleet, s.pool = f, f.pool
+	launchErrs := f.grow(target)
 	if len(s.pool.Stats().Workers) == 0 {
 		s.pool.Close()
 		return nil, fmt.Errorf("no worker launched: %w", errors.Join(launchErrs...))
@@ -312,10 +290,8 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 		Artifacts:      s.resolveArtifacts,
 		ArtifactStatus: s.artifactStatus,
 		Fleet:          s.pool.Stats,
-		AddWorker: func() (int, error) {
-			return s.pool.AddWorker()
-		},
-		RemoveWorker: s.pool.RemoveWorker,
+		AddWorker:      s.pool.AddWorker,
+		RemoveWorker:   s.pool.RemoveWorker,
 		Shutdown: func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
@@ -352,10 +328,11 @@ func (s *Server) Serve() error {
 	return err
 }
 
-// Shutdown gracefully stops the listener and dismisses the fleet.
-// Queued tasks settle as failed; in-flight ones finish first.
+// Shutdown gracefully stops the listener and dismisses the fleet; a
+// worker lost meanwhile is not replaced. Queued tasks settle as failed;
+// in-flight ones finish first.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
+	s.fleet.stop()
 	err := s.hs.Shutdown(ctx)
 	s.pool.Close()
 	return err
@@ -467,66 +444,19 @@ func specOf(req serve.JobRequest) coord.JobSpec {
 
 // exec dispatches one missing point onto the pool.
 func (s *Server) exec(req serve.JobRequest, p serve.Point, done func(Result, error)) {
-	spec := specOf(req)
-	task := coord.Task{Key: p.Key, Fingerprint: p.Fingerprint, Spec: &spec}
+	task := coord.Task{Key: p.Key, Fingerprint: p.Fingerprint, Spec: specOf(req)}
 	if err := s.pool.Submit(task, func(o coord.Outcome) { done(o.Value, o.Err) }); err != nil {
 		done(Result{}, err)
 	}
 }
 
-// launchWorker starts one fleet member: an in-process worker (Local)
-// or a `pimbench work -dynamic` subprocess.
-func (s *Server) launchWorker(id int) (coord.Worker, error) {
-	if s.sopts.Local {
-		return &localServeWorker{pc: s.pc}, nil
-	}
-	args := serveWorkArgs(s.opts)
-	if s.sopts.FailAfter > 0 && id == s.sopts.FailWorker {
-		args = append(append([]string(nil), args...),
-			"-fail-after", strconv.Itoa(s.sopts.FailAfter))
-	}
-	argv, err := workerArgv(s.sopts.WorkerCmd, args)
-	if err != nil {
-		return nil, err
-	}
-	w, hello, err := coord.StartProc(id, argv, s.sopts.WorkerStderr)
-	if err != nil {
-		return nil, err
-	}
-	if hello.Distinct != coord.DynamicDistinct {
-		w.Close()
-		return nil, fmt.Errorf("worker announced a static plan (distinct %d); a serve fleet needs `work -dynamic` workers",
-			hello.Distinct)
-	}
-	return w, nil
-}
-
-// onWorkerLost keeps the fleet at the auto-replace target while the
-// daemon is live.
-func (s *Server) onWorkerLost(id int, err error) {
-	if s.closing.Load() {
-		return
-	}
-	if len(s.pool.Stats().Workers) >= s.target {
-		return
-	}
-	if _, aerr := s.pool.AddWorker(); aerr != nil {
-		s.logf("serve: replacing lost worker %d: %v", id, aerr)
-		return
-	}
-	s.logf("serve: worker %d lost (%v), replacement joined", id, err)
-}
-
-// localServeWorker executes dynamic tasks in-process. Execution errors
+// localServeWorker executes tasks in-process. Execution errors
 // are job-level (*coord.JobError): an in-process worker does not die
 // with its job.
 type localServeWorker struct{ pc *planCache }
 
 func (w *localServeWorker) Run(t coord.Task) (Result, error) {
-	if t.Spec == nil {
-		return Result{}, &coord.JobError{Msg: "dynamic task without a spec"}
-	}
-	v, err := w.pc.execute(*t.Spec, t.Key, t.Fingerprint)
+	v, err := w.pc.execute(t.Spec, t.Key, t.Fingerprint)
 	if err != nil {
 		return Result{}, &coord.JobError{Msg: err.Error()}
 	}

@@ -14,7 +14,7 @@ import (
 	"bulkpim/internal/serve"
 )
 
-// jobSpec builds a dynamic-job spec the way the daemon does from an
+// jobSpec builds a job spec the way the daemon does from an
 // API request.
 func jobSpec(exp, scale string, seed uint64, overrides string) coord.JobSpec {
 	return coord.JobSpec{Exp: exp, Scale: scale, Seed: seed, Overrides: overrides}
