@@ -224,15 +224,6 @@ func SimJobs(specs []SimJob) []Job { return runner.SimJobs(specs) }
 // SummarizeJobs folds a batch into its accounting.
 func SummarizeJobs(rs []JobResult) JobSummary { return runner.Summarize(rs) }
 
-// WorkerPool is a shared worker pool: several concurrent RunJobs
-// batches can submit to one pool (JobOptions.Pool), bounding total
-// simulation concurrency suite-wide. RunAll uses one internally.
-type WorkerPool = runner.Pool
-
-// NewWorkerPool starts a pool of `parallelism` workers (<= 0 =
-// GOMAXPROCS). Close it to release them.
-func NewWorkerPool(parallelism int) *WorkerPool { return runner.NewPool(parallelism) }
-
 // ---- persistent result cache ----
 
 // ResultCache is an on-disk, content-addressed store of finished

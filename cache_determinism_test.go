@@ -9,7 +9,6 @@ package bulkpim
 
 import (
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -18,21 +17,19 @@ import (
 // canonical order.
 func runAllReports(t *testing.T, cache *ResultCache) string {
 	t.Helper()
-	var b strings.Builder
-	opts := Options{Scale: ScaleSmoke, Cache: cache}
-	if _, err := RunAll(opts, func(name, report string) {
-		b.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
+	out, err := RunExperiment("all", Options{Scale: ScaleSmoke, Cache: cache})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	return out
 }
 
 // TestWarmCacheByteIdenticalReports is the memoization contract: the
 // cold run computes and stores every grid point; the warm run must
-// serve >90% of lookups from the cache (everything but the litmus
-// sweeps, which carry no config fingerprint) and emit exactly the same
-// bytes.
+// serve >90% of lookups from the cache and emit exactly the same
+// bytes. Every job is fingerprinted, the litmus sweeps included (their
+// workload identity rides in Extra), so TestWarmRunAllFullyHit pins
+// the stricter 100%.
 func TestWarmCacheByteIdenticalReports(t *testing.T) {
 	cache, err := OpenResultCache(t.TempDir())
 	if err != nil {
@@ -66,14 +63,16 @@ func TestWarmCacheByteIdenticalReports(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllFullyHit is the fingerprint-level Flight dedup
-// follow-through (ROADMAP item closed by this PR): a cold single-
-// process `-exp all` run computes each distinct fingerprint exactly
-// once — aliased keys (fig9-ycsb, the ablation baseline, the sizing
-// defaults all planning the suite's most expensive simulation) ride
-// their Flight primary instead of recomputing — yet still leaves a
-// cache entry under EVERY planned (key, fingerprint) identity, so a
-// warm re-run is 100%-hit and byte-identical.
+// TestWarmRunAllFullyHit is the executor's dedup-and-fan-out contract
+// on the real suite: a cold single-process `-exp all` run executes
+// each distinct fingerprint exactly once — aliased keys (fig9-ycsb,
+// the ablation baseline, the sizing defaults all planning the suite's
+// most expensive simulation) ride their group's one execution — yet
+// writes exactly one cache entry under EVERY planned (key,
+// fingerprint) identity: a same-key twin (a Naive baseline several
+// experiments plan) is stored once, an aliased key gets its own entry.
+// A warm re-run is then 100%-hit, stores nothing and is
+// byte-identical.
 func TestWarmRunAllFullyHit(t *testing.T) {
 	cache, err := OpenResultCache(t.TempDir())
 	if err != nil {
@@ -90,12 +89,21 @@ func TestWarmRunAllFullyHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	distinct := map[string]bool{}
+	identities := map[string]bool{}
 	for _, j := range manifest {
 		distinct[j.Fingerprint] = true
+		identities[j.Key+"\x00"+j.Fingerprint] = true
 	}
 	if executed != int64(len(distinct)) {
 		t.Fatalf("cold run executed %d simulations, suite has %d distinct fingerprints (aliases must dedup)",
 			executed, len(distinct))
+	}
+	if len(identities) == len(manifest) || len(identities) == len(distinct) {
+		t.Fatalf("suite lost its same-key twins or aliases (%d jobs, %d identities, %d fingerprints): the test no longer covers them",
+			len(manifest), len(identities), len(distinct))
+	}
+	if st := cache.Stats(); st.Stores != len(identities) {
+		t.Fatalf("cold run stored %d entries, want one per planned (key, fingerprint): %d", st.Stores, len(identities))
 	}
 	for _, j := range manifest {
 		if _, ok := cache.Lookup(j.Key, j.Fingerprint); !ok {
@@ -108,6 +116,9 @@ func TestWarmRunAllFullyHit(t *testing.T) {
 	stats := cache.Stats()
 	if misses := stats.Misses - beforeWarm.Misses; misses != 0 {
 		t.Fatalf("warm run missed the cache %d times, want 0 (100%% hit)", misses)
+	}
+	if stores := stats.Stores - beforeWarm.Stores; stores != 0 {
+		t.Fatalf("warm run stored %d entries, want 0", stores)
 	}
 	if cold != warm {
 		t.Fatalf("warm reports differ from cold: cold %d bytes, warm %d bytes", len(cold), len(warm))

@@ -240,10 +240,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case sharded:
 		runErr = runShard(*f.exp, opts, shard, stderr)
-	case *f.stream:
-		runErr = streamExperiments(*f.exp, opts, stdout, stderr)
 	default:
-		runErr = runExperiments(*f.exp, opts, stdout, stderr)
+		runErr = runExperiments(*f.exp, opts, *f.stream, stdout, stderr)
 	}
 	// Accounting goes to stderr even on failure: a partially-failed
 	// resumed run still reports what it skipped and recomputed.
@@ -671,25 +669,21 @@ func snapshotCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExperiments executes one experiment — or, for "all", every
-// experiment concurrently on one shared worker pool, with a
-// per-experiment timing footer on stderr (wall times vary run to run,
-// so the footer stays out of the byte-stable stdout reports).
-func runExperiments(exp string, opts bulkpim.Options, stdout, stderr io.Writer) error {
-	if exp != "all" {
-		out, err := bulkpim.RunExperiment(exp, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, out)
-		return nil
+// runExperiments executes one experiment — or, for "all", the whole
+// suite — writing its report to stdout artifact by artifact, in
+// canonical order, followed on stderr by the per-experiment timing
+// footer for "all" (wall times vary run to run, so the footer stays
+// out of the byte-stable stdout reports). With stream, each
+// artifact's settle order is logged on stderr as it becomes ready.
+func runExperiments(exp string, opts bulkpim.Options, stream bool, stdout, stderr io.Writer) error {
+	var emit func(bulkpim.StreamEmit)
+	if stream {
+		emit = func(e bulkpim.StreamEmit) { logStreamEmit(e, stderr) }
 	}
-	timings, err := bulkpim.RunAll(opts, func(name, report string) {
-		fmt.Fprintf(stdout, "==== %s ====\n%s\n", name, report)
-	}, func(name string, d time.Duration) {
-		fmt.Fprintf(stderr, "pimbench: %s in %s\n", name, d.Round(time.Millisecond))
-	})
-	fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
+	timings, err := bulkpim.StreamReport(exp, opts, emit, stdout)
+	if len(timings) > 0 {
+		fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
+	}
 	return err
 }
 
@@ -702,20 +696,6 @@ func logStreamEmit(e bulkpim.StreamEmit, stderr io.Writer) {
 		return
 	}
 	fmt.Fprintf(stderr, "pimbench: artifact %s/%s ready (settled #%d)\n", e.Experiment, e.Artifact, e.Seq+1)
-}
-
-// streamExperiments is runExperiments with -stream: artifacts render
-// the moment their last job settles and reach stdout incrementally in
-// canonical order, byte-identical to the batch report for a successful
-// run.
-func streamExperiments(exp string, opts bulkpim.Options, stdout, stderr io.Writer) error {
-	timings, err := bulkpim.StreamReport(exp, opts, func(e bulkpim.StreamEmit) {
-		logStreamEmit(e, stderr)
-	}, stdout)
-	if len(timings) > 0 {
-		fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
-	}
-	return err
 }
 
 // writeCSVs re-renders figure series as CSV for external plotting. Only

@@ -294,29 +294,21 @@ func coordinate(name string, opts Options, copts CoordOptions, launch func(id in
 	groups, manifest := dedupPlan(planned)
 	sum.Planned, sum.Distinct = len(manifest), len(groups)
 
-	// The pool logs and settles from every worker goroutine, but
-	// Options.Log's contract does not require goroutine-safety (RunAll
-	// serializes its calls), so serialize it here before fanning it out.
+	// The pool logs and settles from every worker goroutine.
+	opts.Log = opts.lockedLog()
 	logf := opts.log
-	if opts.Log != nil {
-		var logMu sync.Mutex
-		base := opts.Log
-		logf = func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			base(format, args...)
-		}
-	}
 
 	// The streaming countdown listens on the same alias keys the cache
 	// writes below fan out to, so artifacts complete exactly when their
 	// last distinct simulation settles — including ones whose keys this
 	// experiment shares with a sibling's fingerprint group.
-	var stream *ReportStream
+	var streamSettle func(key string, r Result, err error)
 	if copts.Stream != nil {
-		if stream, err = NewReportStream(name, opts, copts.Stream); err != nil {
+		stream, err := NewReportStream(name, opts, copts.Stream)
+		if err != nil {
 			return sum, err
 		}
+		streamSettle = stream.Settle
 	}
 	if len(groups) == 0 {
 		return sum, nil
@@ -365,28 +357,19 @@ func coordinate(name string, opts Options, copts CoordOptions, launch func(id in
 		}
 		settled[i] = true
 		left--
-		done, total, keys := len(groups)-left, len(groups), groups[i].keys
+		done, total, key := len(groups)-left, len(groups), groups[i].keys[0]
 		if o.Err != nil {
 			sum.Failed++
-			failures = append(failures, fmt.Errorf("%s: %w", keys[0], o.Err))
-			logf("[%d/%d] %s FAILED: %v", done, total, keys[0], o.Err)
+			failures = append(failures, fmt.Errorf("%s: %w", key, o.Err))
+			logf("[%d/%d] %s FAILED: %v", done, total, key, o.Err)
 		} else {
 			sum.Done++
-			for _, key := range keys {
-				if err := opts.Cache.Store(key, groups[i].fp, o.Value); err != nil {
-					logf("cache store %s: %v", key, err)
-				} else {
-					sum.Stored++
-				}
-			}
 		}
-		if stream != nil {
-			for _, key := range keys {
-				stream.Settle(key, o.Value, o.Err)
-			}
-		}
+		// Nothing here was looked up first: the canonical key is stored
+		// as computed, the aliases where the cache lacks them.
+		sum.Stored += opts.fanOut(groups[i], o.Value, o.Err, false, streamSettle)
 		if o.Err == nil {
-			logf("[%d/%d] %s done on worker %d (attempt %d)", done, total, keys[0], o.Worker, o.Attempts)
+			logf("[%d/%d] %s done on worker %d (attempt %d)", done, total, key, o.Worker, o.Attempts)
 		}
 		st := f.pool.Stats()
 		footer.update(done, sum.Failed, st.Retried, len(st.Workers))

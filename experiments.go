@@ -1,17 +1,17 @@
 package bulkpim
 
 // Shared experiment-harness infrastructure: measurement scales, the
-// Options value threaded through every phase, the runner wiring
-// (parallelism, shared pool, cache and in-flight-dedup hooks), and the
-// suite timing accounting. The experiments themselves are declared in
-// the registry (registry.go) with one spec file per family:
-// exp_ycsb.go, exp_tpch.go, exp_litmus.go, exp_tables.go. The
+// Options value threaded through every phase, the serialized progress
+// log, and the suite timing accounting. The experiments themselves are
+// declared in the registry (registry.go) with one spec file per
+// family: exp_ycsb.go, exp_tpch.go, exp_litmus.go, exp_tables.go. The
 // distributed plan/shard/merge pipeline on top lives in plan.go.
 
 import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"bulkpim/internal/runner"
@@ -60,8 +60,8 @@ func ValidScale(s Scale) bool {
 // Options configures the experiment harness.
 type Options struct {
 	Scale Scale
-	// Log receives progress lines; nil discards them. RunAll serializes
-	// calls across its concurrent experiments, so Log need not be
+	// Log receives progress lines; nil discards them. Every executor
+	// serializes its calls (lockedLog), so Log need not be
 	// goroutine-safe.
 	Log func(format string, args ...interface{})
 	// Seed lets repeated harness runs vary; 0 uses the default.
@@ -87,17 +87,6 @@ type Options struct {
 	// the store's filesystem — generate each database at most once
 	// suite-wide instead of once per process.
 	Snapshots *SnapshotStore
-	// pool and flight, when non-nil, schedule every sweep of this
-	// options value on one shared worker pool and deduplicate identical
-	// in-flight grid points across experiments (set by RunAll for
-	// suite-wide scheduling).
-	pool   *runner.Pool
-	flight *runner.Flight[Result]
-	// onSettle, when non-nil, observes every job settlement (key,
-	// result, error) as it lands — the streaming-report hook wired by
-	// StreamReport. It is invoked from runner callbacks, possibly for
-	// several experiments at once, so it must be goroutine-safe.
-	onSettle func(key string, r Result, jobErr error)
 }
 
 func (o Options) log(format string, args ...interface{}) {
@@ -113,42 +102,20 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-// runnerOpts forwards live per-job progress to the harness log and
-// wires the result cache's lookup/write-back hooks. Under parallelism
-// the completion order (and therefore the log order) varies; results
-// do not.
-func (o Options) runnerOpts() runner.Options[Result] {
-	ro := runner.Options[Result]{
-		Parallelism: o.Parallelism,
-		Pool:        o.pool,
-		Flight:      o.flight,
-		OnResult: func(done, total int, r runner.JobResult[Result]) {
-			if o.onSettle != nil {
-				o.onSettle(r.Key, r.Value, r.Err)
-			}
-			if r.Err != nil {
-				o.log("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
-				return
-			}
-			cached := ""
-			if r.Cached {
-				cached = " (cached)"
-			}
-			o.log("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
-				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
-		},
+// lockedLog returns Log serialized behind one mutex (nil stays nil).
+// The executors call it from many goroutines, while Log itself need
+// not be goroutine-safe.
+func (o Options) lockedLog() func(format string, args ...any) {
+	if o.Log == nil {
+		return nil
 	}
-	if c := o.Cache; c != nil {
-		ro.Lookup = c.Lookup
-		ro.Store = func(key, fingerprint string, v Result) {
-			// A failed write-back only costs a future recompute; it is
-			// counted in the cache stats and logged, never fatal.
-			if err := c.Store(key, fingerprint, v); err != nil {
-				o.log("cache store %s: %v", key, err)
-			}
-		}
+	var mu sync.Mutex
+	base := o.Log
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		base(format, args...)
 	}
-	return ro
 }
 
 // collectErrs folds per-job failures into one error, each reported
@@ -216,15 +183,12 @@ func (o Options) lastRecordsParams() ycsb.Params {
 	return o.ycsbParams(counts[len(counts)-1], nil)
 }
 
-// ExperimentTiming is one experiment's wall-clock accounting inside a
-// RunAll suite: start-of-experiment to last-report, measured while the
-// experiment shares the suite pool with its siblings. Concurrent
-// experiments overlap, so Wall includes time queued behind other
-// experiments' jobs and the suite's walls sum to more than its elapsed
-// time — read them as completion latency, not exclusive compute (the
-// per-sweep runner.Summary in the -v log reports compute). Timing is
-// always collected — regardless of any timed callback — and returned
-// so callers can render a report footer.
+// ExperimentTiming is one experiment's wall-clock accounting inside an
+// "all" suite: the time from suite start to the experiment's last
+// artifact emission. Every experiment's jobs share one batch, so Wall
+// is completion latency, not exclusive compute (the batch's
+// runner.Summary in the -v log reports compute): static tables finish
+// near zero, and the walls sum to more than the suite's elapsed time.
 type ExperimentTiming struct {
 	Name string
 	Wall time.Duration
@@ -234,8 +198,8 @@ type ExperimentTiming struct {
 // suitable for a report footer. Wall times vary run to run, so the
 // footer belongs next to the other accounting (stderr in pimbench),
 // not inside the byte-stable experiment reports. total sums the
-// overlapping per-experiment walls; it exceeds the suite's elapsed
-// time whenever experiments ran concurrently.
+// overlapping per-experiment walls; every wall counts from suite
+// start, so it exceeds the suite's elapsed time.
 func TimingFooter(timings []ExperimentTiming) string {
 	var b strings.Builder
 	b.WriteString("timing (overlapping):")

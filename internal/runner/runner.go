@@ -5,7 +5,10 @@
 // embarrassingly parallel. RunJobs preserves the sequential contract:
 // results come back ordered by submission index, so any consumer that
 // folds them into figures or tables produces byte-identical output at
-// every parallelism level.
+// every parallelism level. Each batch runs on its own private pool;
+// the harness submits a whole suite as one batch, deduplicated by
+// fingerprint before it gets here, so the pool width bounds
+// concurrency suite-wide.
 package runner
 
 import (
@@ -42,11 +45,10 @@ type JobResult[T any] struct {
 	Key   string
 	Value T
 	Err   error
-	// Cached marks a value served from Options.Lookup or from an
-	// in-flight twin (Options.Flight) instead of executed here. Cached
-	// and computed values are interchangeable: the simulations are
-	// deterministic, so consumers produce byte-identical output either
-	// way.
+	// Cached marks a value served from Options.Lookup instead of
+	// executed here. Cached and computed values are interchangeable:
+	// the simulations are deterministic, so consumers produce
+	// byte-identical output either way.
 	Cached bool
 	// Wall is the job's own wall-clock time (the batch's elapsed time
 	// is bounded by the slowest chain, not this sum).
@@ -56,12 +58,8 @@ type JobResult[T any] struct {
 // Options configures a RunJobs batch.
 type Options[T any] struct {
 	// Parallelism caps concurrent workers; <= 0 means GOMAXPROCS.
-	// Results are identical at every value. Ignored when Pool is set.
+	// Results are identical at every value.
 	Parallelism int
-	// Pool, when non-nil, schedules this batch on a shared worker pool
-	// instead of a private one, bounding concurrency across every batch
-	// sharing the pool (suite-wide scheduling).
-	Pool *Pool
 	// OnResult, when non-nil, is invoked serially as jobs complete (in
 	// completion order, which varies under parallelism). done counts
 	// finished jobs including this one.
@@ -72,14 +70,6 @@ type Options[T any] struct {
 	// Both must be safe for concurrent use.
 	Lookup func(key, fingerprint string) (T, bool)
 	Store  func(key, fingerprint string, v T)
-	// Flight, when non-nil and shared across batches, deduplicates
-	// identical in-flight points by fingerprint — the content address —
-	// so a fingerprinted job whose twin is already running (or
-	// finished) in any sharing batch reuses that outcome instead of
-	// recomputing it, even when the twin was planned under a different
-	// key. Followers' results are written back through Store under
-	// their own keys (same-key twins skip the redundant write-back).
-	Flight *Flight[T]
 }
 
 func (o Options[T]) parallelism() int {
@@ -89,10 +79,9 @@ func (o Options[T]) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunJobs executes jobs on a worker pool — a private one, or the
-// shared Options.Pool — and returns one JobResult per job, re-ordered
-// by submission index: the same sequence a sequential loop would
-// produce. One failed point does not abort the batch. With cache hooks
+// RunJobs executes jobs on a private worker pool, Options.Parallelism
+// wide, and returns one JobResult per job, re-ordered by submission
+// index: the same sequence a sequential loop would produce. One failed point does not abort the batch. With cache hooks
 // set, each fingerprinted job is looked up before executing and its
 // computed result written back after.
 func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
@@ -107,31 +96,13 @@ func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
 	exec := func(i int) {
 		start := time.Now()
 		r := JobResult[T]{Index: i, Key: jobs[i].Key}
-		compute := func() (T, error) {
-			v, err := runOne(jobs[i])
-			if err == nil && opts.Store != nil && jobs[i].Fingerprint != "" {
-				opts.Store(jobs[i].Key, jobs[i].Fingerprint, v)
-			}
-			return v, err
-		}
 		if v, ok := cacheLookup(jobs[i], opts); ok {
 			r.Value, r.Cached = v, true
-		} else if opts.Flight != nil && jobs[i].Fingerprint != "" {
-			var primary bool
-			var primaryKey string
-			r.Value, r.Err, primaryKey, primary = opts.Flight.Do(jobs[i].Fingerprint, jobs[i].Key, compute)
-			r.Cached = !primary && r.Err == nil
-			// A follower's key may differ from the primary's — equal
-			// fingerprints content-address one simulation planned under
-			// several keys — so its result is written back under the
-			// requesting key too: every planned identity gets a cache
-			// entry and a warm re-run stays fully hit. Same-key twins
-			// skip the write-back: the primary already stored that line.
-			if r.Cached && opts.Store != nil && jobs[i].Key != primaryKey {
+		} else {
+			r.Value, r.Err = runOne(jobs[i])
+			if r.Err == nil && opts.Store != nil && jobs[i].Fingerprint != "" {
 				opts.Store(jobs[i].Key, jobs[i].Fingerprint, r.Value)
 			}
-		} else {
-			r.Value, r.Err = compute()
 		}
 		r.Wall = time.Since(start)
 		results[i] = r
@@ -141,17 +112,6 @@ func RunJobs[T any](jobs []Job[T], opts Options[T]) []JobResult[T] {
 			opts.OnResult(done, len(jobs), results[i])
 			mu.Unlock()
 		}
-	}
-
-	if opts.Pool != nil {
-		var batch sync.WaitGroup
-		batch.Add(len(jobs))
-		for i := range jobs {
-			i := i
-			opts.Pool.Submit(func() { defer batch.Done(); exec(i) })
-		}
-		batch.Wait()
-		return results
 	}
 
 	workers := opts.parallelism()
@@ -235,17 +195,18 @@ func (j SimJob) finalConfig() system.Config {
 	return cfg
 }
 
-// Job lowers the spec into a runnable job. The Base config is copied
-// per run, so Mutate never leaks across points.
+// Run executes the point on a fresh copy of its final config, so
+// Mutate never leaks across points.
+func (j SimJob) Run() (system.Result, error) {
+	if j.Execute == nil {
+		return system.Result{}, fmt.Errorf("nil Execute")
+	}
+	return j.Execute(j.finalConfig())
+}
+
+// Job lowers the spec into a runnable job.
 func (j SimJob) Job() Job[system.Result] {
-	return Job[system.Result]{Key: j.Key, Fingerprint: j.FingerprintID(),
-		Run: func() (system.Result, error) {
-			cfg := j.finalConfig()
-			if j.Execute == nil {
-				return system.Result{}, fmt.Errorf("nil Execute")
-			}
-			return j.Execute(cfg)
-		}}
+	return Job[system.Result]{Key: j.Key, Fingerprint: j.FingerprintID(), Run: j.Run}
 }
 
 // SimJobs lowers a batch of specs.
@@ -265,9 +226,8 @@ type Summary struct {
 	// executed.
 	Cached int
 	// Wall sums per-job wall time over executed (non-cached) jobs: the
-	// compute the batch consumed, not its elapsed time. Cached results
-	// are excluded — a cache hit costs nothing, and a Flight follower's
-	// wall is time spent waiting on its primary, not compute.
+	// compute the batch consumed, not its elapsed time. Cache hits are
+	// excluded — they cost nothing.
 	Wall time.Duration
 	// Cycles sums simulated cycles over the successful jobs.
 	Cycles sim.Tick

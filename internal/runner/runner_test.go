@@ -162,7 +162,7 @@ func TestSummarize(t *testing.T) {
 	rs := []JobResult[system.Result]{
 		{Value: system.Result{Cycles: 100}, Wall: 3 * time.Second},
 		{Err: fmt.Errorf("x"), Value: system.Result{Cycles: 999}, Wall: time.Second},
-		// Cached: a Flight follower's wall is wait, not compute —
+		// Cached: a cache hit's wall is lookup, not compute —
 		// excluded from Summary.Wall.
 		{Value: system.Result{Cycles: 50}, Cached: true, Wall: time.Minute},
 	}
@@ -252,61 +252,6 @@ func TestRunJobsCacheSkipsFailures(t *testing.T) {
 	}
 }
 
-// A shared Pool bounds concurrency across batches submitted from
-// different goroutines, and each batch still demultiplexes its own
-// results in submission order.
-func TestPoolSharedScheduling(t *testing.T) {
-	const width = 3
-	pool := NewPool(width)
-	defer pool.Close()
-
-	var inflight, peak int32
-	slowJobs := func(n, base int) []Job[int] {
-		jobs := make([]Job[int], n)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job[int]{Key: fmt.Sprintf("b%d-j%d", base, i), Run: func() (int, error) {
-				cur := atomic.AddInt32(&inflight, 1)
-				for {
-					p := atomic.LoadInt32(&peak)
-					if cur <= p || atomic.CompareAndSwapInt32(&peak, p, cur) {
-						break
-					}
-				}
-				defer atomic.AddInt32(&inflight, -1)
-				return base + i, nil
-			}}
-		}
-		return jobs
-	}
-
-	var wg sync.WaitGroup
-	batches := make([][]JobResult[int], 4)
-	for b := 0; b < 4; b++ {
-		b := b
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			batches[b] = RunJobs(slowJobs(10, b*100), Options[int]{Pool: pool})
-		}()
-	}
-	wg.Wait()
-
-	if got := atomic.LoadInt32(&peak); got > width {
-		t.Fatalf("peak concurrency %d exceeds pool width %d", got, width)
-	}
-	for b, rs := range batches {
-		if len(rs) != 10 {
-			t.Fatalf("batch %d: %d results", b, len(rs))
-		}
-		for i, r := range rs {
-			if r.Err != nil || r.Value != b*100+i || r.Index != i {
-				t.Fatalf("batch %d result %d: %+v", b, i, r)
-			}
-		}
-	}
-}
-
 // SimJob fingerprints must be stable, sensitive to config mutation and
 // Extra workload identity, and computed without leaking the mutation
 // into Base.
@@ -334,196 +279,5 @@ func TestSimJobFingerprint(t *testing.T) {
 	}
 	if SimJobs([]SimJob{j})[0].Fingerprint != fp1 {
 		t.Fatal("lowering dropped the fingerprint")
-	}
-}
-
-// A Flight shared across concurrent batches computes each fingerprint
-// exactly once: the first arrival runs, twins wait and reuse the
-// outcome (flagged Cached), and a primary's error propagates to its
-// twins.
-func TestFlightDedupAcrossBatches(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	flight := NewFlight[int]()
-	var executions int32
-	mkBatch := func(fail bool) []Job[int] {
-		jobs := make([]Job[int], 4)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job[int]{
-				Key:         fmt.Sprintf("shared-%d", i),
-				Fingerprint: fmt.Sprintf("fp-%d", i),
-				Run: func() (int, error) {
-					atomic.AddInt32(&executions, 1)
-					if fail && i == 3 {
-						return 0, fmt.Errorf("boom shared-3")
-					}
-					return i * 7, nil
-				},
-			}
-		}
-		return jobs
-	}
-	opts := Options[int]{Pool: pool, Flight: flight}
-	var wg sync.WaitGroup
-	batches := make([][]JobResult[int], 3)
-	for b := range batches {
-		b := b
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			batches[b] = RunJobs(mkBatch(true), opts)
-		}()
-	}
-	wg.Wait()
-	if got := atomic.LoadInt32(&executions); got != 4 {
-		t.Fatalf("%d executions for 12 jobs over 4 identities", got)
-	}
-	cached := 0
-	for _, rs := range batches {
-		for i, r := range rs {
-			if i == 3 {
-				if r.Err == nil || !strings.Contains(r.Err.Error(), "boom shared-3") {
-					t.Fatalf("twin of failed primary: %+v", r)
-				}
-				continue
-			}
-			if r.Err != nil || r.Value != i*7 {
-				t.Fatalf("batch result %d: %+v", i, r)
-			}
-			if r.Cached {
-				cached++
-			}
-		}
-	}
-	if cached != 6 { // 9 successful results over 3 identities: 3 primaries, 6 twins
-		t.Fatalf("cached twins = %d, want 6", cached)
-	}
-
-	// A later batch on the same flight reuses the memo without waiting.
-	late := RunJobs(mkBatch(false), Options[int]{Flight: flight})
-	if atomic.LoadInt32(&executions) != 4 {
-		t.Fatal("late batch recomputed")
-	}
-	for i, r := range late[:3] {
-		if !r.Cached || r.Value != i*7 {
-			t.Fatalf("late result %d: %+v", i, r)
-		}
-	}
-}
-
-// Flight dedups by fingerprint — the content address — not by key:
-// jobs planned under different keys with equal fingerprints execute
-// once, every follower reuses the primary's value, and each follower's
-// result is written back under its own key so a persistent cache gains
-// an entry per requesting key (the warm re-run stays fully hit).
-func TestFlightFingerprintDedupAcrossKeys(t *testing.T) {
-	flight := NewFlight[int]()
-	var executions int32
-	var mu sync.Mutex
-	stored := map[string]int{}
-	jobs := make([]Job[int], 4)
-	for i := range jobs {
-		jobs[i] = Job[int]{
-			Key:         fmt.Sprintf("alias-%d", i),
-			Fingerprint: "fp-same",
-			Run: func() (int, error) {
-				atomic.AddInt32(&executions, 1)
-				return 42, nil
-			},
-		}
-	}
-	rs := RunJobs(jobs, Options[int]{
-		Parallelism: 4,
-		Flight:      flight,
-		Store: func(key, fp string, v int) {
-			mu.Lock()
-			defer mu.Unlock()
-			stored[key+"\x00"+fp] = v
-		},
-	})
-	if got := atomic.LoadInt32(&executions); got != 1 {
-		t.Fatalf("%d executions for 4 aliased keys of one fingerprint, want 1", got)
-	}
-	primaries := 0
-	for i, r := range rs {
-		if r.Err != nil || r.Value != 42 {
-			t.Fatalf("result %d: %+v", i, r)
-		}
-		if !r.Cached {
-			primaries++
-		}
-	}
-	if primaries != 1 {
-		t.Fatalf("%d primaries, want 1", primaries)
-	}
-	if len(stored) != 4 {
-		t.Fatalf("stored %d cache entries, want one per requesting key (4): %v", len(stored), stored)
-	}
-	for i := 0; i < 4; i++ {
-		if v := stored[fmt.Sprintf("alias-%d\x00fp-same", i)]; v != 42 {
-			t.Fatalf("alias-%d stored %d, want 42", i, v)
-		}
-	}
-}
-
-// Same-key twins (the Naive baseline planned under one key by several
-// experiments) must not duplicate the primary's cache line: the
-// primary's Store covers them, while aliased keys still get their own.
-func TestFlightSameKeyTwinStoresOnce(t *testing.T) {
-	flight := NewFlight[int]()
-	var mu sync.Mutex
-	stores := map[string]int{}
-	mk := func(key string) []Job[int] {
-		return []Job[int]{{
-			Key:         key,
-			Fingerprint: "fp-shared",
-			Run:         func() (int, error) { return 7, nil },
-		}}
-	}
-	opts := Options[int]{Flight: flight, Store: func(key, fp string, v int) {
-		mu.Lock()
-		defer mu.Unlock()
-		stores[key]++
-	}}
-	RunJobs(mk("naive"), opts) // primary: stores under its key
-	RunJobs(mk("naive"), opts) // same-key twin: skips the redundant store
-	RunJobs(mk("alias"), opts) // aliased key: stores under its own key
-	if len(stores) != 2 || stores["naive"] != 1 || stores["alias"] != 1 {
-		t.Fatalf("stores = %v, want exactly one per distinct key", stores)
-	}
-}
-
-// A failed flight identity must not be written back for followers
-// either.
-func TestFlightFollowerSkipsFailedWriteBack(t *testing.T) {
-	flight := NewFlight[int]()
-	stored := 0
-	var mu sync.Mutex
-	jobs := make([]Job[int], 3)
-	for i := range jobs {
-		jobs[i] = Job[int]{
-			Key:         fmt.Sprintf("k-%d", i),
-			Fingerprint: "fp-fail",
-			Run:         func() (int, error) { return 0, fmt.Errorf("boom") },
-		}
-	}
-	rs := RunJobs(jobs, Options[int]{
-		Parallelism: 3,
-		Flight:      flight,
-		Lookup:      func(string, string) (int, bool) { return 0, false },
-		Store: func(string, string, int) {
-			mu.Lock()
-			defer mu.Unlock()
-			stored++
-		},
-	})
-	for i, r := range rs {
-		if r.Err == nil || r.Cached {
-			t.Fatalf("result %d: %+v", i, r)
-		}
-	}
-	if stored != 0 {
-		t.Fatalf("failed identity written back %d times", stored)
 	}
 }

@@ -9,7 +9,7 @@
 // Request lifecycle: a job request resolves (via the planning hooks
 // the owner wires in) to its deduplicated grid points. Points already
 // in the result cache settle immediately; the rest join the in-flight
-// table, which extends runner.Flight's single-suite dedup across every
+// table, which extends the plan's static fingerprint dedup across every
 // concurrent request fleet-wide — one execution per distinct
 // fingerprint no matter how many clients ask — and are dispatched to
 // the worker pool. A settling execution writes back under its

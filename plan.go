@@ -254,9 +254,10 @@ type fpGroup struct {
 // dedupPlan groups a planned suite by fingerprint — the content
 // address, so equal fingerprints under different keys describe the
 // same simulation — and returns the groups in plan order alongside the
-// flat manifest. This is the dedup every executor shares: ExecuteShard
-// and the coordinator both run one simulation per group and fan its
-// result out to the group's keys.
+// flat manifest. It computes each job's fingerprint exactly once. This
+// is the one dedup rule every executor shares: the in-process executor
+// (execute), the coordinator and the serve daemon all run one
+// simulation per group and fan its result out to the group's keys.
 func dedupPlan(planned []plannedExperiment) (groups []*fpGroup, manifest []PlannedJob) {
 	byFP := map[string]*fpGroup{}
 	seen := map[string]bool{}
@@ -279,6 +280,19 @@ func dedupPlan(planned []plannedExperiment) (groups []*fpGroup, manifest []Plann
 		}
 	}
 	return groups, manifest
+}
+
+// planGroups plans the named experiment ("all" for the suite) and
+// dedups it. The planned jobs themselves are not kept: each group
+// holds only its canonical job, and the executor drops that once the
+// group settles.
+func planGroups(name string, opts Options) ([]*fpGroup, []PlannedJob, error) {
+	planned, err := planFor(name, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	groups, manifest := dedupPlan(planned)
+	return groups, manifest, nil
 }
 
 // ownedFingerprints is the one dedup-then-assign ownership rule of the
@@ -360,9 +374,9 @@ func (s Shard) Owns(key string) bool {
 type ShardSummary struct {
 	// Planned counts the suite's manifest entries; Distinct the unique
 	// simulations (one per fingerprint) after dedup; Owned the distinct
-	// simulations this shard executed; Aliased the additional cache
-	// entries written for keys whose fingerprint twin was executed
-	// here.
+	// simulations this shard executed; Aliased the additional keys
+	// those simulations were planned under, whose cache entries are
+	// written from the one result.
 	Planned, Distinct, Owned, Aliased int
 	// Jobs is the executed batch's runner accounting.
 	Jobs JobSummary
@@ -395,40 +409,20 @@ func (s ShardSummary) String() string {
 // aliases whose cache entries are written from the one result, so the
 // coordinator's report pass still hits on every planned key.
 func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) {
-	planned, err := planFor(name, opts)
+	groups, manifest, err := planGroups(name, opts)
 	if err != nil {
 		return ShardSummary{}, err
 	}
-	groups, manifest := dedupPlan(planned)
-	var sum ShardSummary
-	sum.Planned = len(manifest)
-	sum.Distinct = len(groups)
-
+	sum := ShardSummary{Planned: len(manifest), Distinct: len(groups)}
 	ownedFP := shard.ownedFingerprints(manifest)
 	var owned []*fpGroup
-	var jobs []SimJob
 	for _, g := range groups {
-		if !ownedFP[g.fp] {
-			continue
-		}
-		sum.Owned++
-		owned = append(owned, g)
-		jobs = append(jobs, g.job)
-	}
-	results := runner.RunJobs(runner.SimJobs(jobs), opts.runnerOpts())
-	sum.Jobs = runner.Summarize(results)
-	if opts.Cache != nil {
-		for i, r := range results {
-			if r.Err != nil {
-				continue
-			}
-			for _, key := range owned[i].keys[1:] {
-				sum.Aliased++
-				if err := opts.Cache.Store(key, owned[i].fp, r.Value); err != nil {
-					opts.log("cache store %s: %v", key, err)
-				}
-			}
+		if ownedFP[g.fp] {
+			owned = append(owned, g)
+			sum.Aliased += len(g.keys) - 1
 		}
 	}
-	return sum, collectErrs(results)
+	sum.Owned = len(owned)
+	sum.Jobs, err = execute(opts, "shard "+shard.String(), owned, nil)
+	return sum, err
 }

@@ -6,7 +6,6 @@ package bulkpim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -225,10 +224,8 @@ func TestExecuteShardCoversSuite(t *testing.T) {
 	}
 
 	afterShards := cache.Stats()
-	var warm strings.Builder
-	if _, err := RunAll(opts, func(name, report string) {
-		warm.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
+	warm, err := RunExperiment("all", opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	stats := cache.Stats()
@@ -236,13 +233,11 @@ func TestExecuteShardCoversSuite(t *testing.T) {
 		t.Fatalf("report pass after sharded execution missed the cache: %+v -> %+v", afterShards, stats)
 	}
 
-	var cold strings.Builder
-	if _, err := RunAll(Options{Scale: ScaleSmoke}, func(name, report string) {
-		cold.WriteString("==== " + name + " ====\n" + report + "\n")
-	}, nil); err != nil {
+	cold, err := RunExperiment("all", Options{Scale: ScaleSmoke})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.String() != cold.String() {
+	if warm != cold {
 		t.Fatal("sharded+cached report differs from direct run")
 	}
 }

@@ -6,23 +6,21 @@ package bulkpim
 // and a set of Artifacts (figures/tables), each declaring the exact
 // job-key set it needs and rendered individually by Render purely from
 // job results looked up by key. Everything else is built on that
-// split: a local run plans and executes in one process; a distributed
-// run plans everywhere, executes a shard-filtered subset per machine
-// into a local result cache, merges the caches, and runs the report
-// pass entirely from cache hits; a streaming run (stream.go) counts
-// down each artifact's key set as results settle and renders it the
-// moment its last job lands. The legacy monolithic Report is now a
-// method that concatenates the artifact renders in declaration order.
-// RunExperiment, RunAll, the pimbench plan/merge subcommands and the
-// -shard filter all resolve experiments through this one table, so the
-// advertised experiment list can never drift from what actually runs.
+// split: a local run plans the suite, dedups it to one job per
+// fingerprint (dedupPlan) and runs those on one in-process executor
+// (execute), which streams each artifact out the moment its last job
+// settles (stream.go); a distributed run plans everywhere, executes a
+// shard-filtered subset per machine into a local result cache, merges
+// the caches, and runs the report pass entirely from cache hits. An
+// experiment's report is its artifacts' renders concatenated in
+// declaration order. RunExperiment, StreamReport, the pimbench
+// plan/merge subcommands and the -shard filter all resolve experiments
+// through this one table, so the advertised experiment list can never
+// drift from what actually runs.
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,23 +63,6 @@ type ExperimentSpec struct {
 	// without computing anything — and a stream renders it the moment
 	// the last of those keys settles.
 	Render func(opts Options, artifact string, rs *ResultSet) (string, error)
-}
-
-// Report renders the spec's full printable report: every declared
-// artifact, rendered in declaration order and concatenated. This is
-// the legacy monolithic entry point the batch paths still call — the
-// golden tests pin that a streamed run's artifacts reassemble to
-// exactly these bytes.
-func (s ExperimentSpec) Report(opts Options, rs *ResultSet) (string, error) {
-	var b strings.Builder
-	for _, a := range s.Artifacts(opts) {
-		out, err := s.Render(opts, a.Name, rs)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(out)
-	}
-	return b.String(), nil
 }
 
 // ArtifactNames lists the spec's artifact names in declaration order.
@@ -143,17 +124,6 @@ type ResultSet struct {
 	byKey map[string]Result
 }
 
-// newResultSet indexes a batch's successful results.
-func newResultSet(rs []runner.JobResult[Result]) *ResultSet {
-	s := &ResultSet{byKey: make(map[string]Result, len(rs))}
-	for _, r := range rs {
-		if r.Err == nil {
-			s.byKey[r.Key] = r.Value
-		}
-	}
-	return s
-}
-
 // Lookup returns the result of the job planned under key.
 func (s *ResultSet) Lookup(key string) (Result, bool) {
 	r, ok := s.byKey[key]
@@ -180,8 +150,8 @@ func countExec(f func(Config) (Result, error)) func(Config) (Result, error) {
 
 // registry lists every experiment in canonical suite order. Specs are
 // appended here and nowhere else; Experiments, StandaloneExperiments,
-// RunExperiment, RunAll and the plan/shard pipeline all derive from
-// this table.
+// RunExperiment, StreamReport and the plan/shard pipeline all derive
+// from this table.
 var registry = []ExperimentSpec{
 	fig1Spec(),
 	fig3Spec(),
@@ -252,133 +222,107 @@ func render(items ...fmt.Stringer) string {
 	return b.String()
 }
 
-// runPlan executes planned jobs on the harness runner (parallelism,
-// shared pool, cache and flight hooks all via opts), logs the batch's
-// accounting under label, and indexes the results for the report
-// phase. Per-job failures are folded into the returned error against
-// their keys without discarding siblings. This is the one execute step
-// shared by runSpec and the exported legacy wrappers.
-func runPlan(opts Options, label string, specs []SimJob) (*ResultSet, error) {
-	results := runner.RunJobs(runner.SimJobs(specs), opts.runnerOpts())
-	opts.log("%s: %s", label, runner.Summarize(results))
-	return newResultSet(results), collectErrs(results)
+// execute is the one in-process executor, behind RunExperiment,
+// StreamReport, ExecuteShard and runPlan (the legacy table wrappers).
+// It runs each fingerprint group of a deduplicated plan (dedupPlan)
+// exactly once, as one job of a single RunJobs batch on a private
+// pool opts.Parallelism wide, so the pool bounds simulation
+// concurrency suite-wide and lazily generated workloads are built
+// inside that bound. Each group's outcome is fanned out to all of its
+// keys the moment it settles (fanOut, handing every key to settle when
+// non-nil), and the group's job is dropped then, so a generated
+// workload stays alive only until the last group using it settles.
+// Failures are reported against their groups' canonical keys; the
+// batch's accounting is logged under label.
+func execute(opts Options, label string, groups []*fpGroup, settle func(key string, r Result, err error)) (runner.Summary, error) {
+	opts.Log = opts.lockedLog()
+	jobs := make([]runner.Job[Result], len(groups))
+	for i, g := range groups {
+		jobs[i] = runner.Job[Result]{Key: g.keys[0], Fingerprint: g.fp,
+			Run: func() (Result, error) { return g.job.Run() }}
+	}
+	ro := runner.Options[Result]{
+		Parallelism: opts.Parallelism,
+		// OnResult calls are serialized, so the cache stores, settle
+		// and the log lines below never run concurrently.
+		OnResult: func(done, total int, r runner.JobResult[Result]) {
+			g := groups[r.Index]
+			g.job = SimJob{}
+			opts.fanOut(g, r.Value, r.Err, r.Cached, settle)
+			if r.Err != nil {
+				opts.log("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
+				return
+			}
+			cached := ""
+			if r.Cached {
+				cached = " (cached)"
+			}
+			opts.log("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
+				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
+		},
+	}
+	if opts.Cache != nil {
+		ro.Lookup = opts.Cache.Lookup
+	}
+	results := runner.RunJobs(jobs, ro)
+	sum := runner.Summarize(results)
+	opts.log("%s: %s", label, sum)
+	return sum, collectErrs(results)
 }
 
-// runSpec is the single plan -> execute -> report path every
-// experiment runs through.
-func runSpec(spec ExperimentSpec, opts Options) (string, error) {
-	rs := &ResultSet{}
-	if spec.Plan != nil {
-		jobs, err := spec.Plan(opts)
-		if err != nil {
-			return "", err
+// fanOut settles one fingerprint group's outcome under every key the
+// plan lists for it; execute and Coordinate share it. On success each
+// key the cache lacks is stored: aliases are looked up first, while
+// the canonical key is stored unless cached reports that the result
+// was served from it. settle, when non-nil, then observes every key,
+// failed or not. fanOut returns the number of cache entries written.
+func (o Options) fanOut(g *fpGroup, r Result, err error, cached bool, settle func(key string, r Result, err error)) (stored int) {
+	for i, key := range g.keys {
+		write := err == nil && o.Cache != nil
+		if write && i == 0 {
+			write = !cached
+		} else if write {
+			_, hit := o.Cache.Lookup(key, g.fp)
+			write = !hit
 		}
-		if rs, err = runPlan(opts, spec.Name, jobs); err != nil {
-			return "", err
+		if write {
+			// A failed write-back only costs a future recompute; it is
+			// counted in the cache stats and logged, never fatal.
+			if serr := o.Cache.Store(key, g.fp, r); serr != nil {
+				o.log("cache store %s: %v", key, serr)
+			} else {
+				stored++
+			}
+		}
+		if settle != nil {
+			settle(key, r, err)
 		}
 	}
-	return spec.Report(opts, rs)
+	return stored
+}
+
+// runPlan executes one legacy wrapper's planned jobs on execute and
+// indexes the successful results for its report phase. Per-job
+// failures are folded into the returned error without discarding
+// siblings, so sweeps can still fold what succeeded.
+func runPlan(opts Options, label string, jobs []SimJob) (*ResultSet, error) {
+	groups, _ := dedupPlan([]plannedExperiment{{name: label, jobs: jobs}})
+	rs := &ResultSet{byKey: map[string]Result{}}
+	_, err := execute(opts, label, groups, func(key string, r Result, err error) {
+		if err == nil {
+			rs.byKey[key] = r
+		}
+	})
+	return rs, err
 }
 
 // RunExperiment dispatches by name through the registry and returns
-// the printable report. "all" runs the whole standalone suite via
-// RunAll.
+// the printable report ("all" for the whole standalone suite): the
+// bytes StreamReport writes. The timing footer is not part of the
+// report: wall times vary run to run, and the report must stay
+// byte-identical across cold, warm, parallel and sharded runs.
 func RunExperiment(name string, opts Options) (string, error) {
-	if strings.ToLower(name) == "all" {
-		// The timing footer is intentionally not embedded in the report:
-		// wall times vary run to run, and the report must stay
-		// byte-identical across cold, warm, parallel and sharded runs.
-		var b strings.Builder
-		if _, err := RunAll(opts, func(name, report string) {
-			fmt.Fprintf(&b, "==== %s ====\n%s\n", name, report)
-		}, nil); err != nil {
-			return b.String(), err
-		}
-		return b.String(), nil
-	}
-	spec, ok := LookupExperiment(name)
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q (have %v)", name, Experiments())
-	}
-	return runSpec(spec, opts)
-}
-
-// RunAll executes every standalone experiment, handing each name and
-// printable report to emit in the canonical StandaloneExperiments
-// order. Experiments run concurrently — at most opts.Parallelism (or
-// GOMAXPROCS) at a time, so workload generation cannot oversubscribe
-// the machine beyond the cap the pool enforces for simulation — and
-// enqueue their simulation jobs onto one shared worker pool, so the
-// whole suite is bounded by its slowest single point rather than the
-// sum of per-experiment tails. Per-experiment result demultiplexing
-// keeps every report byte-identical to a serial run, and a shared
-// in-flight dedup computes grid points that several experiments
-// overlap on (the Naive baselines) only once. Per-experiment timing is
-// collected unconditionally and returned; timed, when non-nil,
-// additionally observes each experiment as it finishes (in emission
-// order). A failed experiment is reported against its name without
-// aborting the others. RunAll resolves every experiment through the
-// registry — the same table RunExperiment dispatches on — and is the
-// single "all" orchestration shared by RunExperiment("all") and
-// cmd/pimbench.
-func RunAll(opts Options, emit func(name, report string), timed func(name string, d time.Duration)) ([]ExperimentTiming, error) {
-	specs := registry
-	pool := runner.NewPool(opts.Parallelism)
-	defer pool.Close()
-	opts.pool = pool
-	opts.flight = runner.NewFlight[Result]()
-	if inner := opts.Log; inner != nil {
-		// Experiments log concurrently; serialize so callers' Log (and
-		// pimbench's -v writer) need not be goroutine-safe.
-		var logMu sync.Mutex
-		opts.Log = func(format string, args ...interface{}) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			inner(format, args...)
-		}
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, par)
-
-	type outcome struct {
-		report string
-		err    error
-		wall   time.Duration
-	}
-	outs := make([]outcome, len(specs))
-	ready := make([]chan struct{}, len(specs))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	for i, spec := range specs {
-		go func(i int, spec ExperimentSpec) {
-			defer close(ready[i])
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			rep, err := runSpec(spec, opts)
-			outs[i] = outcome{report: rep, err: err, wall: time.Since(start)}
-		}(i, spec)
-	}
-
-	timings := make([]ExperimentTiming, 0, len(specs))
-	var errs []error
-	for i, spec := range specs {
-		<-ready[i]
-		timings = append(timings, ExperimentTiming{Name: spec.Name, Wall: outs[i].wall})
-		if timed != nil {
-			timed(spec.Name, outs[i].wall)
-		} else {
-			opts.log("%s finished in %s", spec.Name, outs[i].wall.Round(time.Millisecond))
-		}
-		if outs[i].err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", spec.Name, outs[i].err))
-			continue
-		}
-		emit(spec.Name, outs[i].report)
-	}
-	return timings, errors.Join(errs...)
+	var b strings.Builder
+	_, err := StreamReport(name, opts, nil, &b)
+	return b.String(), err
 }

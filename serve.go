@@ -171,7 +171,7 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	return j.Job().Run()
+	return j.Run()
 }
 
 // ServeWorker is the worker half of a fleet — the hidden `pimbench
@@ -236,20 +236,9 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 	if opts.Cache == nil {
 		return nil, errors.New("pimbench serve needs Options.Cache: the daemon is a results CDN over the shared result cache")
 	}
-	s := &Server{opts: opts, pc: newPlanCache(opts)}
-
-	// The pool (and the HTTP handlers) log from many goroutines, but
-	// Options.Log's contract does not require goroutine-safety.
-	s.logf = func(string, ...any) {}
-	if opts.Log != nil {
-		var logMu sync.Mutex
-		base := opts.Log
-		s.logf = func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			base(format, args...)
-		}
-	}
+	// The pool (and the HTTP handlers) log from many goroutines.
+	opts.Log = opts.lockedLog()
+	s := &Server{opts: opts, pc: newPlanCache(opts), logf: opts.log}
 
 	target := sopts.Workers
 	if target <= 0 {

@@ -6,8 +6,6 @@ package bulkpim
 // the big databases exactly once.
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"bulkpim/internal/snapshot"
@@ -18,13 +16,11 @@ import (
 // compared against.
 func runAllReport(t *testing.T, opts Options) string {
 	t.Helper()
-	var b strings.Builder
-	if _, err := RunAll(opts, func(name, report string) {
-		fmt.Fprintf(&b, "==== %s ====\n%s\n", name, report)
-	}, nil); err != nil {
+	out, err := RunExperiment("all", opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	return out
 }
 
 // TestSnapshotSkipsRegeneration is the snapshot counterpart of

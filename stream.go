@@ -5,17 +5,20 @@ package bulkpim
 // rendered and emitted the moment its final job settles. The machinery
 // is split in two so every execution path can reuse it — ReportStream
 // is the per-artifact remaining-key countdown fed by job settlements
-// (in-process runner callbacks or coordinator completions), and
+// (the in-process executor's fan-out or coordinator completions), and
 // StreamAssembler reorders the resulting emissions into canonical
-// report order so the incremental output stays byte-identical to the
-// batch report. StreamReport wires both onto a local run; Coordinate
-// accepts a Stream hook for the fleet path (coordinate.go).
+// report order. StreamReport wires both onto a local run — it is the
+// only way a local report is produced, so streamed and batch output
+// are the same bytes; Coordinate accepts a Stream hook for the fleet
+// path (coordinate.go).
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
+	"time"
 )
 
 // StreamEmit is one streamed artifact emission: the artifact's
@@ -31,12 +34,14 @@ type StreamEmit struct {
 	Err        error
 }
 
-// streamArtifact is one artifact's countdown state.
+// streamArtifact is one artifact's countdown state; err records the
+// first failed job among its keys.
 type streamArtifact struct {
 	spec      ExperimentSpec
 	name      string
 	remaining map[string]struct{}
 	done      bool
+	err       error
 }
 
 // ReportStream tracks per-artifact remaining-key countdowns over
@@ -112,10 +117,10 @@ func NewReportStream(name string, opts Options, emit func(StreamEmit)) (*ReportS
 // Settle records one settled job under its key: a result (jobErr nil)
 // or a failure. Repeat settlements of a key are ignored. Every
 // artifact whose last outstanding key this was is rendered and emitted
-// before Settle returns. A failed job still counts down — the artifact
-// emits with a render error instead of stalling the stream — so a
-// stream always terminates; assemblers skip errored artifacts like the
-// batch path skips failed experiments.
+// before Settle returns. A failed job still counts down, so a stream
+// always terminates, and it fails every artifact listening on its key:
+// such an artifact emits the job's error instead of a render, and
+// assemblers skip it.
 func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,6 +135,9 @@ func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 		if sa.done {
 			continue
 		}
+		if jobErr != nil && sa.err == nil {
+			sa.err = fmt.Errorf("%s: %w", key, jobErr)
+		}
 		delete(sa.remaining, key)
 		if len(sa.remaining) == 0 {
 			s.finish(sa)
@@ -140,9 +148,11 @@ func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 // finish renders and emits one completed artifact; callers hold s.mu.
 func (s *ReportStream) finish(sa *streamArtifact) {
 	sa.done = true
-	out, err := sa.spec.Render(s.opts, sa.name, s.rs)
-	s.emit(StreamEmit{Experiment: sa.spec.Name, Artifact: sa.name,
-		Seq: s.seq, Output: out, Err: err})
+	e := StreamEmit{Experiment: sa.spec.Name, Artifact: sa.name, Seq: s.seq, Err: sa.err}
+	if e.Err == nil {
+		e.Output, e.Err = sa.spec.Render(s.opts, sa.name, s.rs)
+	}
+	s.emit(e)
 	s.seq++
 	s.pending--
 }
@@ -158,8 +168,7 @@ func (s *ReportStream) Pending() int {
 type streamSlot struct {
 	exp      string
 	artifact string
-	first    bool // first artifact of its experiment (owns the ==== header)
-	last     bool // last artifact of its experiment (owns the trailing blank line)
+	last     bool // last artifact of its experiment (closes it with a blank line)
 	ready    bool
 	skip     bool
 	out      string
@@ -171,9 +180,9 @@ type streamSlot struct {
 // A fully-successful stream therefore produces output byte-identical
 // to the batch report — experiment headers included in "all" mode —
 // while still appearing figure by figure. An artifact that settled
-// with an error is skipped (the run's returned error reports it), so
-// on failure the assembled output diverges from batch exactly like the
-// batch path's own skip-failed-experiments behaviour.
+// with an error is skipped (the run's returned error reports it); in
+// "all" mode an experiment's header and closing blank line are written
+// only if at least one of its artifacts is.
 type StreamAssembler struct {
 	w   io.Writer
 	all bool
@@ -182,6 +191,7 @@ type StreamAssembler struct {
 	slots []streamSlot
 	index map[string]int // experiment+"\x00"+artifact -> slot
 	next  int
+	open  string // experiment whose header is written and not yet closed
 	err   error
 }
 
@@ -198,7 +208,7 @@ func NewStreamAssembler(name string, w io.Writer) (*StreamAssembler, error) {
 		for i, an := range names {
 			a.index[spec.Name+"\x00"+an] = len(a.slots)
 			a.slots = append(a.slots, streamSlot{exp: spec.Name, artifact: an,
-				first: i == 0, last: i == len(names)-1})
+				last: i == len(names)-1})
 		}
 	}
 	return a, nil
@@ -219,15 +229,16 @@ func (a *StreamAssembler) Observe(e StreamEmit) {
 	for a.next < len(a.slots) && a.slots[a.next].ready {
 		s := a.slots[a.next]
 		a.next++
-		if s.skip {
-			continue
+		if !s.skip {
+			if a.all && a.open != s.exp {
+				a.write("==== " + s.exp + " ====\n")
+				a.open = s.exp
+			}
+			a.write(s.out)
 		}
-		if a.all && s.first {
-			a.write("==== " + s.exp + " ====\n")
-		}
-		a.write(s.out)
-		if a.all && s.last {
+		if a.all && s.last && a.open == s.exp {
 			a.write("\n")
+			a.open = ""
 		}
 	}
 }
@@ -247,19 +258,34 @@ func (a *StreamAssembler) Err() error {
 	return a.err
 }
 
-// StreamReport runs the named experiment ("all" for the suite) with
-// streaming reports: each artifact is rendered and handed to emit the
-// moment its last job settles (emit may be nil), while w receives the
-// artifacts' bytes in canonical report order, incrementally — for a
-// fully-successful run, exactly the bytes RunExperiment(name) would
-// return. Timings are the per-experiment walls for "all" runs, nil
-// otherwise.
+// StreamReport runs the named experiment ("all" for the suite) on the
+// in-process executor and streams its report: each artifact is
+// rendered and handed to emit the moment its last job settles (emit
+// may be nil), while w receives the artifacts' bytes in canonical
+// report order, incrementally. RunExperiment(name) returns exactly
+// these bytes. The whole plan is made before any job runs, so a Plan
+// error fails the run up front, naming its experiment. Failed jobs
+// fail the artifacts listening on them, which w then omits; the
+// returned error names every failed artifact and its cause. Timings
+// are the per-experiment walls for "all" runs (see ExperimentTiming),
+// nil otherwise.
 func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer) ([]ExperimentTiming, error) {
+	start := time.Now()
 	asm, err := NewStreamAssembler(name, w)
 	if err != nil {
 		return nil, err
 	}
+	groups, _, err := planGroups(name, opts)
+	if err != nil {
+		return nil, err
+	}
+	last := map[string]time.Duration{}
+	var failed []error
 	observe := func(e StreamEmit) {
+		last[e.Experiment] = time.Since(start)
+		if e.Err != nil {
+			failed = append(failed, fmt.Errorf("%s/%s: %w", e.Experiment, e.Artifact, e.Err))
+		}
 		asm.Observe(e)
 		if emit != nil {
 			emit(e)
@@ -269,20 +295,19 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	if err != nil {
 		return nil, err
 	}
-	opts.onSettle = stream.Settle
+	// Every planned key belongs to one of its experiment's artifacts
+	// (TestArtifactContract), so each job failure is already in failed,
+	// named by the artifacts it failed.
+	_, _ = execute(opts, strings.ToLower(name), groups, stream.Settle)
 
 	var timings []ExperimentTiming
-	var runErr error
 	if strings.ToLower(name) == "all" {
-		// The assembler already carries every report; discard RunAll's
-		// batch emissions and keep only its timing/error accounting.
-		timings, runErr = RunAll(opts, func(string, string) {}, nil)
-	} else {
-		spec, _ := LookupExperiment(name)
-		_, runErr = runSpec(spec, opts)
+		for _, spec := range registry {
+			timings = append(timings, ExperimentTiming{Name: spec.Name, Wall: last[spec.Name]})
+		}
 	}
 	if werr := asm.Err(); werr != nil {
-		return timings, fmt.Errorf("stream write: %w", werr)
+		failed = append(failed, fmt.Errorf("stream write: %w", werr))
 	}
-	return timings, runErr
+	return timings, errors.Join(failed...)
 }

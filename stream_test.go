@@ -159,9 +159,8 @@ func TestReportStreamStaticImmediate(t *testing.T) {
 }
 
 // TestReportStreamFailedJob: a failed job still counts its artifacts
-// down — the artifact emits (with a render error when the missing
-// result matters) instead of stalling the stream, and the assembler
-// skips it like the batch path skips failed experiments.
+// down — the artifact emits the job's error instead of stalling the
+// stream, and the assembler skips it.
 func TestReportStreamFailedJob(t *testing.T) {
 	opts := Options{Scale: ScaleSmoke}
 	var emits []StreamEmit
