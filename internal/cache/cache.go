@@ -96,21 +96,19 @@ func (c *setAssoc) set(idx int) []Line {
 // Lookup returns the line if present, refreshing LRU.
 func (c *setAssoc) Lookup(l mem.LineAddr) *Line {
 	c.clock++
-	for i, ln := range c.set(c.SetOf(l)) {
-		if ln.valid && ln.Addr == l {
-			p := &c.set(c.SetOf(l))[i]
-			p.used = c.clock
-			return p
-		}
+	if p := c.Peek(l); p != nil {
+		p.used = c.clock
+		return p
 	}
 	return nil
 }
 
 // Peek returns the line without touching LRU.
 func (c *setAssoc) Peek(l mem.LineAddr) *Line {
-	for i, ln := range c.set(c.SetOf(l)) {
-		if ln.valid && ln.Addr == l {
-			return &c.set(c.SetOf(l))[i]
+	set := c.set(c.SetOf(l))
+	for i := range set {
+		if p := &set[i]; p.valid && p.Addr == l {
+			return p
 		}
 	}
 	return nil

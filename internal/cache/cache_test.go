@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bulkpim/internal/core"
@@ -9,6 +11,7 @@ import (
 	"bulkpim/internal/noc"
 	"bulkpim/internal/pim"
 	"bulkpim/internal/sim"
+	"bulkpim/internal/trace"
 )
 
 // rig wires cores' L1s, an LLC, MC and PIM module with short links.
@@ -473,5 +476,53 @@ func TestDataIntegrityAcrossSharing(t *testing.T) {
 				t.Fatalf("step %d: read %#x, want %#x", step, data[off], want)
 			}
 		}
+	}
+}
+
+// Under sustained back-pressure the LLC work queue never drains, so the
+// rewind-on-drain path never runs; the backing array must still be reused
+// rather than grow with the number of requests served, and requests must
+// be handled in arrival order.
+func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
+	r := newRig(t, core.Atomic, 1)
+	const n, depth = 4000, 32
+	r.llc.Tracer = trace.New(r.k.Now, nil, 1<<trace.CatCache, n)
+	live := func() int { return len(r.llc.queue) - r.llc.qHead }
+	sent := 0
+	for sent < n {
+		for sent < n && live() < depth {
+			req := r.llc.Pool.Get()
+			req.ID, req.Kind, req.Uncacheable = uint64(sent), mem.ReqLoad, true
+			req.Line = mem.LineAddr(uint64(sent%64) * mem.LineSize)
+			r.llc.Receive(req)
+			sent++
+		}
+		// Uncacheable requests occupy the LLC one cycle each: run long
+		// enough to drain about half the queue, never all of it.
+		if _, err := r.k.RunUntil(r.k.Now() + depth/2); err != nil {
+			t.Fatal(err)
+		}
+		if sent < n && live() == 0 {
+			t.Fatalf("queue drained after %d requests; the test needs it non-empty", sent)
+		}
+	}
+	if c, peak := cap(r.llc.queue), r.llc.QueuePeak; c > 4*peak {
+		t.Fatalf("queue backing array grew to cap %d for a peak of %d live requests", c, peak)
+	}
+	if _, err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	handled := 0
+	for _, rec := range r.llc.Tracer.Recent() {
+		if rec.Unit != "llc" {
+			continue
+		}
+		if want := fmt.Sprintf("req{%d ", handled); !strings.HasPrefix(rec.Msg, want) {
+			t.Fatalf("request %d handled out of order: %s", handled, rec.Msg)
+		}
+		handled++
+	}
+	if handled != n {
+		t.Fatalf("handled %d requests, want %d", handled, n)
 	}
 }

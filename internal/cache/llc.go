@@ -225,6 +225,17 @@ func (l *LLC) enqueueFill(fetch *mem.Request) {
 }
 
 func (l *LLC) enqueue(w llcWork) {
+	if l.qHead > 0 && len(l.queue) == cap(l.queue) && 2*l.qHead >= len(l.queue) {
+		// Full, with at least half the backing array already consumed:
+		// under back-pressure the queue may never drain to the rewind in
+		// process, so slide the live tail to the front instead of letting
+		// append reallocate. Compacting only when half is dead keeps the
+		// copy amortized O(1) per request.
+		n := copy(l.queue, l.queue[l.qHead:])
+		clear(l.queue[n:])
+		l.queue = l.queue[:n]
+		l.qHead = 0
+	}
 	l.queue = append(l.queue, w)
 	if n := len(l.queue) - l.qHead; n > l.QueuePeak {
 		l.QueuePeak = n

@@ -13,6 +13,15 @@ import (
 // in parallel while ops to one scope serialize in arrival order. The
 // bounded buffer is the source of the back-pressure the paper studies
 // (Fig. 10a, Fig. 11a).
+//
+// The buffer is kept as one FIFO per scope, in a dense table indexed by
+// ScopeID, whose nodes come from a module-owned slab with a free list.
+// Counters track buffered ops, executing ops and scopes with waiting ops,
+// and a short ready list holds the scopes that became startable (idle with
+// a waiting op) since the last start pass. An arrival or completion
+// therefore costs O(1) and allocates nothing at steady state. A start pass
+// launches the ready scopes' oldest ops in arrival order, which is the
+// order a scan of one arrival-ordered buffer would start them in.
 type Module struct {
 	k *sim.Kernel
 
@@ -37,11 +46,22 @@ type Module struct {
 	// Tracer, when enabled for CatPIM, logs op start and completion.
 	Tracer *trace.Tracer
 
-	buffer    []*mem.Request
-	executing map[mem.ScopeID]*mem.Request
-	// scopeSeen is uniqueScopes' reusable scratch set; completeFn the
-	// hoisted completion callback (both avoid per-op allocation).
-	scopeSeen  map[mem.ScopeID]struct{}
+	// scopes is indexed by slot(scope); nodes is the FIFO node slab, with
+	// free the head of its free list (-1 when empty).
+	scopes []scopeState
+	nodes  []opNode
+	free   int32
+	// ready lists the slots of the scopes that are idle with a waiting
+	// op, oldest head op first; tryStart empties it. It is born sorted:
+	// complete runs as a kernel event, after every earlier module call
+	// emptied the list, so it pushes onto an empty list, and TryEnqueue
+	// pushes only a scope whose head is the op that just arrived, newer
+	// than every other head.
+	ready []int32
+	// buffered, executing and waiting count buffered ops, executing ops
+	// and scopes with at least one buffered op.
+	buffered, executing, waiting int
+	// completeFn is the hoisted completion callback (no per-op closure).
 	completeFn func(any)
 
 	// Stats (names match the figures they feed).
@@ -52,6 +72,20 @@ type Module struct {
 	PeakBuffer        int
 }
 
+// scopeState is one scope's slot: the FIFO of its buffered ops, as node
+// slab indices (-1 when empty), and whether it is executing an op.
+type scopeState struct {
+	head, tail int32
+	busy       bool
+}
+
+// opNode is one buffered op in its scope's FIFO (or, when free, a link in
+// the slab's free list).
+type opNode struct {
+	req  *mem.Request
+	next int32
+}
+
 // NewModule builds a module bound to kernel k.
 func NewModule(k *sim.Kernel, backing *mem.Backing) *Module {
 	m := &Module{
@@ -60,74 +94,108 @@ func NewModule(k *sim.Kernel, backing *mem.Backing) *Module {
 		BufferSize:       128,
 		CyclesPerMicroOp: 360, // ~100ns per array micro-op at 3.6GHz
 		FixedOpLatency:   720,
-		executing:        make(map[mem.ScopeID]*mem.Request),
-		scopeSeen:        make(map[mem.ScopeID]struct{}),
+		free:             -1,
 	}
 	m.completeFn = func(x any) { m.complete(x.(*mem.Request)) }
 	return m
 }
 
+// slot maps a scope to its index in m.scopes. NoScope (-1) gets slot 0,
+// so ops outside every scope still serialize with one another.
+func slot(s mem.ScopeID) int32 { return int32(s) + 1 }
+
+// scope returns scope s's state, growing the table on first touch.
+func (m *Module) scope(s mem.ScopeID) *scopeState {
+	i := int(slot(s))
+	for len(m.scopes) <= i {
+		m.scopes = append(m.scopes, scopeState{head: -1, tail: -1})
+	}
+	return &m.scopes[i]
+}
+
 // ScopeBusy reports whether scope s is executing an op right now (the
 // memory array is occupied, §III).
 func (m *Module) ScopeBusy(s mem.ScopeID) bool {
-	_, busy := m.executing[s]
-	return busy
+	i := int(slot(s))
+	return i >= 0 && i < len(m.scopes) && m.scopes[i].busy
 }
 
 // BufferLen returns the number of buffered (not yet started) ops.
-func (m *Module) BufferLen() int { return len(m.buffer) }
+func (m *Module) BufferLen() int { return m.buffered }
 
 // InFlight returns buffered plus executing ops.
-func (m *Module) InFlight() int { return len(m.buffer) + len(m.executing) }
-
-// uniqueScopes counts distinct scopes in the buffer.
-func (m *Module) uniqueScopes() int {
-	clear(m.scopeSeen)
-	for _, r := range m.buffer {
-		m.scopeSeen[r.Scope] = struct{}{}
-	}
-	return len(m.scopeSeen)
-}
+func (m *Module) InFlight() int { return m.buffered + m.executing }
 
 // TryEnqueue accepts a PIM op into the buffer, or reports false when the
 // buffer is full. Arrival statistics are sampled before insertion, matching
 // the paper's "on PIM op arrival" measurements.
 func (m *Module) TryEnqueue(req *mem.Request) bool {
-	if m.BufferSize > 0 && len(m.buffer) >= m.BufferSize {
+	if m.BufferSize > 0 && m.buffered >= m.BufferSize {
 		return false
 	}
-	m.BufLenOnArrival.Observe(float64(len(m.buffer)))
-	m.UniqueScopesOnArr.Observe(float64(m.uniqueScopes()))
-	m.buffer = append(m.buffer, req)
-	if len(m.buffer) > m.PeakBuffer {
-		m.PeakBuffer = len(m.buffer)
+	m.BufLenOnArrival.Observe(float64(m.buffered))
+	m.UniqueScopesOnArr.Observe(float64(m.waiting))
+
+	n := m.free
+	if n >= 0 {
+		m.free = m.nodes[n].next
+	} else {
+		n = int32(len(m.nodes))
+		m.nodes = append(m.nodes, opNode{})
+	}
+	m.nodes[n] = opNode{req: req, next: -1}
+
+	st := m.scope(req.Scope)
+	if st.tail < 0 {
+		st.head = n
+		m.waiting++
+		if !st.busy {
+			m.ready = append(m.ready, slot(req.Scope))
+		}
+	} else {
+		m.nodes[st.tail].next = n
+	}
+	st.tail = n
+	m.buffered++
+	if m.buffered > m.PeakBuffer {
+		m.PeakBuffer = m.buffered
 	}
 	m.tryStart()
 	return true
 }
 
-// tryStart launches the oldest buffered op of every idle scope.
+// tryStart launches the oldest buffered op of every ready scope, oldest
+// first.
 func (m *Module) tryStart() {
-	freed := false
-	kept := m.buffer[:0]
-	for _, req := range m.buffer {
-		if _, busy := m.executing[req.Scope]; busy {
-			kept = append(kept, req)
-			continue
+	if len(m.ready) == 0 {
+		return
+	}
+	buffered := m.buffered
+	for _, i := range m.ready {
+		st := &m.scopes[i]
+		n := st.head
+		req := m.nodes[n].req
+		st.head = m.nodes[n].next
+		if st.head < 0 {
+			st.tail = -1
+			m.waiting--
 		}
-		m.executing[req.Scope] = req
-		freed = true
+		m.nodes[n] = opNode{next: m.free}
+		m.free = n
+		st.busy = true
+		m.buffered--
+		m.executing++
 		if m.Tracer.Enabled(trace.CatPIM) {
 			name := ""
 			if req.PIM != nil && req.PIM.Program != nil {
 				name = req.PIM.Program.Name
 			}
-			m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, len(m.buffer))
+			m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, buffered)
 		}
 		m.k.ScheduleCtx(m.execLatency(req), m.completeFn, req)
 	}
-	m.buffer = kept
-	if freed && m.OnSpace != nil {
+	m.ready = m.ready[:0]
+	if m.OnSpace != nil {
 		m.OnSpace()
 	}
 }
@@ -152,7 +220,12 @@ func (m *Module) complete(req *mem.Request) {
 	}
 	m.ExecCycles.Observe(float64(m.execLatency(req)))
 	m.OpsExecuted.Inc()
-	delete(m.executing, req.Scope)
+	st := &m.scopes[slot(req.Scope)]
+	st.busy = false
+	m.executing--
+	if st.head >= 0 {
+		m.ready = append(m.ready, slot(req.Scope))
+	}
 	if m.OnComplete != nil {
 		m.OnComplete(req)
 	}
