@@ -56,54 +56,29 @@ func BenchmarkFig1Litmus(b *testing.B) {
 // BenchmarkFig3Coherence regenerates Fig. 3 (naive / uncacheable / swflush).
 func BenchmarkFig3Coherence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := Fig3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, s, "norm")
+		items := streamItems(b, "fig3", benchOpts)
+		reportLast(b, seriesItem(b, items["fig3"], 0), "norm")
 	}
 }
 
-// BenchmarkFig7YCSB regenerates Fig. 7 (run time, absolute + normalized).
-func BenchmarkFig7YCSB(b *testing.B) {
+// BenchmarkFig7Fig10YCSB regenerates Fig. 7 (run time, absolute +
+// normalized) and Fig. 10's system statistics from their one shared
+// sweep.
+func BenchmarkFig7Fig10YCSB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig7(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.Norm, "norm")
+		items := streamItems(b, "fig7", benchOpts)
+		reportLast(b, seriesItem(b, items["fig7"], 1), "norm")
+		reportLast(b, seriesItem(b, items["fig10"], 0), "buflen")
+		reportLast(b, seriesItem(b, items["fig10"], 2), "scancyc")
 	}
 }
 
-// BenchmarkFig8TPCH regenerates Fig. 8 (per-query normalized run time) and
-// Fig. 9's TPC-H hit rates.
-func BenchmarkFig8TPCH(b *testing.B) {
+// BenchmarkFig8Fig9TPCH regenerates Fig. 8 (per-query normalized run
+// time) and Fig. 9 (scope buffer hit rates: the TPC-H columns from the
+// same runs plus the YCSB column).
+func BenchmarkFig8Fig9TPCH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig8Fig9(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9ScopeBuffer regenerates the YCSB scope-buffer hit rates.
-func BenchmarkFig9ScopeBuffer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig9YCSB(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10PIMStats regenerates Fig. 10's system statistics (shared
-// sweep with Fig. 7).
-func BenchmarkFig10PIMStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := Fig7(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.BufLen, "buflen")
-		reportLast(b, f.ScanLatency, "scancyc")
+		streamItems(b, "fig8", benchOpts)
 	}
 }
 
@@ -111,34 +86,24 @@ func BenchmarkFig10PIMStats(b *testing.B) {
 // Fig. 11b (zero PIM latency).
 func BenchmarkFig11Ablations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Fig11a(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Fig11b(benchOpts); err != nil {
-			b.Fatal(err)
-		}
+		streamItems(b, "fig11a", benchOpts)
+		streamItems(b, "fig11b", benchOpts)
 	}
 }
 
 // BenchmarkFig12LLC8MB regenerates the 8MB-LLC experiment.
 func BenchmarkFig12LLC8MB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig12(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, f.ScanLatency, "scancyc")
+		items := streamItems(b, "fig12", benchOpts)
+		reportLast(b, seriesItem(b, items["fig12"], 1), "scancyc")
 	}
 }
 
 // BenchmarkFig13Threads8 regenerates the 8-thread / 16-core experiment.
 func BenchmarkFig13Threads8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := Fig13(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, s, "norm")
+		items := streamItems(b, "fig13", benchOpts)
+		reportLast(b, seriesItem(b, items["fig13"], 0), "norm")
 	}
 }
 

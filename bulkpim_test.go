@@ -1,6 +1,8 @@
 package bulkpim
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -64,13 +66,34 @@ func TestExperimentsList(t *testing.T) {
 	}
 }
 
+// streamItems runs the named experiment through StreamReport and
+// collects each emitted artifact's report items by artifact name.
+func streamItems(tb testing.TB, name string, opts Options) map[string][]ReportItem {
+	tb.Helper()
+	items := map[string][]ReportItem{}
+	if _, err := StreamReport(name, opts, func(e StreamEmit) { items[e.Artifact] = e.Items }, io.Discard); err != nil {
+		tb.Fatal(err)
+	}
+	return items
+}
+
+// seriesItem returns item i of an artifact's report items as a Series.
+func seriesItem(tb testing.TB, items []ReportItem, i int) *Series {
+	tb.Helper()
+	if i >= len(items) {
+		tb.Fatalf("artifact has %d items, want item %d", len(items), i)
+	}
+	s, ok := items[i].(*Series)
+	if !ok {
+		tb.Fatalf("item %d is %T, want *Series", i, items[i])
+	}
+	return s
+}
+
 // TestFig3BenchScale checks the Fig. 3 ordering at the smallest scale:
 // uncacheable must be the slowest coherence approach, swflush in between.
 func TestFig3BenchScale(t *testing.T) {
-	s, err := Fig3(Options{Scale: ScaleBench})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := seriesItem(t, streamItems(t, "fig3", Options{Scale: ScaleBench})["fig3"], 0)
 	last := len(s.X) - 1
 	naive := s.Y["naive"][last]
 	sw := s.Y["swflush"][last]
@@ -87,21 +110,53 @@ func TestFig3BenchScale(t *testing.T) {
 // four models' overhead over naive stays small (paper: at most ~6%; the
 // reduced scale allows a wider margin) and all runs complete.
 func TestFig7BenchScale(t *testing.T) {
-	f, err := Fig7(Options{Scale: ScaleBench})
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := streamItems(t, "fig7", Options{Scale: ScaleBench})
+	norm := seriesItem(t, items["fig7"], 1)       // Fig. 7b
+	skipRatio := seriesItem(t, items["fig10"], 3) // Fig. 10d
 	for _, m := range []string{"atomic", "store", "scope", "scope-relaxed"} {
-		for i := range f.Norm.X {
-			v := f.Norm.Y[m][i]
+		for i := range norm.X {
+			v := norm.Y[m][i]
 			if v <= 0 || v > 1.5 {
-				t.Errorf("%s at %v scopes: norm %v out of plausible range", m, f.Norm.X[i], v)
+				t.Errorf("%s at %v scopes: norm %v out of plausible range", m, norm.X[i], v)
 			}
 		}
 	}
 	// Scan machinery engaged: scan latency sampled, skip ratio high.
-	last := len(f.SkipRatio.X) - 1
-	if f.SkipRatio.Y["atomic"][last] < 0.5 {
-		t.Errorf("SBV skip ratio %v implausibly low", f.SkipRatio.Y["atomic"][last])
+	last := len(skipRatio.X) - 1
+	if skipRatio.Y["atomic"][last] < 0.5 {
+		t.Errorf("SBV skip ratio %v implausibly low", skipRatio.Y["atomic"][last])
+	}
+}
+
+// TestFig1RenderLogsNothing: Render only folds results into report
+// items. The daemon renders an artifact on every GET, so a Render that
+// logs would write log lines per request.
+func TestFig1RenderLogsNothing(t *testing.T) {
+	rs := &ResultSet{byKey: map[string]Result{}}
+	for _, m := range fig1Models {
+		stale := 0.0
+		if m == Naive || m == SWFlush {
+			stale = 1
+		}
+		rs.byKey[fig1Key(m)] = Result{Stats: map[string]float64{
+			litmusStaleStat: stale, litmusCycleStat: stale, litmusIncompleteStat: 0}}
+	}
+	var lines []string
+	opts := Options{Scale: ScaleSmoke, Log: func(format string, args ...interface{}) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}}
+	spec, ok := LookupArtifact("fig1")
+	if !ok {
+		t.Fatal("fig1 not registered")
+	}
+	items, err := spec.Render(opts, "fig1", rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := render(items...); !strings.Contains(out, "guaranteed correct") || !strings.Contains(out, "NO") {
+		t.Fatalf("fig1 render:\n%s", out)
+	}
+	if len(lines) != 0 {
+		t.Fatalf("Render logged %d lines, want 0:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 }

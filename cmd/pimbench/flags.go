@@ -139,7 +139,7 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 		verbose:  addVerbose(fs, "log per-run progress"),
 		parallel: fs.Int("parallel", 0, "concurrent simulation jobs (0 = GOMAXPROCS, 1 = sequential; results are identical at any value)"),
 		list:     fs.Bool("list", false, "list experiments and exit"),
-		csvDir:   fs.String("csvdir", "", "also write figure series as CSV files into this directory"),
+		csvDir:   fs.String("csvdir", "", "also write every reported artifact as CSV into this directory, as it streams out: ARTIFACT.csv, or ARTIFACTa.csv, ARTIFACTb.csv, ... for one file per series or table of a multi-part artifact"),
 		cacheDir: addCacheDir(fs, "persist finished grid points here and skip them on re-runs (reports are byte-identical either way)"),
 		noCache:  fs.Bool("no-cache", false, "disable the result cache even when -cache-dir or -resume is set"),
 		resume:   fs.Bool("resume", false, "resume an interrupted run from the result cache (defaults -cache-dir to "+defaultCacheDir+")"),

@@ -105,6 +105,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -241,7 +242,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	case sharded:
 		runErr = runShard(*f.exp, opts, shard, stderr)
 	default:
-		runErr = runExperiments(*f.exp, opts, *f.stream, stdout, stderr)
+		runErr = runExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
 	}
 	// Accounting goes to stderr even on failure: a partially-failed
 	// resumed run still reports what it skipped and recomputed.
@@ -252,12 +253,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if runErr != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", runErr)
 		return 1
-	}
-	if *f.csvDir != "" {
-		if err := writeCSVs(*f.csvDir, *f.exp, opts, stderr); err != nil {
-			fmt.Fprintf(stderr, "pimbench: csv: %v\n", err)
-			return 1
-		}
 	}
 	if *f.gcstats != "" {
 		if err := writeGCStats(*f.gcstats); err != nil {
@@ -675,16 +670,52 @@ func snapshotCmd(args []string, stdout, stderr io.Writer) int {
 // footer for "all" (wall times vary run to run, so the footer stays
 // out of the byte-stable stdout reports). With stream, each
 // artifact's settle order is logged on stderr as it becomes ready.
-func runExperiments(exp string, opts bulkpim.Options, stream bool, stdout, stderr io.Writer) error {
-	var emit func(bulkpim.StreamEmit)
-	if stream {
-		emit = func(e bulkpim.StreamEmit) { logStreamEmit(e, stderr) }
+// With a non-empty csvDir, each artifact's CSV files are written as it
+// settles (writeArtifactCSV), from the same report items as stdout.
+func runExperiments(exp string, opts bulkpim.Options, stream bool, csvDir string, stdout, stderr io.Writer) error {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return fmt.Errorf("csv: %w", err)
+		}
+	}
+	// StreamReport serializes emissions, so csvErr needs no lock.
+	var csvErr error
+	emit := func(e bulkpim.StreamEmit) {
+		if stream {
+			logStreamEmit(e, stderr)
+		}
+		if csvDir != "" && csvErr == nil {
+			csvErr = writeArtifactCSV(csvDir, e)
+		}
 	}
 	timings, err := bulkpim.StreamReport(exp, opts, emit, stdout)
 	if len(timings) > 0 {
 		fmt.Fprintf(stderr, "pimbench: %s\n", bulkpim.TimingFooter(timings))
 	}
+	if csvErr != nil {
+		err = errors.Join(err, fmt.Errorf("csv: %w", csvErr))
+	}
 	return err
+}
+
+// writeArtifactCSV writes one settled artifact's report items into
+// dir for external plotting: a single item as ARTIFACT.csv, several as
+// ARTIFACTa.csv, ARTIFACTb.csv, … in report order (fig7 → fig7a,
+// fig7b; fig10 → fig10a–d). A failed artifact writes nothing.
+func writeArtifactCSV(dir string, e bulkpim.StreamEmit) error {
+	if e.Err != nil {
+		return nil
+	}
+	for i, it := range e.Items {
+		name := e.Artifact
+		if len(e.Items) > 1 {
+			name += string(rune('a' + i))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(it.CSV()), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // logStreamEmit prints one artifact emission's settle-order line on
@@ -696,58 +727,4 @@ func logStreamEmit(e bulkpim.StreamEmit, stderr io.Writer) {
 		return
 	}
 	fmt.Fprintf(stderr, "pimbench: artifact %s/%s ready (settled #%d)\n", e.Experiment, e.Artifact, e.Seq+1)
-}
-
-// writeCSVs re-renders figure series as CSV for external plotting. Only
-// series-shaped experiments have CSV forms.
-func writeCSVs(dir, exp string, opts bulkpim.Options, stderr io.Writer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, s *bulkpim.Series) error {
-		return os.WriteFile(dir+"/"+name+".csv", []byte(s.CSV()), 0o644)
-	}
-	switch exp {
-	case "fig3":
-		s, err := bulkpim.Fig3(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig3", s)
-	case "fig7", "fig10":
-		f, err := bulkpim.Fig7(opts)
-		if err != nil {
-			return err
-		}
-		for name, s := range map[string]*bulkpim.Series{
-			"fig7a": f.Abs, "fig7b": f.Norm, "fig10a": f.BufLen,
-			"fig10b": f.UniqueScopes, "fig10c": f.ScanLatency, "fig10d": f.SkipRatio,
-		} {
-			if err := write(name, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "fig11a":
-		s, err := bulkpim.Fig11a(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig11a", s)
-	case "fig11b":
-		s, err := bulkpim.Fig11b(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig11b", s)
-	case "fig13":
-		s, err := bulkpim.Fig13(opts)
-		if err != nil {
-			return err
-		}
-		return write("fig13", s)
-	default:
-		fmt.Fprintf(stderr, "pimbench: no CSV form for %s\n", exp)
-		return nil
-	}
 }

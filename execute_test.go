@@ -48,7 +48,7 @@ func synthSpec(name string, jobs []SimJob, arts ...Artifact) ExperimentSpec {
 		Name:      name,
 		Plan:      func(Options) ([]SimJob, error) { return jobs, nil },
 		Artifacts: func(Options) []Artifact { return arts },
-		Render: func(_ Options, artifact string, rs *ResultSet) (string, error) {
+		Render: func(_ Options, artifact string, rs *ResultSet) ([]ReportItem, error) {
 			for _, a := range arts {
 				if a.Name != artifact {
 					continue
@@ -57,16 +57,23 @@ func synthSpec(name string, jobs []SimJob, arts ...Artifact) ExperimentSpec {
 				for _, k := range a.Keys {
 					r, ok := rs.Lookup(k)
 					if !ok {
-						return "", fmt.Errorf("missing %s", k)
+						return nil, fmt.Errorf("missing %s", k)
 					}
 					out += fmt.Sprintf(" %s=%d", k, r.Cycles)
 				}
-				return out + "\n", nil
+				return []ReportItem{textItem(out)}, nil
 			}
-			return "", fmt.Errorf("unknown artifact %q", artifact)
+			return nil, fmt.Errorf("unknown artifact %q", artifact)
 		},
 	}
 }
+
+// textItem is a synthetic artifact's one report item: the same text as
+// report and as CSV.
+type textItem string
+
+func (t textItem) String() string { return string(t) }
+func (t textItem) CSV() string    { return string(t) }
 
 // TestExecuteParallelismBound: the executor runs a whole suite as one
 // batch, so the number of simulations running at once never exceeds
@@ -272,12 +279,17 @@ func TestExecuteLogSerialized(t *testing.T) {
 			return Result{Cycles: 1, Stats: map[string]float64{"x": math.NaN()}}, nil
 		}))
 	}
-	rs, err := runPlan(opts, "nan", jobs)
-	if err != nil {
+	groups, _ := dedupPlan([]plannedExperiment{{name: "nan", jobs: jobs}})
+	settled := 0
+	if _, err := execute(opts, "nan", groups, func(_ string, _ Result, jobErr error) {
+		if jobErr == nil {
+			settled++
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Len() != 2 {
-		t.Fatalf("%d results, want 2: a failed write-back must not fail the job", rs.Len())
+	if settled != 2 {
+		t.Fatalf("%d results, want 2: a failed write-back must not fail the job", settled)
 	}
 	stores := 0
 	for _, l := range lines {

@@ -85,18 +85,14 @@ func fig1Spec() ExperimentSpec {
 	}
 	s.Artifacts, s.Render = singleArtifact("fig1",
 		func(Options) []string { return fig1Keys() },
-		func(opts Options, rs *ResultSet) (string, error) {
-			t, err := fig1TableFrom(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(t), nil
+		func(_ Options, rs *ResultSet) ([]ReportItem, error) {
+			return one(fig1TableFrom(rs))
 		})
 	return s
 }
 
 // fig1TableFrom tabulates the verdicts (§I / Fig. 1).
-func fig1TableFrom(opts Options, rs *ResultSet) (*Table, error) {
+func fig1TableFrom(rs *ResultSet) (*Table, error) {
 	t := &Table{Title: "Fig1 — litmus: stale read / happens-before cycle under adversarial prefetch",
 		Header: []string{"model", "stale read", "hb cycle", "guaranteed correct"}}
 	for _, m := range fig1Models {
@@ -116,17 +112,6 @@ func fig1TableFrom(opts Options, rs *ResultSet) (*Table, error) {
 			staleS += " (stuck reads)"
 		}
 		t.AddRow(m.String(), staleS, fmt.Sprintf("%v", cycle), verdict)
-		opts.log("fig1 %s stale=%v cycle=%v", m, stale, cycle)
 	}
 	return t, nil
-}
-
-// Fig1Table runs the litmus sweep for every variant and tabulates the
-// verdicts (§I / Fig. 1).
-func Fig1Table(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "fig1", planFig1())
-	if err != nil {
-		return nil, err
-	}
-	return fig1TableFrom(opts, rs)
 }

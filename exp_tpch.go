@@ -73,29 +73,6 @@ func planTPCH(opts Options, models []Model) []SimJob {
 	return specs
 }
 
-// TPCHRun is one query under one model.
-type TPCHRun struct {
-	Query  string
-	Model  Model
-	Result Result
-}
-
-// TPCHSweep runs every Table IV query under the given models, one job
-// per (query, model) point. Each query's workload is prepared once and
-// shared read-only across its model variants.
-func TPCHSweep(opts Options, models []Model) ([]TPCHRun, error) {
-	rs, err := runPlan(opts, "tpch sweep", planTPCH(opts, models))
-	var out []TPCHRun
-	for _, q := range tpch.Queries() {
-		for _, m := range models {
-			if r, ok := rs.Lookup(tpchKey(q.Name, m)); ok {
-				out = append(out, TPCHRun{Query: q.Name, Model: m, Result: r})
-			}
-		}
-	}
-	return out, err
-}
-
 // fig9YCSBKey identifies the Fig. 9 YCSB-column points.
 func fig9YCSBKey(m Model) string { return fmt.Sprintf("fig9-ycsb/model=%s", m) }
 
@@ -157,22 +134,22 @@ func fig8Spec() ExperimentSpec {
 				{Name: "fig9", Keys: append(append([]string{}, tk...), fig9YCSBKeys()...)},
 			}
 		},
-		Render: func(opts Options, artifact string, rs *ResultSet) (string, error) {
-			f8, f9, err := fig8fig9Tables(opts, rs)
+		Render: func(opts Options, artifact string, rs *ResultSet) ([]ReportItem, error) {
+			f8, f9, err := fig8fig9Tables(rs)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			switch artifact {
 			case "fig8":
-				return render(f8), nil
+				return []ReportItem{f8}, nil
 			case "fig9":
 				y, err := fig9YCSBTable(rs)
 				if err != nil {
-					return "", err
+					return nil, err
 				}
-				return render(f9, y), nil
+				return []ReportItem{f9, y}, nil
 			}
-			return "", fmt.Errorf("fig8: unknown artifact %q", artifact)
+			return nil, fmt.Errorf("fig8: unknown artifact %q", artifact)
 		},
 	}
 }
@@ -180,7 +157,7 @@ func fig8Spec() ExperimentSpec {
 // fig8fig9Tables folds the TPC-H grid's results into Fig. 8 (run time
 // normalized to Naive, with the geometric mean) and Fig. 9's TPC-H
 // scope-buffer hit rates.
-func fig8fig9Tables(opts Options, rs *ResultSet) (fig8, fig9 *Table, err error) {
+func fig8fig9Tables(rs *ResultSet) (fig8, fig9 *Table, err error) {
 	models := fig7Variants
 	byQuery := map[string]map[string]float64{}
 	hit := map[string]map[string]float64{}
@@ -245,22 +222,23 @@ func fig9YCSBTable(rs *ResultSet) (*Table, error) {
 	return t, nil
 }
 
-// Fig8Fig9 reproduces Fig. 8: per-query run time normalized to Naive, with
-// the geometric mean, and Fig. 9's scope buffer hit rates from the same
-// runs.
+// Fig8Fig9 runs the TPC-H grid of Fig. 8 on the in-process executor
+// and returns Fig. 8 (per-query run time normalized to Naive, with the
+// geometric mean) and Fig. 9's TPC-H scope buffer hit rates from the
+// same runs. Every other experiment runs only through the registry
+// (RunExperiment, StreamReport); this one exported figure function
+// stays because the repo benchmark's tpch-timing workload renders its
+// report check through it. Per-job failures are folded into the
+// returned error.
 func Fig8Fig9(opts Options) (fig8, fig9 *Table, err error) {
-	rs, err := runPlan(opts, "tpch sweep", planTPCH(opts, fig7Variants))
-	if err != nil {
+	groups, _ := dedupPlan([]plannedExperiment{{name: "tpch sweep", jobs: planTPCH(opts, fig7Variants)}})
+	rs := &ResultSet{byKey: map[string]Result{}}
+	if _, err := execute(opts, "tpch sweep", groups, func(key string, r Result, jobErr error) {
+		if jobErr == nil {
+			rs.byKey[key] = r
+		}
+	}); err != nil {
 		return nil, nil, err
 	}
-	return fig8fig9Tables(opts, rs)
-}
-
-// Fig9YCSB adds the YCSB column of Fig. 9 (scope buffer hit rate).
-func Fig9YCSB(opts Options) (*Table, error) {
-	rs, err := runPlan(opts, "fig9-ycsb", planFig9YCSB(opts))
-	if err != nil {
-		return nil, err
-	}
-	return fig9YCSBTable(rs)
+	return fig8fig9Tables(rs)
 }

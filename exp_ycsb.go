@@ -135,8 +135,8 @@ func planYCSB(opts Options, prefix string, models []Model,
 	return specs
 }
 
-// RunRecord is one simulated run's outcome inside a sweep.
-type RunRecord struct {
+// runRecord is one simulated run's outcome inside a sweep.
+type runRecord struct {
 	Model   Model
 	Records int
 	Scopes  int
@@ -153,51 +153,25 @@ func gridKeys(grid []ycsbPoint) []string {
 	return out
 }
 
-// gridRecords folds a grid's looked-up results into RunRecords,
+// gridRecords folds a grid's looked-up results into runRecords,
 // skipping points whose job failed (absent from the set).
-func gridRecords(grid []ycsbPoint, rs *ResultSet) []RunRecord {
-	var out []RunRecord
+func gridRecords(grid []ycsbPoint, rs *ResultSet) []runRecord {
+	var out []runRecord
 	for _, pt := range grid {
 		r, ok := rs.Lookup(pt.Key)
 		if !ok {
 			continue
 		}
-		out = append(out, RunRecord{Model: pt.Model, Records: pt.Records, Scopes: pt.Scopes, Result: r})
+		out = append(out, runRecord{Model: pt.Model, Records: pt.Records, Scopes: pt.Scopes, Result: r})
 	}
 	return out
-}
-
-// YCSBSweep runs the given models across the option's record counts, with
-// modify applied to each system config (nil for the base Table II system).
-// Points run on the job runner at opts.Parallelism. Job keys use the
-// "ycsb" prefix; sweeps with a non-base config should go through
-// YCSBSweepNamed so differently-configured points get distinct keys.
-func YCSBSweep(opts Options, models []Model, modify func(*Config)) ([]RunRecord, error) {
-	return ycsbSweep(opts, "ycsb", models, nil, modify)
-}
-
-// YCSBSweepNamed is YCSBSweep with an explicit job-key prefix,
-// distinguishing differently-configured grids (Fig. 11 ablations, the
-// 8MB-LLC sweep) in progress logs, error reports and the result cache.
-func YCSBSweepNamed(opts Options, prefix string, models []Model, modify func(*Config)) ([]RunRecord, error) {
-	return ycsbSweep(opts, prefix, models, nil, modify)
-}
-
-// ycsbSweep is the plan-then-execute sweep core backing the exported
-// sweep helpers: enumerate the grid, run it, fold results back into
-// RunRecords.
-func ycsbSweep(opts Options, prefix string, models []Model,
-	modifyParams func(*ycsb.Params), modify func(*Config)) ([]RunRecord, error) {
-	rs, err := runPlan(opts, prefix+" sweep", planYCSB(opts, prefix, models, modifyParams, modify))
-	recs := gridRecords(ycsbGrid(opts, prefix, models, modifyParams), rs)
-	return recs, err
 }
 
 // normalizeToNaive converts a sweep into per-point ratios against Naive.
 // It fails explicitly when a record count has no Naive baseline — the
 // model list omitted Naive, or its point errored — instead of emitting
 // +Inf ratios.
-func normalizeToNaive(recs []RunRecord) (map[int]map[string]float64, error) {
+func normalizeToNaive(recs []runRecord) (map[int]map[string]float64, error) {
 	base := map[int]float64{}
 	for _, r := range recs {
 		if r.Model == Naive {
@@ -218,7 +192,7 @@ func normalizeToNaive(recs []RunRecord) (map[int]map[string]float64, error) {
 	return out, nil
 }
 
-func scopesOf(recs []RunRecord, records int) int {
+func scopesOf(recs []runRecord, records int) int {
 	for _, r := range recs {
 		if r.Records == records {
 			return r.Scopes
@@ -229,29 +203,21 @@ func scopesOf(recs []RunRecord, records int) int {
 
 // ---- Fig. 3 ----
 
-// planFig3 is the single job enumeration shared by fig3's spec and the
-// exported Fig3 wrapper, so the two cannot drift.
-func planFig3(opts Options) []SimJob {
-	return planYCSB(opts, "ycsb", fig3Variants, nil, nil)
-}
-
+// fig3Spec reproduces Fig. 3: Naive vs Uncacheable vs SW-Flush run
+// time (normalized to Naive) over the record-count sweep.
 func fig3Spec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "fig3",
 		Plan: func(opts Options) ([]SimJob, error) {
-			return planFig3(opts), nil
+			return planYCSB(opts, "ycsb", fig3Variants, nil, nil), nil
 		},
 	}
 	s.Artifacts, s.Render = singleArtifact("fig3",
 		func(opts Options) []string {
 			return gridKeys(ycsbGrid(opts, "ycsb", fig3Variants, nil))
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			sr, err := fig3Series(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(sr), nil
+		func(opts Options, rs *ResultSet) ([]ReportItem, error) {
+			return one(fig3Series(opts, rs))
 		})
 	return s
 }
@@ -269,20 +235,10 @@ func fig3Series(opts Options, rs *ResultSet) (*Series, error) {
 	return s, nil
 }
 
-// Fig3 reproduces Fig. 3: Naive vs Uncacheable vs SW-Flush run time
-// (normalized to Naive) over the record-count sweep.
-func Fig3(opts Options) (*Series, error) {
-	rs, err := runPlan(opts, "fig3", planFig3(opts))
-	if err != nil {
-		return nil, err
-	}
-	return fig3Series(opts, rs)
-}
-
 // ---- Fig. 7 + Fig. 10 ----
 
-// YCSBFigures bundles the series Figs. 7 and 10 share.
-type YCSBFigures struct {
+// ycsbFigures bundles the series Figs. 7 and 10 share.
+type ycsbFigures struct {
 	Abs          *Series // Fig. 7a: absolute run time (seconds)
 	Norm         *Series // Fig. 7b: run time normalized to Naive
 	BufLen       *Series // Fig. 10a: mean PIM buffer length on arrival
@@ -292,9 +248,9 @@ type YCSBFigures struct {
 }
 
 // buildYCSBFigures derives all YCSB series from one sweep, X = scope count.
-func buildYCSBFigures(opts Options, prefix string, recs []RunRecord) (*YCSBFigures, error) {
+func buildYCSBFigures(opts Options, prefix string, recs []runRecord) (*ycsbFigures, error) {
 	names := variantNames(fig7Variants)
-	f := &YCSBFigures{
+	f := &ycsbFigures{
 		Abs:          report.NewSeries(prefix+"a", "scopes", "run time [s]", names),
 		Norm:         report.NewSeries(prefix+"b", "scopes", "run time / naive", names),
 		BufLen:       report.NewSeries(prefix+"-10a", "scopes", "mean PIM buffer len", names),
@@ -334,12 +290,8 @@ func buildYCSBFigures(opts Options, prefix string, recs []RunRecord) (*YCSBFigur
 	return f, nil
 }
 
-// planFig7 is the job enumeration shared by fig7's spec and the
-// exported Fig7 wrapper.
-func planFig7(opts Options) []SimJob {
-	return planYCSB(opts, "ycsb", fig7Variants, nil, nil)
-}
-
+// fig7Spec reproduces Fig. 7 (run times) and Fig. 10 (system
+// statistics) from one YCSB sweep over all six variants.
 func fig7Spec() ExperimentSpec {
 	keys := func(opts Options) []string {
 		return gridKeys(ycsbGrid(opts, "ycsb", fig7Variants, nil))
@@ -348,7 +300,7 @@ func fig7Spec() ExperimentSpec {
 		Name:    "fig7",
 		Bundles: []string{"fig10"},
 		Plan: func(opts Options) ([]SimJob, error) {
-			return planFig7(opts), nil
+			return planYCSB(opts, "ycsb", fig7Variants, nil, nil), nil
 		},
 		// Both artifacts fold the whole sweep (Fig. 10's statistics are
 		// cut against the same Naive baselines), so they share one key
@@ -357,66 +309,46 @@ func fig7Spec() ExperimentSpec {
 			ks := keys(opts)
 			return []Artifact{{Name: "fig7", Keys: ks}, {Name: "fig10", Keys: ks}}
 		},
-		Render: func(opts Options, artifact string, rs *ResultSet) (string, error) {
+		Render: func(opts Options, artifact string, rs *ResultSet) ([]ReportItem, error) {
 			f, err := buildYCSBFigures(opts, "Fig7", gridRecords(ycsbGrid(opts, "ycsb", fig7Variants, nil), rs))
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			switch artifact {
 			case "fig7":
-				return render(f.Abs, f.Norm), nil
+				return []ReportItem{f.Abs, f.Norm}, nil
 			case "fig10":
-				return render(f.BufLen, f.UniqueScopes, f.ScanLatency, f.SkipRatio), nil
+				return []ReportItem{f.BufLen, f.UniqueScopes, f.ScanLatency, f.SkipRatio}, nil
 			}
-			return "", fmt.Errorf("fig7: unknown artifact %q", artifact)
+			return nil, fmt.Errorf("fig7: unknown artifact %q", artifact)
 		},
 	}
 }
 
-// Fig7 reproduces Fig. 7 (run times) and Fig. 10 (system statistics) from
-// one YCSB sweep over all six variants.
-func Fig7(opts Options) (*YCSBFigures, error) {
-	rs, err := runPlan(opts, "fig7", planFig7(opts))
-	if err != nil {
-		return nil, err
-	}
-	return buildYCSBFigures(opts, "Fig7", gridRecords(ycsbGrid(opts, "ycsb", fig7Variants, nil), rs))
-}
-
 // ---- Fig. 11a / Fig. 11b ----
 
-// planFigModified enumerates a Fig. 11 ablation: a fig7-variant sweep
-// under a modified config plus the bounded-buffer Naive baseline from
-// the base "ycsb" sweep. Shared by the specs and the exported
-// wrappers.
-func planFigModified(opts Options, prefix string, modify func(*Config)) []SimJob {
-	jobs := planYCSB(opts, prefix, fig7Variants, nil, modify)
-	return append(jobs, planYCSB(opts, "ycsb", []Model{Naive}, nil, nil)...)
-}
-
-// figModifiedSpec describes the Fig. 11 harness ablations, referenced
-// against the "basic-naive" baseline series.
+// figModifiedSpec describes a Fig. 11 harness ablation: a fig7-variant
+// sweep under a modified config, referenced against the "basic-naive"
+// series — the bounded-buffer Naive baseline from the base "ycsb"
+// sweep.
 func figModifiedSpec(name string, modify func(*Config)) ExperimentSpec {
 	prefix := strings.ToLower(name)
 	s := ExperimentSpec{
 		Name: prefix,
 		Plan: func(opts Options) ([]SimJob, error) {
-			return planFigModified(opts, prefix, modify), nil
+			jobs := planYCSB(opts, prefix, fig7Variants, nil, modify)
+			return append(jobs, planYCSB(opts, "ycsb", []Model{Naive}, nil, nil)...), nil
 		},
 	}
 	s.Artifacts, s.Render = singleArtifact(prefix,
 		func(opts Options) []string {
 			// The modified sweep plus the base-config Naive reference —
-			// the same two grids planFigModified enumerates.
+			// the same two grids Plan enumerates.
 			return append(gridKeys(ycsbGrid(opts, prefix, fig7Variants, nil)),
 				gridKeys(ycsbGrid(opts, "ycsb", []Model{Naive}, nil))...)
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			sr, err := figModifiedSeries(opts, name, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(sr), nil
+		func(opts Options, rs *ResultSet) ([]ReportItem, error) {
+			return one(figModifiedSeries(opts, name, rs))
 		})
 	return s
 }
@@ -449,31 +381,14 @@ func figModifiedSeries(opts Options, name string, rs *ResultSet) (*Series, error
 	return s, nil
 }
 
+// fig11aSpec: unbounded PIM module buffer.
 func fig11aSpec() ExperimentSpec {
 	return figModifiedSpec("Fig11a", func(cfg *Config) { cfg.PIMBufferSize = 0 })
 }
 
+// fig11bSpec: zero PIM logic execution time.
 func fig11bSpec() ExperimentSpec {
 	return figModifiedSpec("Fig11b", func(cfg *Config) { cfg.PIMZeroLatency = true })
-}
-
-// Fig11a: unbounded PIM module buffer. The extra "basic-naive" series is
-// the bounded-buffer Naive baseline the paper includes for reference.
-func Fig11a(opts Options) (*Series, error) {
-	return figWithModifiedConfig(opts, "Fig11a", func(cfg *Config) { cfg.PIMBufferSize = 0 })
-}
-
-// Fig11b: zero PIM logic execution time.
-func Fig11b(opts Options) (*Series, error) {
-	return figWithModifiedConfig(opts, "Fig11b", func(cfg *Config) { cfg.PIMZeroLatency = true })
-}
-
-func figWithModifiedConfig(opts Options, name string, modify func(*Config)) (*Series, error) {
-	rs, err := runPlan(opts, strings.ToLower(name), planFigModified(opts, strings.ToLower(name), modify))
-	if err != nil {
-		return nil, err
-	}
-	return figModifiedSeries(opts, name, rs)
 }
 
 // ---- Fig. 12 ----
@@ -482,39 +397,27 @@ func fig12Modify(cfg *Config) {
 	cfg.LLCSets = 8192 // 8MB, 16-way, 64B lines
 }
 
-func planFig12(opts Options) []SimJob {
-	return planYCSB(opts, "fig12", fig7Variants, nil, fig12Modify)
-}
-
+// fig12Spec reproduces the 8MB-LLC experiment: run time plus the
+// scan-latency and SBV statistics (Fig. 12a-c).
 func fig12Spec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "fig12",
 		Plan: func(opts Options) ([]SimJob, error) {
-			return planFig12(opts), nil
+			return planYCSB(opts, "fig12", fig7Variants, nil, fig12Modify), nil
 		},
 	}
 	s.Artifacts, s.Render = singleArtifact("fig12",
 		func(opts Options) []string {
 			return gridKeys(ycsbGrid(opts, "fig12", fig7Variants, nil))
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
+		func(opts Options, rs *ResultSet) ([]ReportItem, error) {
 			f, err := buildYCSBFigures(opts, "Fig12", gridRecords(ycsbGrid(opts, "fig12", fig7Variants, nil), rs))
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return render(f.Norm, f.ScanLatency, f.SkipRatio), nil
+			return []ReportItem{f.Norm, f.ScanLatency, f.SkipRatio}, nil
 		})
 	return s
-}
-
-// Fig12 reproduces the 8MB-LLC experiment: run time plus the scan-latency
-// and SBV statistics (Fig. 12a-c).
-func Fig12(opts Options) (*YCSBFigures, error) {
-	rs, err := runPlan(opts, "fig12", planFig12(opts))
-	if err != nil {
-		return nil, err
-	}
-	return buildYCSBFigures(opts, "Fig12", gridRecords(ycsbGrid(opts, "fig12", fig7Variants, nil), rs))
 }
 
 // ---- Fig. 13 ----
@@ -522,27 +425,20 @@ func Fig12(opts Options) (*YCSBFigures, error) {
 func fig13Params(p *ycsb.Params) { p.Threads = 8 }
 func fig13Modify(cfg *Config)    { cfg.Cores = 16 }
 
-func planFig13(opts Options) []SimJob {
-	return planYCSB(opts, "fig13", fig7Variants, fig13Params, fig13Modify)
-}
-
+// fig13Spec reproduces the 8-thread / 16-core experiment.
 func fig13Spec() ExperimentSpec {
 	s := ExperimentSpec{
 		Name: "fig13",
 		Plan: func(opts Options) ([]SimJob, error) {
-			return planFig13(opts), nil
+			return planYCSB(opts, "fig13", fig7Variants, fig13Params, fig13Modify), nil
 		},
 	}
 	s.Artifacts, s.Render = singleArtifact("fig13",
 		func(opts Options) []string {
 			return gridKeys(ycsbGrid(opts, "fig13", fig7Variants, fig13Params))
 		},
-		func(opts Options, rs *ResultSet) (string, error) {
-			sr, err := fig13Series(opts, rs)
-			if err != nil {
-				return "", err
-			}
-			return render(sr), nil
+		func(opts Options, rs *ResultSet) ([]ReportItem, error) {
+			return one(fig13Series(opts, rs))
 		})
 	return s
 }
@@ -558,13 +454,4 @@ func fig13Series(opts Options, rs *ResultSet) (*Series, error) {
 		s.AddPoint(float64(scopesOf(recs, records)), norm[records])
 	}
 	return s, nil
-}
-
-// Fig13 reproduces the 8-thread / 16-core experiment.
-func Fig13(opts Options) (*Series, error) {
-	rs, err := runPlan(opts, "fig13", planFig13(opts))
-	if err != nil {
-		return nil, err
-	}
-	return fig13Series(opts, rs)
 }

@@ -13,10 +13,11 @@ package bulkpim
 // shard-filtered subset per machine into a local result cache, merges
 // the caches, and runs the report pass entirely from cache hits. An
 // experiment's report is its artifacts' renders concatenated in
-// declaration order. RunExperiment, StreamReport, the pimbench
-// plan/merge subcommands and the -shard filter all resolve experiments
-// through this one table, so the advertised experiment list can never
-// drift from what actually runs.
+// declaration order; pimbench -csvdir writes the same report items as
+// CSV. RunExperiment, StreamReport, the pimbench plan/merge
+// subcommands and the -shard filter all resolve experiments through
+// this one table, so the advertised experiment list can never drift
+// from what actually runs.
 
 import (
 	"fmt"
@@ -57,12 +58,21 @@ type ExperimentSpec struct {
 	// after. Like Plan it executes nothing; key sets may vary with
 	// opts (scale changes the grid) but names never do.
 	Artifacts func(opts Options) []Artifact
-	// Render produces one declared artifact from planned-job results,
-	// looked up by job key. It performs no simulation work, so a
-	// coordinator whose cache holds an artifact's key set renders it
-	// without computing anything — and a stream renders it the moment
-	// the last of those keys settles.
-	Render func(opts Options, artifact string, rs *ResultSet) (string, error)
+	// Render produces one declared artifact's report items from
+	// planned-job results, looked up by job key. It performs no
+	// simulation work and logs nothing, so a coordinator whose cache
+	// holds an artifact's key set renders it without computing anything
+	// — and a stream renders it the moment the last of those keys
+	// settles.
+	Render func(opts Options, artifact string, rs *ResultSet) ([]ReportItem, error)
+}
+
+// ReportItem is one printable piece of an artifact — a figure series or
+// a table. String is its report form; CSV is the form pimbench -csvdir
+// writes. *Series and *Table both satisfy it.
+type ReportItem interface {
+	String() string
+	CSV() string
 }
 
 // ArtifactNames lists the spec's artifact names in declaration order.
@@ -95,10 +105,10 @@ func LookupArtifact(name string) (ExperimentSpec, bool) {
 // singleArtifact wires the Artifacts/Render pair for the common
 // one-artifact spec: the artifact carries the spec's name, keys
 // enumerates its job keys at the given options (nil for static
-// tables), renderOne produces the report body.
+// tables), renderOne produces the report items.
 func singleArtifact(name string, keys func(opts Options) []string,
-	renderOne func(opts Options, rs *ResultSet) (string, error)) (
-	func(Options) []Artifact, func(Options, string, *ResultSet) (string, error)) {
+	renderOne func(opts Options, rs *ResultSet) ([]ReportItem, error)) (
+	func(Options) []Artifact, func(Options, string, *ResultSet) ([]ReportItem, error)) {
 	artifacts := func(opts Options) []Artifact {
 		var ks []string
 		if keys != nil {
@@ -106,13 +116,21 @@ func singleArtifact(name string, keys func(opts Options) []string,
 		}
 		return []Artifact{{Name: name, Keys: ks}}
 	}
-	renderFn := func(opts Options, artifact string, rs *ResultSet) (string, error) {
+	renderFn := func(opts Options, artifact string, rs *ResultSet) ([]ReportItem, error) {
 		if artifact != name {
-			return "", fmt.Errorf("%s: unknown artifact %q", name, artifact)
+			return nil, fmt.Errorf("%s: unknown artifact %q", name, artifact)
 		}
 		return renderOne(opts, rs)
 	}
 	return artifacts, renderFn
+}
+
+// one lifts a single-item builder's result into a Render return.
+func one[T ReportItem](it T, err error) ([]ReportItem, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []ReportItem{it}, nil
 }
 
 // ResultSet indexes executed grid-point results by job key: the
@@ -211,9 +229,10 @@ func StandaloneExperiments() []string {
 	return out
 }
 
-// render concatenates printable report items, one per line — the
-// report emission shape shared by every experiment.
-func render(items ...fmt.Stringer) string {
+// render concatenates an artifact's report items, one per line — the
+// report bytes of every emission (ReportStream.finish) and every
+// daemon artifact read (Server.artifactStatus).
+func render(items ...ReportItem) string {
 	var b strings.Builder
 	for _, it := range items {
 		b.WriteString(it.String())
@@ -223,7 +242,7 @@ func render(items ...fmt.Stringer) string {
 }
 
 // execute is the one in-process executor, behind RunExperiment,
-// StreamReport, ExecuteShard and runPlan (the legacy table wrappers).
+// StreamReport, ExecuteShard and Fig8Fig9.
 // It runs each fingerprint group of a deduplicated plan (dedupPlan)
 // exactly once, as one job of a single RunJobs batch on a private
 // pool opts.Parallelism wide, so the pool bounds simulation
@@ -299,21 +318,6 @@ func (o Options) fanOut(g *fpGroup, r Result, err error, cached bool, settle fun
 		}
 	}
 	return stored
-}
-
-// runPlan executes one legacy wrapper's planned jobs on execute and
-// indexes the successful results for its report phase. Per-job
-// failures are folded into the returned error without discarding
-// siblings, so sweeps can still fold what succeeded.
-func runPlan(opts Options, label string, jobs []SimJob) (*ResultSet, error) {
-	groups, _ := dedupPlan([]plannedExperiment{{name: label, jobs: jobs}})
-	rs := &ResultSet{byKey: map[string]Result{}}
-	_, err := execute(opts, label, groups, func(key string, r Result, err error) {
-		if err == nil {
-			rs.byKey[key] = r
-		}
-	})
-	return rs, err
 }
 
 // RunExperiment dispatches by name through the registry and returns

@@ -11,35 +11,42 @@ import (
 	"testing"
 )
 
-// TestRunnerDeterminism runs the same ScaleBench YCSB sweep sequentially
-// and on 8 workers and requires identical RunRecord sequences: same
-// order, same cycles, same stats.
+// TestRunnerDeterminism executes the same ScaleBench YCSB sweep —
+// fig7's grid, all six variants — sequentially and on 8 workers and
+// requires identical per-key results: same cycles, drain cycles,
+// seconds and stats.
 func TestRunnerDeterminism(t *testing.T) {
-	models := []Model{Naive, SWFlush, Scope}
-	seq, err := YCSBSweep(Options{Scale: ScaleBench, Parallelism: 1}, models, nil)
-	if err != nil {
-		t.Fatal(err)
+	runAt := func(parallelism int) map[string]Result {
+		opts := Options{Scale: ScaleBench, Parallelism: parallelism}
+		groups, _, err := planGroups("fig7", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]Result{}
+		if _, err := execute(opts, "fig7", groups, func(key string, r Result, jobErr error) {
+			if jobErr == nil {
+				out[key] = r
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	par, err := YCSBSweep(Options{Scale: ScaleBench, Parallelism: 8}, models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := runAt(1), runAt(8)
 	if len(seq) == 0 || len(seq) != len(par) {
-		t.Fatalf("record counts differ: %d vs %d", len(seq), len(par))
+		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 	}
-	for i := range seq {
-		s, p := seq[i], par[i]
-		if s.Model != p.Model || s.Records != p.Records || s.Scopes != p.Scopes {
-			t.Fatalf("point %d identity differs: %+v vs %+v", i, s, p)
+	for key, s := range seq {
+		p, ok := par[key]
+		if !ok {
+			t.Fatalf("%s: missing from the parallel run", key)
 		}
-		if s.Result.Cycles != p.Result.Cycles || s.Result.DrainCycles != p.Result.DrainCycles ||
-			s.Result.Seconds != p.Result.Seconds {
-			t.Fatalf("point %d (%s, records=%d): cycles %d vs %d",
-				i, s.Model, s.Records, s.Result.Cycles, p.Result.Cycles)
+		if s.Cycles != p.Cycles || s.DrainCycles != p.DrainCycles || s.Seconds != p.Seconds {
+			t.Fatalf("%s: cycles %d/%d drain %d/%d seconds %v/%v",
+				key, s.Cycles, p.Cycles, s.DrainCycles, p.DrainCycles, s.Seconds, p.Seconds)
 		}
-		if !reflect.DeepEqual(s.Result.Stats, p.Result.Stats) {
-			t.Fatalf("point %d (%s, records=%d): stats differ\nseq: %v\npar: %v",
-				i, s.Model, s.Records, s.Result.Stats, p.Result.Stats)
+		if !reflect.DeepEqual(s.Stats, p.Stats) {
+			t.Fatalf("%s: stats differ\nseq: %v\npar: %v", key, s.Stats, p.Stats)
 		}
 	}
 }
@@ -96,13 +103,13 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 // TestNormalizeToNaiveMissingBaseline: a sweep without a (successful)
 // Naive point must fail loudly instead of emitting +Inf ratios.
 func TestNormalizeToNaiveMissingBaseline(t *testing.T) {
-	recs := []RunRecord{
+	recs := []runRecord{
 		{Model: Scope, Records: 1000, Result: Result{Cycles: 42}},
 	}
 	if _, err := normalizeToNaive(recs); err == nil {
 		t.Fatal("expected error for sweep without Naive baseline")
 	}
-	recs = append(recs, RunRecord{Model: Naive, Records: 1000, Result: Result{Cycles: 84}})
+	recs = append(recs, runRecord{Model: Naive, Records: 1000, Result: Result{Cycles: 84}})
 	norm, err := normalizeToNaive(recs)
 	if err != nil {
 		t.Fatal(err)

@@ -417,11 +417,11 @@ func (s *Server) artifactStatus(name string, req serve.JobRequest) (serve.Artifa
 	}
 	st.Ready = st.Settled == st.Keys
 	if st.Ready {
-		out, err := spec.Render(opts, n, rs)
+		items, err := spec.Render(opts, n, rs)
 		if err != nil {
 			return serve.ArtifactStatus{}, fmt.Errorf("render %s: %w", n, err)
 		}
-		st.Output = out
+		st.Output = render(items...)
 	}
 	return st, nil
 }

@@ -21,15 +21,17 @@ import (
 	"time"
 )
 
-// StreamEmit is one streamed artifact emission: the artifact's
-// rendered output (or its render error) the instant its last planned
-// job settled. Seq numbers emissions in settle order across the whole
-// stream, starting at 0 — the order artifacts became ready, which
-// varies run to run, unlike the canonical order an assembler writes.
+// StreamEmit is one streamed artifact emission: the artifact's report
+// items and their rendered output (or its render error) the instant
+// its last planned job settled. Seq numbers emissions in settle order
+// across the whole stream, starting at 0 — the order artifacts became
+// ready, which varies run to run, unlike the canonical order an
+// assembler writes.
 type StreamEmit struct {
 	Experiment string
 	Artifact   string
 	Seq        int
+	Items      []ReportItem
 	Output     string
 	Err        error
 }
@@ -150,7 +152,8 @@ func (s *ReportStream) finish(sa *streamArtifact) {
 	sa.done = true
 	e := StreamEmit{Experiment: sa.spec.Name, Artifact: sa.name, Seq: s.seq, Err: sa.err}
 	if e.Err == nil {
-		e.Output, e.Err = sa.spec.Render(s.opts, sa.name, s.rs)
+		e.Items, e.Err = sa.spec.Render(s.opts, sa.name, s.rs)
+		e.Output = render(e.Items...)
 	}
 	s.emit(e)
 	s.seq++
