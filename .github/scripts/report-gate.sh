@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# report-gate.sh: the report gate shared by CI's shard, coord and
-# incremental jobs. It runs one report pass and checks that its bytes
+# report-gate.sh: the report gate shared by CI's coord and incremental
+# jobs. It runs one report pass and checks that its bytes
 # match a reference report and that its stderr shows the expected
 # cache or snapshot accounting.
 #
@@ -12,8 +12,8 @@
 # PATTERN (grep basic regular expressions). For example, a warm report
 # pass that must be fully cache-served:
 #
-#   report-gate.sh report_single.txt merged -e " 0 misses" -- \
-#     ./pimbench -exp all -scale smoke -parallel 4 -cache-dir merged
+#   report-gate.sh report_single.txt coord -e " 0 misses" -- \
+#     ./pimbench -exp all -scale smoke -cache-dir coordcache
 set -euo pipefail
 
 usage() {

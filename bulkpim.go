@@ -103,9 +103,6 @@ const (
 // sequence.
 func NewSliceThread(instrs ...Instr) Thread { return &cpu.SliceThread{Instrs: instrs} }
 
-// NewBarrier builds a reusable barrier for n threads.
-func NewBarrier(n int) *Barrier { return cpu.NewBarrier(n) }
-
 // PIMProgram is one bulk-bitwise PIM operation (latency + functional
 // effect).
 type PIMProgram = mem.PIMProgram
@@ -175,11 +172,6 @@ func RunTPCH(w *TPCHWorkload, cfg Config) (Result, error) { return tpch.Run(w, c
 // LitmusOutcome is one Fig. 1 run's result.
 type LitmusOutcome = litmus.Outcome
 
-// RunFig1 executes the Fig. 1 scenario at one adversary timing.
-func RunFig1(m Model, adversaryDelay Tick) (LitmusOutcome, error) {
-	return litmus.RunFig1(m, adversaryDelay)
-}
-
 // SweepFig1 runs Fig. 1 across adversary timings.
 func SweepFig1(m Model, delays []Tick) ([]LitmusOutcome, error) {
 	return litmus.SweepFig1(m, delays)
@@ -193,36 +185,9 @@ func LitmusVulnerable(outs []LitmusOutcome) (stale, cycle bool) {
 	return litmus.Vulnerable(outs)
 }
 
-// ---- parallel job runner ----
-
-// Job is one independent simulation point for RunJobs; JobResult pairs
-// its outcome with the submission index; JobOptions sets parallelism
-// and an optional progress callback; SimJob is the declarative point
-// spec (base Config + mutator + Execute); JobSummary is a batch's
-// wall-clock / sim-cycle accounting. Every experiment sweep in this
-// package runs on the same machinery.
-type (
-	Job        = runner.Job[Result]
-	JobResult  = runner.JobResult[Result]
-	JobOptions = runner.Options[Result]
-	SimJob     = runner.SimJob
-	JobSummary = runner.Summary
-)
-
-// RunJobs executes independent simulation jobs on a worker pool
-// (JobOptions.Parallelism wide; 0 = GOMAXPROCS) and returns results
-// re-ordered by submission index, so output is identical to running
-// the jobs sequentially. A failed job is captured in its JobResult
-// without aborting siblings. Anything jobs share — e.g. one generated
-// workload across model variants — must be read-only; freeze a YCSB
-// workload with its Precompute method before sharing it.
-func RunJobs(jobs []Job, opts JobOptions) []JobResult { return runner.RunJobs(jobs, opts) }
-
-// SimJobs lowers declarative job specs into runnable jobs.
-func SimJobs(specs []SimJob) []Job { return runner.SimJobs(specs) }
-
-// SummarizeJobs folds a batch into its accounting.
-func SummarizeJobs(rs []JobResult) JobSummary { return runner.Summarize(rs) }
+// SimJob is the declarative spec of one planned grid point (base
+// Config + mutator + Execute); ExperimentSpec.Plan returns them.
+type SimJob = runner.SimJob
 
 // ---- persistent result cache ----
 
@@ -242,28 +207,6 @@ type CacheStats = resultcache.Stats
 
 // OpenResultCache loads (or creates) a result cache under dir.
 func OpenResultCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
-
-// CacheFileStats summarizes one validated cache file; CacheMergeStats
-// summarizes a merge of several.
-type (
-	CacheFileStats  = resultcache.FileStats
-	CacheMergeStats = resultcache.MergeStats
-)
-
-// ValidateResultCache strictly checks one cache file (or directory):
-// unlike the tolerant load path, a corrupt line, a foreign schema
-// version or conflicting results for one (key, fingerprint) identity
-// is an error naming the file and line.
-func ValidateResultCache(path string) (CacheFileStats, error) { return resultcache.Validate(path) }
-
-// MergeResultCaches validates the source caches (directories or
-// results.jsonl paths) and writes their deduplicated union to
-// dstDir/results.jsonl — the coordinator half of a sharded run, after
-// which a report pass against dstDir is served entirely from cache
-// hits. See resultcache.Merge for the conflict rules.
-func MergeResultCaches(dstDir string, srcs ...string) (CacheMergeStats, error) {
-	return resultcache.Merge(dstDir, srcs...)
-}
 
 // ---- workload snapshot store ----
 

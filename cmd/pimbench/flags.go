@@ -126,7 +126,6 @@ type runFlags struct {
 	noCache  *bool
 	resume   *bool
 	snapDir  *string
-	shard    *string
 	stream   *bool
 	prof     profileFlags
 	gcstats  *string
@@ -144,7 +143,6 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 		noCache:  fs.Bool("no-cache", false, "disable the result cache even when -cache-dir or -resume is set"),
 		resume:   fs.Bool("resume", false, "resume an interrupted run from the result cache (defaults -cache-dir to "+defaultCacheDir+")"),
 		snapDir:  addSnapshotDir(fs, "memoize generated workloads here (content-addressed) and load instead of regenerating on re-runs; shareable across a fleet"),
-		shard:    fs.String("shard", "", "execute only shard i/n of the planned jobs (stable hash of the job key) into the cache; no reports are built"),
 		stream:   addStream(fs),
 		prof:     addProfileFlags(fs),
 		gcstats:  fs.String("gcstats", "", "write an allocation/GC summary (runtime.MemStats JSON) at run end to this file"),
@@ -155,7 +153,6 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 // planFlags is the `pimbench plan` flag set.
 type planFlags struct {
 	expFlags
-	shard  *string
 	asJSON *bool
 	diff   *string
 }
@@ -164,7 +161,6 @@ func newPlanFlags(stderr io.Writer) (*flag.FlagSet, *planFlags) {
 	fs := newFlagSet("pimbench plan", stderr)
 	f := &planFlags{
 		expFlags: addExpFlags(fs, "plan"),
-		shard:    fs.String("shard", "", "print only shard i/n of the manifest"),
 		asJSON:   fs.Bool("json", false, "emit the manifest as a schema-versioned JSON envelope"),
 		diff:     fs.String("diff", "", "incremental re-plan: load a prior `plan -json` manifest and keep only jobs whose fingerprint is new or changed (removed jobs and a summary report on stderr)"),
 	}

@@ -5,7 +5,6 @@
 //
 //	pimbench [run] [flags]      execute experiments and print reports
 //	pimbench plan [flags]       print the deterministic job manifest
-//	pimbench merge -o DIR SRC...  merge collected result caches
 //	pimbench coord [flags]      dispatch jobs to a fault-tolerant worker fleet
 //	pimbench serve [flags]      HTTP daemon: cached results instantly, misses on a live fleet
 //	pimbench work [flags]       worker endpoint spawned by coord and serve (jobs carry their spec)
@@ -21,20 +20,6 @@
 //	pimbench -exp all  -scale full -resume                # ...and resume
 //	pimbench -list
 //
-// Distributed runs split the suite across machines. Planning is
-// deterministic and the -shard filter is a stable hash of the job key,
-// so independently planned shards partition the suite exactly:
-//
-//	pimbench plan -exp all -scale full -json              # manifest
-//	pimbench run -exp all -scale full -shard 0/2 -cache-dir s0   # machine 0
-//	pimbench run -exp all -scale full -shard 1/2 -cache-dir s1   # machine 1
-//	pimbench merge -o merged s0 s1
-//	pimbench run -exp all -scale full -cache-dir merged   # warm report pass
-//
-// A shard run executes only its grid points (no reports); the final
-// report pass is served entirely from the merged cache and is
-// byte-identical to a single-process run.
-//
 // Incremental re-plans diff a saved manifest against the current
 // build — only jobs whose fingerprint is new or changed are planned,
 // and grid points that disappeared are reported, never dropped:
@@ -49,14 +34,17 @@
 //
 //	pimbench run -exp all -scale full -parallel 16 -stream
 //
-// The coordinator automates the whole distributed flow on one machine
-// (and, via -worker-cmd, over ssh-style launchers): it dedups the
-// planned suite by fingerprint, dispatches individual jobs to worker
+// Distributed runs go through the coordinator, on one machine or —
+// via -worker-cmd — over ssh-style launchers: it dedups the planned
+// suite by fingerprint, dispatches individual jobs to worker
 // subprocesses with dynamic work-stealing, retries jobs from crashed
 // or erroring workers on the survivors, and streams every finished
-// result into the cache as it lands:
+// result into the cache as it lands. The warm report pass is served
+// entirely from that cache, byte-identical to a single-process run:
 //
 //	pimbench coord -workers 8 -exp all -scale full -cache-dir d
+//	pimbench coord -workers 8 -worker-cmd 'ssh host pimbench {args}' \
+//	    -exp all -scale full -cache-dir d                 # remote workers
 //	pimbench run -exp all -scale full -cache-dir d        # warm report pass
 //
 // The run survives worker death (a lost worker is replaced and its job
@@ -128,8 +116,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return runCmd(args[1:], stdout, stderr)
 		case "plan":
 			return planCmd(args[1:], stdout, stderr)
-		case "merge":
-			return mergeCmd(args[1:], stdout, stderr)
 		case "coord":
 			return coordCmd(args[1:], stdout, stderr)
 		case "serve":
@@ -141,7 +127,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case "version":
 			return versionCmd(args[1:], stdout, stderr)
 		default:
-			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, merge, coord, serve, work, snapshot, version)\n", args[0])
+			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, coord, serve, work, snapshot, version)\n", args[0])
 			return 2
 		}
 	}
@@ -151,8 +137,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // defaultCacheDir is where -resume looks without an explicit -cache-dir.
 const defaultCacheDir = ".pimbench-cache"
 
-// runCmd executes experiments: the full plan -> execute -> report path,
-// or — with -shard — the execute-only worker half of a distributed run.
+// runCmd executes experiments: the full plan -> execute -> report path.
 func runCmd(args []string, stdout, stderr io.Writer) int {
 	fs, f := newRunFlags(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -171,24 +156,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if !f.validScale(stderr) {
 		return 2
 	}
-	var shard bulkpim.Shard
-	sharded := *f.shard != ""
-	if sharded {
-		var err error
-		if shard, err = bulkpim.ParseShard(*f.shard); err != nil {
-			fmt.Fprintf(stderr, "pimbench: %v\n", err)
-			return 2
-		}
-		if *f.csvDir != "" {
-			fmt.Fprintln(stderr, "pimbench: -csvdir is incompatible with -shard (shard runs build no reports)")
-			return 2
-		}
-		if *f.stream {
-			fmt.Fprintln(stderr, "pimbench: -stream is incompatible with -shard (shard runs build no reports)")
-			return 2
-		}
-	}
-
 	stopProfiles, err := startProfiles(*f.prof.cpu, *f.prof.mem)
 	if err != nil {
 		fmt.Fprintf(stderr, "pimbench: profile: %v\n", err)
@@ -212,10 +179,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if *f.resume && dir == "" {
 		dir = defaultCacheDir
 	}
-	if sharded && (dir == "" || *f.noCache) {
-		fmt.Fprintln(stderr, "pimbench: -shard needs -cache-dir (or -resume): a shard ships its results as a cache file")
-		return 2
-	}
 	var cache *bulkpim.ResultCache
 	if dir != "" && !*f.noCache {
 		var err error
@@ -237,13 +200,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var runErr error
-	switch {
-	case sharded:
-		runErr = runShard(*f.exp, opts, shard, stderr)
-	default:
-		runErr = runExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
-	}
+	runErr := runExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
 	// Accounting goes to stderr even on failure: a partially-failed
 	// resumed run still reports what it skipped and recomputed.
 	if cache != nil {
@@ -287,22 +244,13 @@ func attachSnapshots(dir string, opts *bulkpim.Options, stderr io.Writer) (foote
 	}, nil
 }
 
-// runShard executes the shard's slice of the planned jobs into the
-// cache — the worker half of a distributed run. Reports stay with the
-// coordinator, so stdout is untouched.
-func runShard(exp string, opts bulkpim.Options, shard bulkpim.Shard, stderr io.Writer) error {
-	sum, err := bulkpim.ExecuteShard(exp, opts, shard)
-	fmt.Fprintf(stderr, "pimbench: shard %s: %s\n", shard, sum)
-	return err
-}
-
 // planCmd prints the deterministic job manifest — experiment, key,
 // fingerprint per planned job — without executing any simulation work.
 // -json emits the schema-versioned manifest envelope for external
-// schedulers and later diffing; -shard filters to one shard's slice;
-// -diff OLD.json keeps only the jobs whose fingerprint the prior
-// manifest does not contain — the exact subset an incremental re-run
-// has to execute (everything else is a warm cache hit).
+// schedulers and later diffing; -diff OLD.json keeps only the jobs
+// whose fingerprint the prior manifest does not contain — the exact
+// subset an incremental re-run has to execute (everything else is a
+// warm cache hit).
 func planCmd(args []string, stdout, stderr io.Writer) int {
 	fs, f := newPlanFlags(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -314,25 +262,12 @@ func planCmd(args []string, stdout, stderr io.Writer) int {
 	if !f.validScale(stderr) {
 		return 2
 	}
-	var shard bulkpim.Shard
-	if *f.shard != "" {
-		var err error
-		if shard, err = bulkpim.ParseShard(*f.shard); err != nil {
-			fmt.Fprintf(stderr, "pimbench: %v\n", err)
-			return 2
-		}
-	}
-
 	opts := f.options()
 	manifest, err := bulkpim.Manifest(*f.exp, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", err)
 		return 1
 	}
-	// FilterManifest applies the same dedup-then-assign rule as a
-	// `run -shard` execution, so the printed slice is exactly the work
-	// (and the cache entries) that shard will produce.
-	manifest = bulkpim.FilterManifest(manifest, shard)
 	envelope := bulkpim.NewManifestEnvelope(*f.exp, opts, buildLine(), manifest)
 
 	footer := fmt.Sprintf("planned %d jobs (%s at scale %s)", len(manifest), *f.exp, *f.scale)
@@ -379,31 +314,6 @@ func planCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stderr, "pimbench: %s\n", footer)
-	return 0
-}
-
-// mergeCmd validates and merges collected result caches — the
-// coordinator half of a distributed run.
-func mergeCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("pimbench merge", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("o", "", "destination cache directory (required)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	if *out == "" || fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "pimbench: usage: pimbench merge -o DIR SRC_DIR...")
-		return 2
-	}
-	stats, err := bulkpim.MergeResultCaches(*out, fs.Args()...)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: merge: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "merged into %s: %s\n", *out, stats)
 	return 0
 }
 

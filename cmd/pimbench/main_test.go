@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -274,56 +275,13 @@ func TestRunUnknownScale(t *testing.T) {
 	}
 }
 
-// TestShardMergeByteIdentical is the distributed pipeline's acceptance
-// contract end to end: a 2-shard smoke run of the whole suite, merged
-// via the merge subcommand, followed by a warm report pass, must emit
-// exactly the bytes of a single-process run — and the report pass must
-// be served entirely from the merged cache.
-func TestShardMergeByteIdentical(t *testing.T) {
-	mustRun := func(args ...string) (string, string) {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run(args, nil, &stdout, &stderr); code != 0 {
-			t.Fatalf("pimbench %v: exit %d, stderr:\n%s", args, code, stderr.String())
-		}
-		return stdout.String(), stderr.String()
-	}
-
-	single, _ := mustRun("-exp", "all", "-scale", "smoke")
-
-	s0, s1, merged := t.TempDir(), t.TempDir(), t.TempDir()
-	out0, err0 := mustRun("run", "-exp", "all", "-scale", "smoke", "-shard", "0/2", "-cache-dir", s0)
-	out1, _ := mustRun("run", "-exp", "all", "-scale", "smoke", "-shard", "1/2", "-cache-dir", s1)
-	if out0 != "" || out1 != "" {
-		t.Fatalf("shard runs wrote reports to stdout:\n%s%s", out0, out1)
-	}
-	if !strings.Contains(err0, "shard 0/2") {
-		t.Fatalf("shard summary missing from stderr:\n%s", err0)
-	}
-
-	mergeOut, _ := mustRun("merge", "-o", merged, s0, s1)
-	if !strings.Contains(mergeOut, "merged into") {
-		t.Fatalf("merge summary missing:\n%s", mergeOut)
-	}
-
-	warm, warmErr := mustRun("-exp", "all", "-scale", "smoke", "-cache-dir", merged)
-	if warm != single {
-		t.Fatalf("sharded+merged warm report differs from single-process run:\nsingle %d bytes, warm %d bytes",
-			len(single), len(warm))
-	}
-	// The leading space matters: "10 misses" must not satisfy the gate.
-	if !strings.Contains(warmErr, " 0 misses") {
-		t.Fatalf("warm report pass recomputed points:\n%s", warmErr)
-	}
-}
-
 // TestCoordCrashInjection is the coordinator's acceptance contract end
 // to end, through real worker subprocesses and pipes: a 3-worker
 // coordinated smoke run with one worker crashing mid-run (the
 // -fail-after hook kills worker 1 after 2 served jobs, losing its 3rd
 // job in flight) must complete, retry the lost job on a survivor, and
 // leave a cache whose warm report pass is 100%-hit and byte-identical
-// to a single-process cold run.
+// to a single-process cold run, with identical -csvdir files.
 func TestCoordCrashInjection(t *testing.T) {
 	t.Setenv("PIMBENCH_EXEC", "1")
 	mustRun := func(args ...string) (string, string) {
@@ -335,7 +293,8 @@ func TestCoordCrashInjection(t *testing.T) {
 		return stdout.String(), stderr.String()
 	}
 
-	single, _ := mustRun("-exp", "all", "-scale", "smoke", "-parallel", "4")
+	csvSingle, csvCoord := t.TempDir(), t.TempDir()
+	single, _ := mustRun("-exp", "all", "-scale", "smoke", "-parallel", "4", "-csvdir", csvSingle)
 
 	dir := t.TempDir()
 	coordOut, coordErr := mustRun("coord", "-workers", "3", "-exp", "all", "-scale", "smoke",
@@ -353,7 +312,7 @@ func TestCoordCrashInjection(t *testing.T) {
 		t.Fatalf("missing live progress footer:\n%s", coordErr)
 	}
 
-	warm, warmErr := mustRun("-exp", "all", "-scale", "smoke", "-cache-dir", dir)
+	warm, warmErr := mustRun("-exp", "all", "-scale", "smoke", "-cache-dir", dir, "-csvdir", csvCoord)
 	if warm != single {
 		t.Fatalf("coordinated warm report differs from single-process run:\nsingle %d bytes, warm %d bytes",
 			len(single), len(warm))
@@ -361,6 +320,11 @@ func TestCoordCrashInjection(t *testing.T) {
 	// The leading space matters: "10 misses" must not satisfy the gate.
 	if !strings.Contains(warmErr, " 0 misses") {
 		t.Fatalf("warm report pass recomputed points:\n%s", warmErr)
+	}
+	want, got := readCSVDir(t, csvSingle), readCSVDir(t, csvCoord)
+	if len(want) == 0 || !reflect.DeepEqual(want, got) {
+		t.Fatalf("coordinated warm CSVs differ from single-process ones:\nsingle %v\nwarm   %v",
+			sortedNames(want), sortedNames(got))
 	}
 }
 
@@ -535,71 +499,20 @@ func TestWorkProtocolEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardRequiresCache: an execute-only shard run without a cache
-// would compute results and drop them; it must be rejected up front.
-func TestShardRequiresCache(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"run", "-exp", "fig3", "-scale", "smoke", "-shard", "0/2"},
-		nil, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-shard needs -cache-dir") {
-		t.Fatalf("stderr: %s", stderr.String())
-	}
-}
-
-// TestShardBadSpec: malformed -shard values are usage errors.
-func TestShardBadSpec(t *testing.T) {
-	for _, bad := range []string{"2/2", "x", "-1/3"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"run", "-exp", "fig3", "-shard", bad, "-cache-dir", t.TempDir()},
-			nil, &stdout, &stderr); code != 2 {
-			t.Fatalf("shard %q: exit code %d, want 2", bad, code)
-		}
-	}
-}
-
-// TestPlanText: the manifest is experiment/key/fingerprint lines, and
-// -shard filters partition it exactly.
+// TestPlanText: the manifest is experiment/key/fingerprint lines.
 func TestPlanText(t *testing.T) {
-	plan := func(args ...string) []string {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run(append([]string{"plan"}, args...), nil, &stdout, &stderr); code != 0 {
-			t.Fatalf("plan %v: exit %d, stderr:\n%s", args, code, stderr.String())
-		}
-		var lines []string
-		for _, l := range strings.Split(stdout.String(), "\n") {
-			if l != "" {
-				lines = append(lines, l)
-			}
-		}
-		return lines
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"plan", "-exp", "all", "-scale", "smoke"}, nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("plan: exit %d, stderr:\n%s", code, stderr.String())
 	}
-
-	full := plan("-exp", "all", "-scale", "smoke")
-	if len(full) == 0 {
+	manifest := strings.TrimSuffix(stdout.String(), "\n")
+	if manifest == "" {
 		t.Fatal("empty manifest")
 	}
-	for _, l := range full {
+	for _, l := range strings.Split(manifest, "\n") {
 		if parts := strings.Split(l, "\t"); len(parts) != 3 ||
 			parts[0] == "" || parts[1] == "" || parts[2] == "" {
 			t.Fatalf("bad manifest line %q", l)
-		}
-	}
-	sh0 := plan("-exp", "all", "-scale", "smoke", "-shard", "0/2")
-	sh1 := plan("-exp", "all", "-scale", "smoke", "-shard", "1/2")
-	if len(sh0)+len(sh1) != len(full) || len(sh0) == 0 || len(sh1) == 0 {
-		t.Fatalf("shard manifests don't partition the suite: %d + %d != %d",
-			len(sh0), len(sh1), len(full))
-	}
-	union := map[string]bool{}
-	for _, l := range append(sh0, sh1...) {
-		union[l] = true
-	}
-	for _, l := range full {
-		if !union[l] {
-			t.Fatalf("manifest line lost by sharding: %q", l)
 		}
 	}
 }
@@ -735,20 +648,6 @@ func TestUnknownSubcommand(t *testing.T) {
 	}
 }
 
-// TestMergeUsage: merge without -o or sources is a usage error.
-func TestMergeUsage(t *testing.T) {
-	for _, args := range [][]string{
-		{"merge"},
-		{"merge", "-o", t.TempDir()},
-		{"merge", "somedir"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, nil, &stdout, &stderr); code != 2 {
-			t.Fatalf("%v: exit code %d, want 2", args, code)
-		}
-	}
-}
-
 // TestRunAllTimingFooter: the "all" path must print the unconditional
 // per-experiment timing footer on stderr.
 func TestRunAllTimingFooter(t *testing.T) {
@@ -849,12 +748,6 @@ func TestRunStream(t *testing.T) {
 	}
 	if !strings.Contains(se, "timing (overlapping):") {
 		t.Fatalf("stream run lost the timing footer:\n%s", se)
-	}
-	// -stream is report machinery; a reportless shard run must reject it.
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "all", "-scale", "smoke", "-stream",
-		"-shard", "0/2", "-cache-dir", t.TempDir()}, nil, &out, &errb); code != 2 {
-		t.Fatalf("-stream -shard: exit %d, want 2:\n%s", code, errb.String())
 	}
 }
 

@@ -2,16 +2,17 @@ package bulkpim
 
 // Fault-tolerant coordinated execution, built on internal/coord: the
 // coordinator plans the suite, dedups it to distinct simulations
-// (dedupPlan — the same rule the shard pipeline uses), and submits each
-// as a task carrying its JobSpec to a coord.Pool of `pimbench work`
-// subprocesses — the executor, worker mode and protocol the serve
-// daemon uses. The pool work-steals, retries a job from a crashed or
-// erroring worker on the survivors (at most 3 attempts), and the fleet
-// replaces lost workers. Every finished result streams straight into
-// the shared result cache — under the canonical key and every alias —
-// so a mid-run kill loses at most in-flight jobs and a subsequent
-// report pass (pimbench -exp ... -cache-dir ...) is served entirely
-// from cache hits, byte-identical to a single-process run.
+// (dedupPlan — the same rule the in-process executor uses), and
+// submits each as a task carrying its JobSpec to a coord.Pool of
+// `pimbench work` subprocesses — the executor, worker mode and
+// protocol the serve daemon uses. The pool work-steals, retries a job
+// from a crashed or erroring worker on the survivors (at most 3
+// attempts), and the fleet replaces lost workers. Every finished
+// result streams straight into the shared result cache — under the
+// canonical key and every alias — so a mid-run kill loses at most
+// in-flight jobs and a subsequent report pass (pimbench -exp ...
+// -cache-dir ...) is served entirely from cache hits, byte-identical
+// to a single-process run.
 
 import (
 	"errors"
@@ -319,10 +320,8 @@ func coordinate(name string, opts Options, copts CoordOptions, launch func(id in
 	// coordinator, so the fleet — sharing the store's filesystem —
 	// loads them instead of racing to regenerate them per worker. The
 	// already-built plan is reused; the suite is not planned twice.
-	if opts.Snapshots != nil {
-		if n := prewarmPlanned(opts, plannedIdentities(planned)); n > 0 {
-			logf("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
-		}
+	if n := prewarmPlanned(opts, plannedIdentities(planned)); n > 0 {
+		logf("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
 	}
 
 	workers := copts.Workers

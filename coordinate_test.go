@@ -82,7 +82,7 @@ func coordinateWithin(t *testing.T, name string, opts Options, copts CoordOption
 // full-scale manifest, the coordinator's dedup-then-dispatch on the
 // pool must deliver each distinct fingerprint to exactly one execution
 // under randomized worker timing (seeded), for several fleet sizes —
-// the distributed counterpart of the shard partition property — with
+// no distinct simulation skipped or run twice — with
 // every task carrying the run's spec (experiment name lowercased, as
 // workers plan it) and every key, aliases included, stored.
 func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {

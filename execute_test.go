@@ -281,7 +281,7 @@ func TestExecuteLogSerialized(t *testing.T) {
 	}
 	groups, _ := dedupPlan([]plannedExperiment{{name: "nan", jobs: jobs}})
 	settled := 0
-	if _, err := execute(opts, "nan", groups, func(_ string, _ Result, jobErr error) {
+	if err := execute(opts, "nan", groups, func(_ string, _ Result, jobErr error) {
 		if jobErr == nil {
 			settled++
 		}

@@ -4,8 +4,8 @@ package bulkpim
 // scenario swept over adversary timings for every variant. Each
 // model's sweep is one planned job whose verdict is folded into the
 // harness Result shape, so Fig. 1 flows through the same
-// plan/execute/report, cache and shard machinery as the simulation
-// sweeps.
+// plan/execute/report, cache and coordinator machinery as the
+// simulation sweeps.
 
 import (
 	"fmt"

@@ -233,7 +233,7 @@ func fig9YCSBTable(rs *ResultSet) (*Table, error) {
 func Fig8Fig9(opts Options) (fig8, fig9 *Table, err error) {
 	groups, _ := dedupPlan([]plannedExperiment{{name: "tpch sweep", jobs: planTPCH(opts, fig7Variants)}})
 	rs := &ResultSet{byKey: map[string]Result{}}
-	if _, err := execute(opts, "tpch sweep", groups, func(key string, r Result, jobErr error) {
+	if err := execute(opts, "tpch sweep", groups, func(key string, r Result, jobErr error) {
 		if jobErr == nil {
 			rs.byKey[key] = r
 		}

@@ -4,8 +4,9 @@ package bulkpim
 // Options value threaded through every phase, the serialized progress
 // log, and the suite timing accounting. The experiments themselves are
 // declared in the registry (registry.go) with one spec file per
-// family: exp_ycsb.go, exp_tpch.go, exp_litmus.go, exp_tables.go. The
-// distributed plan/shard/merge pipeline on top lives in plan.go.
+// family: exp_ycsb.go, exp_tpch.go, exp_litmus.go, exp_tables.go.
+// Planning and manifests live in plan.go, the coordinated fleet run in
+// coordinate.go.
 
 import (
 	"errors"
@@ -37,8 +38,8 @@ const (
 	ScaleMedium Scale = "medium"
 	// ScaleFull is the paper's measurement volume (1000 YCSB ops, 10 runs
 	// per TPC-H query, full sweep densities). Expect hours sequentially;
-	// use Parallelism to bound it by the slowest single point, or shard
-	// the planned suite across machines (see plan.go).
+	// use Parallelism to bound it by the slowest single point, or
+	// spread the planned suite over a worker fleet (see coordinate.go).
 	ScaleFull Scale = "full"
 )
 
@@ -78,7 +79,7 @@ type Options struct {
 	// through the store, so cached and computed runs emit byte-identical
 	// reports; an interrupted run resumes by skipping finished points,
 	// and a run whose cache holds every planned point executes nothing
-	// (the report pass of a sharded suite).
+	// (the report pass of a coordinated suite).
 	Cache *ResultCache
 	// Snapshots, when non-nil, is the content-addressed workload
 	// snapshot store: lazily generated workloads (YCSB databases, TPC-H

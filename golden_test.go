@@ -2,7 +2,7 @@ package bulkpim
 
 // Golden-file report tests: smoke-scale expected reports are committed
 // under testdata/ and compared byte-for-byte. Cross-run byte-identity
-// (cold vs warm, sharded vs single-process) is checked elsewhere; the
+// (cold vs warm, coordinated vs single-process) is checked elsewhere; the
 // goldens additionally pin the bytes across commits, so an accidental
 // simulator or formatting change cannot slip through as "still
 // self-consistent". After an intentional change, regenerate with:
@@ -77,7 +77,7 @@ func goldenReport(t *testing.T, exp string) string {
 }
 
 // TestGoldenReportAllSmoke pins the entire smoke-scale suite output —
-// the same bytes the CI shard and coord jobs compare runs against.
+// the same bytes the CI coord and incremental jobs compare runs against.
 func TestGoldenReportAllSmoke(t *testing.T) {
 	checkGolden(t, "all_smoke.golden", goldenReport(t, "all"))
 }

@@ -4,8 +4,8 @@ package ycsb
 // sequence plus every scan's Precomputed match cache — is fully
 // determined by its Params, but generating it at paper scale costs
 // real time per process. Snapshot/FromSnapshot give the content-
-// addressed snapshot store (internal/snapshot) a byte form, so shards
-// and fleet workers sharing a filesystem generate each database at
+// addressed snapshot store (internal/snapshot) a byte form, so fleet
+// workers and separate runs sharing a filesystem generate each database at
 // most once suite-wide.
 //
 // The wire form is gob over mirror structs with exported fields

@@ -1,35 +1,18 @@
 package bulkpim
 
-// Distributed pipeline, built on the registry's plan/report split:
-//
-//	coordinator:  pimbench plan -exp all -scale full        (manifest)
-//	shard i:      pimbench run -exp all -scale full -shard i/n -cache-dir d_i
-//	coordinator:  pimbench merge -o merged d_0 ... d_{n-1}
-//	coordinator:  pimbench -exp all -scale full -cache-dir merged
-//
-// Planning is deterministic, so every machine derives the same job
-// manifest from the same options; the -shard filter is a stable hash
-// of the job key, so the shards partition the suite exactly; merging
-// is validated concatenation of the shards' result caches; and the
-// final report pass runs entirely from cache hits, byte-identical to
-// a single-process run.
-
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"bulkpim/internal/resultcache"
-	"bulkpim/internal/runner"
 )
 
 // PlannedJob is one manifest entry of a plan pass: the identity an
-// external scheduler needs to route the job (shard assignment hashes
-// Key) and the result cache needs to recognize its outcome
-// (Key + Fingerprint).
+// external scheduler needs to route the job and the result cache needs
+// to recognize its outcome (Key + Fingerprint).
 type PlannedJob struct {
 	Experiment  string `json:"experiment"`
 	Key         string `json:"key"`
@@ -76,8 +59,8 @@ func planFor(name string, opts Options) ([]plannedExperiment, error) {
 // returns one entry per job, in deterministic order: experiments in
 // canonical suite order, jobs in plan order. Grid points that several
 // experiments share (the Naive baselines) appear once per experiment —
-// they carry identical keys and fingerprints, so schedulers and shards
-// recognize them as one unit of work. No simulation work is executed.
+// they carry identical keys and fingerprints, so schedulers recognize
+// them as one unit of work. No simulation work is executed.
 func Manifest(name string, opts Options) ([]PlannedJob, error) {
 	planned, err := planFor(name, opts)
 	if err != nil {
@@ -293,136 +276,4 @@ func planGroups(name string, opts Options) ([]*fpGroup, []PlannedJob, error) {
 	}
 	groups, manifest := dedupPlan(planned)
 	return groups, manifest, nil
-}
-
-// ownedFingerprints is the one dedup-then-assign ownership rule of the
-// distributed pipeline, shared by FilterManifest and ExecuteShard so
-// `plan -shard` can never disagree with what `run -shard` executes:
-// manifest entries are grouped by fingerprint (one group = one
-// distinct simulation) and the group's first key in plan order — the
-// canonical owner, deterministic on every machine — picks the shard.
-// The returned map holds every fingerprint, true iff this shard owns
-// its group.
-func (s Shard) ownedFingerprints(manifest []PlannedJob) map[string]bool {
-	owned := map[string]bool{}
-	for _, j := range manifest {
-		if _, ok := owned[j.Fingerprint]; !ok {
-			owned[j.Fingerprint] = s.Owns(j.Key)
-		}
-	}
-	return owned
-}
-
-// FilterManifest returns the manifest entries a shard is responsible
-// for: every entry of an owned fingerprint group, canonical and
-// aliases alike, since the owning shard executes the simulation and
-// writes all of the group's cache entries. The filtered manifests of
-// all n shards therefore partition the full manifest and agree exactly
-// with what `run -shard i/n` executes and produces.
-func FilterManifest(manifest []PlannedJob, shard Shard) []PlannedJob {
-	if shard.Count <= 1 {
-		return manifest
-	}
-	owned := shard.ownedFingerprints(manifest)
-	var out []PlannedJob
-	for _, j := range manifest {
-		if owned[j.Fingerprint] {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Shard selects a 1/n slice of a planned suite by stable hash of the
-// job key (runner.ShardOf): at a given Count, every key belongs to
-// exactly one Index, independent of plan order, experiment mix, or the
-// machine doing the planning — so independently planned shards
-// partition the suite exactly. Count <= 1 owns every key.
-type Shard struct {
-	Index, Count int
-}
-
-// ParseShard parses "i/n" (0 <= i < n). Trailing junk is rejected —
-// a mistyped spec must fail loudly, not silently run a wrong
-// partition.
-func ParseShard(s string) (Shard, error) {
-	idx, count, ok := strings.Cut(s, "/")
-	if !ok {
-		return Shard{}, fmt.Errorf("shard %q: want i/n (e.g. 0/4)", s)
-	}
-	var sh Shard
-	var err1, err2 error
-	sh.Index, err1 = strconv.Atoi(idx)
-	sh.Count, err2 = strconv.Atoi(count)
-	if err1 != nil || err2 != nil {
-		return Shard{}, fmt.Errorf("shard %q: want i/n (e.g. 0/4)", s)
-	}
-	if sh.Count < 1 || sh.Index < 0 || sh.Index >= sh.Count {
-		return Shard{}, fmt.Errorf("shard %q: want 0 <= i < n", s)
-	}
-	return sh, nil
-}
-
-func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
-
-// Owns reports whether key belongs to this shard.
-func (s Shard) Owns(key string) bool {
-	return s.Count <= 1 || runner.ShardOf(key, s.Count) == s.Index
-}
-
-// ShardSummary accounts one execute-only shard run.
-type ShardSummary struct {
-	// Planned counts the suite's manifest entries; Distinct the unique
-	// simulations (one per fingerprint) after dedup; Owned the distinct
-	// simulations this shard executed; Aliased the additional keys
-	// those simulations were planned under, whose cache entries are
-	// written from the one result.
-	Planned, Distinct, Owned, Aliased int
-	// Jobs is the executed batch's runner accounting.
-	Jobs JobSummary
-}
-
-func (s ShardSummary) String() string {
-	return fmt.Sprintf("%d owned of %d distinct jobs (%d planned, %d aliases): %s",
-		s.Owned, s.Distinct, s.Planned, s.Aliased, s.Jobs)
-}
-
-// ExecuteShard is the worker half of a distributed run: it plans the
-// named experiment ("all" for the suite), deduplicates the planned
-// jobs down to distinct simulations, filters to the shard's slice, and
-// executes exactly those — building no reports. Results land in
-// opts.Cache (set one: an execute-only run without a cache computes
-// results and drops them), whose file the coordinator later merges and
-// reports from. With Shard{0, 1} it executes the whole suite — a cache
-// pre-warmer. With opts.Snapshots set, the shard's workloads are
-// loaded from (and published to) the content-addressed snapshot store,
-// so shards sharing a filesystem generate each database at most once
-// between them instead of once per shard process.
-//
-// Dedup is by fingerprint, not key: the fingerprint content-addresses
-// the simulation (final config + workload identity), so equal
-// fingerprints under different keys — fig9-ycsb, the ablation
-// baseline, the sbsize/multimod default geometries and the largest
-// grid point all describe the same run of the suite's most expensive
-// simulation — execute once. Ownership follows ownedFingerprints (the
-// rule FilterManifest shares); the group's non-canonical keys become
-// aliases whose cache entries are written from the one result, so the
-// coordinator's report pass still hits on every planned key.
-func ExecuteShard(name string, opts Options, shard Shard) (ShardSummary, error) {
-	groups, manifest, err := planGroups(name, opts)
-	if err != nil {
-		return ShardSummary{}, err
-	}
-	sum := ShardSummary{Planned: len(manifest), Distinct: len(groups)}
-	ownedFP := shard.ownedFingerprints(manifest)
-	var owned []*fpGroup
-	for _, g := range groups {
-		if ownedFP[g.fp] {
-			owned = append(owned, g)
-			sum.Aliased += len(g.keys) - 1
-		}
-	}
-	sum.Owned = len(owned)
-	sum.Jobs, err = execute(opts, "shard "+shard.String(), owned, nil)
-	return sum, err
 }

@@ -1,8 +1,7 @@
 package bulkpim
 
-// Tests for the plan/execute separation and the distributed pipeline's
-// planning half: planning must execute zero simulation work, manifests
-// must be deterministic, and shards must partition the suite exactly.
+// Tests for the plan/execute separation: planning must execute zero
+// simulation work, and manifests must be deterministic and coherent.
 
 import (
 	"reflect"
@@ -58,7 +57,7 @@ func TestManifestDeterministic(t *testing.T) {
 // TestManifestKeyFingerprintCoherent: within one suite manifest, a job
 // key must always carry the same fingerprint — grid points shared
 // across experiments (the Naive baselines) are one unit of work, and
-// merge validation depends on (key, fingerprint) identifying it.
+// the result cache depends on (key, fingerprint) identifying it.
 func TestManifestKeyFingerprintCoherent(t *testing.T) {
 	manifest, err := Manifest("all", Options{Scale: ScaleSmoke})
 	if err != nil {
@@ -70,84 +69,6 @@ func TestManifestKeyFingerprintCoherent(t *testing.T) {
 			t.Fatalf("key %s planned with two fingerprints: %s vs %s", j.Key, prev, j.Fingerprint)
 		}
 		fp[j.Key] = j.Fingerprint
-	}
-}
-
-// TestShardPartitionProperty: for every shard count n in 1..16 over
-// the paper's full-scale manifest, the shards must partition the
-// suite — ShardOf gives every key exactly one owner, and the n
-// FilterManifest slices are pairwise disjoint with their multiset
-// union equal to the full manifest (so independently planned shard
-// runs can never skip or duplicate work).
-func TestShardPartitionProperty(t *testing.T) {
-	manifest, err := Manifest("all", Options{Scale: ScaleFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(manifest) == 0 {
-		t.Fatal("empty full-scale manifest")
-	}
-	want := map[PlannedJob]int{}
-	for _, j := range manifest {
-		want[j]++
-	}
-	for n := 1; n <= 16; n++ {
-		perShard := make([]int, n)
-		for _, j := range manifest {
-			owners := 0
-			for i := 0; i < n; i++ {
-				if (Shard{Index: i, Count: n}).Owns(j.Key) {
-					owners++
-					perShard[i]++
-				}
-			}
-			if owners != 1 {
-				t.Fatalf("n=%d: key %s owned by %d shards, want exactly 1", n, j.Key, owners)
-			}
-		}
-		if n > 1 {
-			empty := 0
-			for _, c := range perShard {
-				if c == 0 {
-					empty++
-				}
-			}
-			// The full-scale suite has far more keys than shards; a
-			// totally empty shard would mean a degenerate hash.
-			if empty == n-1 {
-				t.Fatalf("n=%d: all keys hashed to one shard: %v", n, perShard)
-			}
-		}
-
-		// FilterManifest applies dedup-then-assign ownership: the n
-		// filtered slices must cover every manifest entry exactly once
-		// (multiset equality ⇒ pairwise disjoint + complete cover).
-		got := map[PlannedJob]int{}
-		total := 0
-		for i := 0; i < n; i++ {
-			f := FilterManifest(manifest, Shard{Index: i, Count: n})
-			total += len(f)
-			for _, j := range f {
-				got[j]++
-			}
-		}
-		if total != len(manifest) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: filtered manifests are not a partition: %d entries over shards, %d in manifest",
-				n, total, len(manifest))
-		}
-	}
-}
-
-// TestParseShard covers the accepted and rejected spellings.
-func TestParseShard(t *testing.T) {
-	sh, err := ParseShard("2/4")
-	if err != nil || sh.Index != 2 || sh.Count != 4 || sh.String() != "2/4" {
-		t.Fatalf("ParseShard(2/4) = %+v, %v", sh, err)
-	}
-	for _, bad := range []string{"", "x", "1", "4/4", "-1/4", "0/0", "a/b", "1/2/4", "0/2x", " 0/2"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
-		}
 	}
 }
 
@@ -178,66 +99,5 @@ func TestRegistryResolution(t *testing.T) {
 	}
 	if _, ok := LookupExperiment("all"); ok {
 		t.Fatal("\"all\" must not be a registered spec (it is the suite)")
-	}
-}
-
-// TestExecuteShardCoversSuite: executing every shard of a 3-way split
-// at smoke scale must cover exactly the suite's distinct jobs, and a
-// report pass against the combined cache must be fully warm and
-// byte-identical to an uncached run.
-func TestExecuteShardCoversSuite(t *testing.T) {
-	cache, err := OpenResultCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-	opts := Options{Scale: ScaleSmoke, Cache: cache}
-
-	manifest, err := Manifest("all", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	executed := 0
-	var distinct int
-	for i := 0; i < 3; i++ {
-		sh := Shard{Index: i, Count: 3}
-		sum, err := ExecuteShard("all", opts, sh)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		executed += sum.Owned
-		distinct = sum.Distinct
-		// `plan -shard` and `run -shard` must agree: the filtered
-		// manifest's distinct fingerprints are exactly the simulations
-		// this shard executed.
-		fps := map[string]bool{}
-		for _, j := range FilterManifest(manifest, sh) {
-			fps[j.Fingerprint] = true
-		}
-		if len(fps) != sum.Owned {
-			t.Fatalf("shard %d: filtered manifest has %d distinct fingerprints, executed %d",
-				i, len(fps), sum.Owned)
-		}
-	}
-	if executed != distinct {
-		t.Fatalf("shards executed %d jobs, suite has %d distinct", executed, distinct)
-	}
-
-	afterShards := cache.Stats()
-	warm, err := RunExperiment("all", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := cache.Stats()
-	if stats.Misses != afterShards.Misses {
-		t.Fatalf("report pass after sharded execution missed the cache: %+v -> %+v", afterShards, stats)
-	}
-
-	cold, err := RunExperiment("all", Options{Scale: ScaleSmoke})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
-		t.Fatal("sharded+cached report differs from direct run")
 	}
 }

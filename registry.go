@@ -9,15 +9,14 @@ package bulkpim
 // split: a local run plans the suite, dedups it to one job per
 // fingerprint (dedupPlan) and runs those on one in-process executor
 // (execute), which streams each artifact out the moment its last job
-// settles (stream.go); a distributed run plans everywhere, executes a
-// shard-filtered subset per machine into a local result cache, merges
-// the caches, and runs the report pass entirely from cache hits. An
+// settles (stream.go); a coordinated run (coordinate.go) dispatches
+// the same groups to a worker fleet that streams results into a shared
+// result cache, and the report pass runs entirely from cache hits. An
 // experiment's report is its artifacts' renders concatenated in
 // declaration order; pimbench -csvdir writes the same report items as
-// CSV. RunExperiment, StreamReport, the pimbench plan/merge
-// subcommands and the -shard filter all resolve experiments through
-// this one table, so the advertised experiment list can never drift
-// from what actually runs.
+// CSV. RunExperiment, StreamReport, Coordinate and the pimbench plan
+// subcommand all resolve experiments through this one table, so the
+// advertised experiment list can never drift from what actually runs.
 
 import (
 	"fmt"
@@ -168,8 +167,8 @@ func countExec(f func(Config) (Result, error)) func(Config) (Result, error) {
 
 // registry lists every experiment in canonical suite order. Specs are
 // appended here and nowhere else; Experiments, StandaloneExperiments,
-// RunExperiment, StreamReport and the plan/shard pipeline all derive
-// from this table.
+// RunExperiment, StreamReport, Manifest and Coordinate all derive from
+// this table.
 var registry = []ExperimentSpec{
 	fig1Spec(),
 	fig3Spec(),
@@ -242,7 +241,7 @@ func render(items ...ReportItem) string {
 }
 
 // execute is the one in-process executor, behind RunExperiment,
-// StreamReport, ExecuteShard and Fig8Fig9.
+// StreamReport and Fig8Fig9.
 // It runs each fingerprint group of a deduplicated plan (dedupPlan)
 // exactly once, as one job of a single RunJobs batch on a private
 // pool opts.Parallelism wide, so the pool bounds simulation
@@ -253,7 +252,7 @@ func render(items ...ReportItem) string {
 // workload stays alive only until the last group using it settles.
 // Failures are reported against their groups' canonical keys; the
 // batch's accounting is logged under label.
-func execute(opts Options, label string, groups []*fpGroup, settle func(key string, r Result, err error)) (runner.Summary, error) {
+func execute(opts Options, label string, groups []*fpGroup, settle func(key string, r Result, err error)) error {
 	opts.Log = opts.lockedLog()
 	jobs := make([]runner.Job[Result], len(groups))
 	for i, g := range groups {
@@ -284,9 +283,8 @@ func execute(opts Options, label string, groups []*fpGroup, settle func(key stri
 		ro.Lookup = opts.Cache.Lookup
 	}
 	results := runner.RunJobs(jobs, ro)
-	sum := runner.Summarize(results)
-	opts.log("%s: %s", label, sum)
-	return sum, collectErrs(results)
+	opts.log("%s: %s", label, runner.Summarize(results))
+	return collectErrs(results)
 }
 
 // fanOut settles one fingerprint group's outcome under every key the
@@ -324,7 +322,7 @@ func (o Options) fanOut(g *fpGroup, r Result, err error, cached bool, settle fun
 // the printable report ("all" for the whole standalone suite): the
 // bytes StreamReport writes. The timing footer is not part of the
 // report: wall times vary run to run, and the report must stay
-// byte-identical across cold, warm, parallel and sharded runs.
+// byte-identical across cold, warm, parallel and coordinated runs.
 func RunExperiment(name string, opts Options) (string, error) {
 	var b strings.Builder
 	_, err := StreamReport(name, opts, nil, &b)

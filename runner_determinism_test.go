@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bulkpim/internal/runner"
 )
 
 // TestRunnerDeterminism executes the same ScaleBench YCSB sweep —
@@ -23,7 +25,7 @@ func TestRunnerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]Result{}
-		if _, err := execute(opts, "fig7", groups, func(key string, r Result, jobErr error) {
+		if err := execute(opts, "fig7", groups, func(key string, r Result, jobErr error) {
 			if jobErr == nil {
 				out[key] = r
 			}
@@ -62,7 +64,7 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 	}())
 	w.Precompute()
 	boom := fmt.Errorf("injected failure")
-	mkJob := func(key string, m Model, fail bool) Job {
+	mkJob := func(key string, m Model, fail bool) SimJob {
 		return SimJob{
 			Key:  key,
 			Base: DefaultConfig(),
@@ -75,14 +77,14 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 				}
 				return RunYCSB(w, cfg)
 			},
-		}.Job()
+		}
 	}
-	jobs := []Job{
+	jobs := runner.SimJobs([]SimJob{
 		mkJob("point-a", Naive, false),
 		mkJob("point-b", Scope, true),
 		mkJob("point-c", SWFlush, false),
-	}
-	rs := RunJobs(jobs, JobOptions{Parallelism: 2})
+	})
+	rs := runner.RunJobs(jobs, runner.Options[Result]{Parallelism: 2})
 	if len(rs) != 3 {
 		t.Fatalf("got %d results", len(rs))
 	}
@@ -94,7 +96,7 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 			t.Fatalf("sibling %s lost: err=%v cycles=%d", rs[i].Key, rs[i].Err, rs[i].Value.Cycles)
 		}
 	}
-	sum := SummarizeJobs(rs)
+	sum := runner.Summarize(rs)
 	if sum.Jobs != 3 || sum.Failed != 1 {
 		t.Fatalf("summary %+v", sum)
 	}

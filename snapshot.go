@@ -89,32 +89,6 @@ func generateTPCH(snap *SnapshotStore, q tpch.QuerySpec, threads int, scale floa
 	return w
 }
 
-// PrewarmSnapshots generates and publishes the most expensive
-// workloads the named experiment ("all" for the suite) actually plans:
-// the largest YCSB database in its default shape (shared by the top
-// grid points of every base sweep plus the fig9-ycsb, ablation, sbsize
-// and multimod batches) and in its Fig. 13 8-thread shape — each only
-// when some planned job carries its identity, so a TPC-H-only run
-// pre-warms nothing. Databases whose snapshot already exists are
-// skipped with a header-only presence check (no multi-GB load just to
-// discard it). The coordinator calls this before dispatch so a fleet
-// sharing the store's filesystem finds the big databases instead of
-// racing to regenerate them; everything smaller is published by
-// whichever worker generates it first. No-op without a store. Returns
-// how many databases were generated here (0 = present or not planned).
-func PrewarmSnapshots(name string, opts Options) int {
-	if opts.Snapshots == nil {
-		return 0
-	}
-	planned, err := planFor(name, opts)
-	if err != nil {
-		// The caller surfaces plan errors on its own path; the pre-warm
-		// just declines to guess what to generate.
-		return 0
-	}
-	return prewarmPlanned(opts, plannedIdentities(planned))
-}
-
 // plannedIdentities collects the workload identity strings a plan's
 // jobs carry in Extra.
 func plannedIdentities(planned []plannedExperiment) map[string]bool {
@@ -127,10 +101,24 @@ func plannedIdentities(planned []plannedExperiment) map[string]bool {
 	return identities
 }
 
-// prewarmPlanned is the pre-warm core over an already-enumerated
-// identity set. Coordinate feeds it the plan it just dispatched from,
-// so the suite is not planned twice and the two views cannot drift.
+// prewarmPlanned generates and publishes the most expensive workloads
+// a plan actually uses, given the workload identities its jobs carry
+// (plannedIdentities): the largest YCSB database in its default shape
+// (shared by the top grid points of every base sweep plus the
+// fig9-ycsb, ablation, sbsize and multimod batches) and in its Fig. 13
+// 8-thread shape — each only when some planned job carries its
+// identity, so a TPC-H-only run pre-warms nothing. Databases whose
+// snapshot already exists are skipped with a header-only presence
+// check (no multi-GB load just to discard it). Coordinate calls this
+// before dispatch, with the plan it dispatches from, so a fleet
+// sharing the store's filesystem finds the big databases instead of
+// racing to regenerate them; everything smaller is published by
+// whichever worker generates it first. No-op without a store. Returns
+// how many databases were generated here (0 = present or not planned).
 func prewarmPlanned(opts Options, identities map[string]bool) int {
+	if opts.Snapshots == nil {
+		return 0
+	}
 	before := genCount.Load()
 	counts := opts.ycsbRecordCounts()
 	last := counts[len(counts)-1]

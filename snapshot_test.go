@@ -108,15 +108,25 @@ func TestPlanGeneratesNoWorkloads(t *testing.T) {
 // — a second pre-warm finds them by presence check without loading —
 // and is a no-op without a store or for plans that never touch them.
 func TestPrewarmSnapshots(t *testing.T) {
+	// prewarm drives the pre-warm the way Coordinate does: over the
+	// identities of the plan it dispatches.
+	prewarm := func(name string, opts Options) int {
+		t.Helper()
+		planned, err := planFor(name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prewarmPlanned(opts, plannedIdentities(planned))
+	}
 	snap, err := OpenSnapshotStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Scale: ScaleSmoke, Snapshots: snap}
-	if n := PrewarmSnapshots("all", opts); n != 2 {
+	if n := prewarm("all", opts); n != 2 {
 		t.Fatalf("first pre-warm generated %d databases, want 2 (default + fig13 shape)", n)
 	}
-	if n := PrewarmSnapshots("all", opts); n != 0 {
+	if n := prewarm("all", opts); n != 0 {
 		t.Fatalf("second pre-warm regenerated %d databases, want 0", n)
 	}
 	st := snap.Stats()
@@ -128,7 +138,7 @@ func TestPrewarmSnapshots(t *testing.T) {
 	if st.Hits != 0 {
 		t.Fatalf("second pre-warm loaded %d snapshots instead of presence-checking (%+v)", st.Hits, st)
 	}
-	if n := PrewarmSnapshots("all", Options{Scale: ScaleSmoke}); n != 0 {
+	if n := prewarm("all", Options{Scale: ScaleSmoke}); n != 0 {
 		t.Fatalf("store-less pre-warm generated %d databases, want no-op", n)
 	}
 
@@ -138,10 +148,10 @@ func TestPrewarmSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := PrewarmSnapshots("table1", Options{Scale: ScaleSmoke, Snapshots: empty}); n != 0 {
+	if n := prewarm("table1", Options{Scale: ScaleSmoke, Snapshots: empty}); n != 0 {
 		t.Fatalf("table-only pre-warm generated %d databases, want 0", n)
 	}
-	if n := PrewarmSnapshots("fig13", Options{Scale: ScaleSmoke, Snapshots: empty}); n != 1 {
+	if n := prewarm("fig13", Options{Scale: ScaleSmoke, Snapshots: empty}); n != 1 {
 		t.Fatalf("fig13 pre-warm generated %d databases, want 1 (8-thread shape only)", n)
 	}
 

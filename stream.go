@@ -301,7 +301,7 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	// Every planned key belongs to one of its experiment's artifacts
 	// (TestArtifactContract), so each job failure is already in failed,
 	// named by the artifacts it failed.
-	_, _ = execute(opts, strings.ToLower(name), groups, stream.Settle)
+	_ = execute(opts, strings.ToLower(name), groups, stream.Settle)
 
 	var timings []ExperimentTiming
 	if strings.ToLower(name) == "all" {
