@@ -26,7 +26,6 @@ import (
 	"bulkpim/internal/pimdb"
 	"bulkpim/internal/report"
 	"bulkpim/internal/resultcache"
-	"bulkpim/internal/runner"
 	"bulkpim/internal/sim"
 	"bulkpim/internal/snapshot"
 	"bulkpim/internal/system"
@@ -152,9 +151,6 @@ type TPCHQuery = tpch.QuerySpec
 // TPCHWorkload is a query prepared for execution.
 type TPCHWorkload = tpch.Workload
 
-// TPCHQueries returns the 19 evaluated queries.
-func TPCHQueries() []TPCHQuery { return tpch.Queries() }
-
 // TPCHQueryByName looks a query up ("q1".."q22").
 func TPCHQueryByName(name string) (TPCHQuery, bool) { return tpch.QueryByName(name) }
 
@@ -184,10 +180,6 @@ func LitmusDefaultSweep() []Tick { return litmus.DefaultSweep() }
 func LitmusVulnerable(outs []LitmusOutcome) (stale, cycle bool) {
 	return litmus.Vulnerable(outs)
 }
-
-// SimJob is the declarative spec of one planned grid point (base
-// Config + mutator + Execute); ExperimentSpec.Plan returns them.
-type SimJob = runner.SimJob
 
 // ---- persistent result cache ----
 

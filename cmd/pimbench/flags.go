@@ -3,10 +3,9 @@ package main
 // Single source of shared flag definitions. The run, plan, coord,
 // serve and work subcommands overlap on most of their flags — the
 // -exp/-scale/-seed trio, -v, -cache-dir, -snapshot-dir, the fleet and
-// crash-injection knobs, -stream — and before this file each
-// subcommand declared its copies inline, so a rename or default change
-// in one place could silently skew the others (and a new shared flag
-// like -stream could land on run but drift from coord). Every shared
+// crash-injection knobs — and before this file each subcommand
+// declared its copies inline, so a rename or default change in one
+// place could silently skew the others. Every shared
 // flag is now declared by exactly one builder below; the per-
 // subcommand newXxxFlags constructors compose them plus their own
 // private flags. TestSharedFlagParity walks all five flag sets and
@@ -72,15 +71,6 @@ func addSnapshotDir(fs *flag.FlagSet, help string) *string {
 	return fs.String("snapshot-dir", "", help)
 }
 
-// addStream declares -stream for the subcommands that render reports
-// (run and coord): emit each figure/table the moment its last job
-// settles instead of batching every report to the end. The assembled
-// stdout bytes stay identical to a batch report; the settle order is
-// logged per artifact on stderr.
-func addStream(fs *flag.FlagSet) *bool {
-	return fs.Bool("stream", false, "stream each figure/table to stdout the moment its last job settles (bytes identical to the batch report; settle order logs on stderr)")
-}
-
 func addFailAfter(fs *flag.FlagSet, help string) *int {
 	return fs.Int("fail-after", 0, help)
 }
@@ -126,7 +116,6 @@ type runFlags struct {
 	noCache  *bool
 	resume   *bool
 	snapDir  *string
-	stream   *bool
 	prof     profileFlags
 	gcstats  *string
 }
@@ -135,7 +124,7 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 	fs := newFlagSet("pimbench", stderr)
 	f := &runFlags{
 		expFlags: addExpFlags(fs, "run"),
-		verbose:  addVerbose(fs, "log per-run progress"),
+		verbose:  addVerbose(fs, "log per-job progress and each artifact's settle order"),
 		parallel: fs.Int("parallel", 0, "concurrent simulation jobs (0 = GOMAXPROCS, 1 = sequential; results are identical at any value)"),
 		list:     fs.Bool("list", false, "list experiments and exit"),
 		csvDir:   fs.String("csvdir", "", "also write every reported artifact as CSV into this directory, as it streams out: ARTIFACT.csv, or ARTIFACTa.csv, ARTIFACTb.csv, ... for one file per series or table of a multi-part artifact"),
@@ -143,7 +132,6 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 		noCache:  fs.Bool("no-cache", false, "disable the result cache even when -cache-dir or -resume is set"),
 		resume:   fs.Bool("resume", false, "resume an interrupted run from the result cache (defaults -cache-dir to "+defaultCacheDir+")"),
 		snapDir:  addSnapshotDir(fs, "memoize generated workloads here (content-addressed) and load instead of regenerating on re-runs; shareable across a fleet"),
-		stream:   addStream(fs),
 		prof:     addProfileFlags(fs),
 		gcstats:  fs.String("gcstats", "", "write an allocation/GC summary (runtime.MemStats JSON) at run end to this file"),
 	}
@@ -174,7 +162,6 @@ type coordFlags struct {
 	cacheDir *string
 	snapDir  *string
 	verbose  *bool
-	stream   *bool
 }
 
 func newCoordFlags(stderr io.Writer) (*flag.FlagSet, *coordFlags) {
@@ -182,10 +169,9 @@ func newCoordFlags(stderr io.Writer) (*flag.FlagSet, *coordFlags) {
 	f := &coordFlags{
 		expFlags: addExpFlags(fs, "run"),
 		fleet:    addFleetFlags(fs, "worker subprocesses (0 = GOMAXPROCS)"),
-		cacheDir: addCacheDir(fs, "stream finished results into this cache directory (required)"),
+		cacheDir: addCacheDir(fs, "serve cached results from, and stream finished ones into, this cache directory (required)"),
 		snapDir:  addSnapshotDir(fs, "workload snapshot store: the coordinator pre-warms the biggest databases and every worker is pointed at it"),
-		verbose:  addVerbose(fs, "log per-job progress and forward worker stderr"),
-		stream:   addStream(fs),
+		verbose:  addVerbose(fs, "log per-job progress and each artifact's settle order, and forward worker stderr"),
 	}
 	return fs, f
 }

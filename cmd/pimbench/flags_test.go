@@ -9,9 +9,9 @@ import (
 // TestSharedFlagParity pins the consolidation contract of flags.go:
 // every flag name appearing in several subcommands is declared by one
 // shared builder, so its default cannot drift between subcommands —
-// the failure mode that would let run's -stream and coord's -stream
-// (or the -exp/-scale/-seed trio the coordinator round-trips to its
-// workers) silently diverge.
+// the failure mode that would let run's -v and coord's -v (or the
+// -exp/-scale/-seed trio the coordinator round-trips to its workers)
+// silently diverge.
 func TestSharedFlagParity(t *testing.T) {
 	sets := map[string]*flag.FlagSet{}
 	collect := func(name string, fs *flag.FlagSet) { sets[name] = fs }
@@ -53,10 +53,11 @@ func TestSharedFlagParity(t *testing.T) {
 	}
 
 	has := func(cmd, name string) bool { return sets[cmd].Lookup(name) != nil }
-	// -stream exists on exactly the two report-rendering subcommands.
-	for cmd, want := range map[string]bool{"run": true, "coord": true, "plan": false, "serve": false, "work": false} {
-		if got := has(cmd, "stream"); got != want {
-			t.Errorf("-stream on %s: got %v, want %v", cmd, got, want)
+	// -stream is retired: every report streams, and -v logs the
+	// settle order.
+	for cmd := range sets {
+		if has(cmd, "stream") {
+			t.Errorf("retired -stream still declared on %s", cmd)
 		}
 	}
 	// -diff is plan-only: an incremental re-plan is a planning decision.

@@ -28,30 +28,28 @@
 //	# ...edit a Config parameter...
 //	pimbench plan -exp all -scale full -json -diff manifest.json
 //
-// Streaming reports (-stream on run and coord) render each figure or
-// table the moment its last job settles — settle order logs on
-// stderr, stdout stays byte-identical to the batch report:
-//
-//	pimbench run -exp all -scale full -parallel 16 -stream
+// Every report streams: each figure or table is written the moment its
+// last job settles, in canonical order, so stdout is byte-identical at
+// every parallelism. -v logs the settle order on stderr.
 //
 // Distributed runs go through the coordinator, on one machine or —
 // via -worker-cmd — over ssh-style launchers: it dedups the planned
-// suite by fingerprint, dispatches individual jobs to worker
-// subprocesses with dynamic work-stealing, retries jobs from crashed
-// or erroring workers on the survivors, and streams every finished
-// result into the cache as it lands. The warm report pass is served
-// entirely from that cache, byte-identical to a single-process run:
+// suite by fingerprint, serves what the cache already holds, dispatches
+// the missing jobs to worker subprocesses with dynamic work-stealing,
+// retries jobs from crashed or erroring workers on the survivors, and
+// streams every finished result into the cache as it lands. It prints
+// the same report as a single-process run:
 //
 //	pimbench coord -workers 8 -exp all -scale full -cache-dir d
 //	pimbench coord -workers 8 -worker-cmd 'ssh host pimbench {args}' \
 //	    -exp all -scale full -cache-dir d                 # remote workers
-//	pimbench run -exp all -scale full -cache-dir d        # warm report pass
 //
 // The run survives worker death (a lost worker is replaced and its job
 // retried elsewhere, up to 3 attempts per job), and a mid-run kill of
 // the coordinator loses at most the in-flight jobs — re-running
-// resumes from the cache. coord and serve share one executor
-// (coord.Pool) and one worker mode: every job frame carries its spec.
+// resumes from the cache and executes only what is missing. Local
+// runs, coord and serve share one executor (coord.Pool); coord and
+// serve share one worker mode: every job frame carries its spec.
 //
 // The serve daemon is the coordinator promoted to an always-on service:
 // an HTTP/JSON API over the same cache and a persistent worker fleet.
@@ -200,7 +198,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	runErr := runExperiments(*f.exp, opts, *f.stream, *f.csvDir, stdout, stderr)
+	runErr := runExperiments(*f.exp, opts, *f.verbose, *f.csvDir, stdout, stderr)
 	// Accounting goes to stderr even on failure: a partially-failed
 	// resumed run still reports what it skipped and recomputed.
 	if cache != nil {
@@ -317,12 +315,10 @@ func planCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// coordCmd runs the fault-tolerant coordinator: an execute-only fleet
-// run streaming results into the cache, with a live jobs-done/ETA
-// footer on stderr. Reports stay with a later warm run against the
-// same cache directory — unless -stream, which renders each artifact
-// coordinator-side the moment its last job settles and writes the
-// assembled reports to stdout, byte-identical to that warm run.
+// coordCmd runs the fault-tolerant coordinator: the run path with its
+// cache misses executed on a worker-subprocess fleet, each result
+// streaming into the cache, a live jobs-done/ETA footer on stderr, and
+// the report on stdout — byte-identical to a single-process run.
 func coordCmd(args []string, stdout, stderr io.Writer) int {
 	fs, f := newCoordFlags(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -335,12 +331,13 @@ func coordCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *f.cacheDir == "" {
-		fmt.Fprintln(stderr, "pimbench: coord needs -cache-dir: the coordinator streams results into a cache the report pass reads")
+		fmt.Fprintln(stderr, "pimbench: coord needs -cache-dir: the coordinator streams results into a cache re-runs resume from")
 		return 2
 	}
 	fmt.Fprintf(stderr, "pimbench: build: %s\n", buildLine())
 
 	opts := f.options()
+	opts.Parallelism = *f.fleet.workers
 	if *f.verbose {
 		opts.Log = func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
@@ -360,39 +357,23 @@ func coordCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	copts := bulkpim.CoordOptions{
-		Workers:    *f.fleet.workers,
 		WorkerCmd:  *f.fleet.workerCmd,
 		Progress:   stderr,
 		FailWorker: *f.fleet.failWorker,
 		FailAfter:  *f.fleet.failAfter,
 	}
+	var emit func(bulkpim.StreamEmit)
 	if *f.verbose {
 		copts.WorkerStderr = stderr
+		emit = func(e bulkpim.StreamEmit) { logStreamEmit(e, stderr) }
 	}
-	var asm *bulkpim.StreamAssembler
-	if *f.stream {
-		if asm, err = bulkpim.NewStreamAssembler(*f.exp, stdout); err != nil {
-			fmt.Fprintf(stderr, "pimbench: %v\n", err)
-			return 2
-		}
-		copts.Stream = func(e bulkpim.StreamEmit) {
-			asm.Observe(e)
-			logStreamEmit(e, stderr)
-		}
-	}
-	sum, runErr := bulkpim.Coordinate(*f.exp, opts, copts)
+	sum, runErr := bulkpim.Coordinate(*f.exp, opts, copts, emit, stdout)
 	fmt.Fprintf(stderr, "pimbench: coord: %s\n", sum)
 	fmt.Fprintf(stderr, "pimbench: cache: %s (%s)\n", cache.Stats(), cache.Path())
 	snapFooter()
 	if runErr != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", runErr)
 		return 1
-	}
-	if asm != nil {
-		if werr := asm.Err(); werr != nil {
-			fmt.Fprintf(stderr, "pimbench: stream write: %v\n", werr)
-			return 1
-		}
 	}
 	return 0
 }
@@ -578,11 +559,11 @@ func snapshotCmd(args []string, stdout, stderr io.Writer) int {
 // suite — writing its report to stdout artifact by artifact, in
 // canonical order, followed on stderr by the per-experiment timing
 // footer for "all" (wall times vary run to run, so the footer stays
-// out of the byte-stable stdout reports). With stream, each
+// out of the byte-stable stdout reports). With verbose, each
 // artifact's settle order is logged on stderr as it becomes ready.
 // With a non-empty csvDir, each artifact's CSV files are written as it
 // settles (writeArtifactCSV), from the same report items as stdout.
-func runExperiments(exp string, opts bulkpim.Options, stream bool, csvDir string, stdout, stderr io.Writer) error {
+func runExperiments(exp string, opts bulkpim.Options, verbose bool, csvDir string, stdout, stderr io.Writer) error {
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return fmt.Errorf("csv: %w", err)
@@ -591,7 +572,7 @@ func runExperiments(exp string, opts bulkpim.Options, stream bool, csvDir string
 	// StreamReport serializes emissions, so csvErr needs no lock.
 	var csvErr error
 	emit := func(e bulkpim.StreamEmit) {
-		if stream {
+		if verbose {
 			logStreamEmit(e, stderr)
 		}
 		if csvDir != "" && csvErr == nil {

@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestRunSmoke drives the binary end-to-end at ScaleBench: a small
-// experiment must run through the job runner and emit a non-empty
+// experiment must run through the executor and emit a non-empty
 // report on stdout.
 func TestRunSmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -279,9 +279,10 @@ func TestRunUnknownScale(t *testing.T) {
 // to end, through real worker subprocesses and pipes: a 3-worker
 // coordinated smoke run with one worker crashing mid-run (the
 // -fail-after hook kills worker 1 after 2 served jobs, losing its 3rd
-// job in flight) must complete, retry the lost job on a survivor, and
-// leave a cache whose warm report pass is 100%-hit and byte-identical
-// to a single-process cold run, with identical -csvdir files.
+// job in flight) must complete, retry the lost job on a survivor, print
+// a report byte-identical to a single-process cold run, and leave a
+// cache whose warm report pass is 100%-hit and byte-identical too, with
+// identical -csvdir files.
 func TestCoordCrashInjection(t *testing.T) {
 	t.Setenv("PIMBENCH_EXEC", "1")
 	mustRun := func(args ...string) (string, string) {
@@ -299,8 +300,9 @@ func TestCoordCrashInjection(t *testing.T) {
 	dir := t.TempDir()
 	coordOut, coordErr := mustRun("coord", "-workers", "3", "-exp", "all", "-scale", "smoke",
 		"-cache-dir", dir, "-fail-worker", "1", "-fail-after", "2")
-	if coordOut != "" {
-		t.Fatalf("coordinator wrote reports to stdout:\n%s", coordOut)
+	if coordOut != single {
+		t.Fatalf("coordinated report differs from single-process run:\nsingle %d bytes, coord %d bytes",
+			len(single), len(coordOut))
 	}
 	if !strings.Contains(coordErr, "1 retried, 1 workers lost") {
 		t.Fatalf("crashed worker's job not retried exactly once:\n%s", coordErr)
@@ -721,20 +723,23 @@ func TestVersion(t *testing.T) {
 }
 
 // TestRunStream is the streaming acceptance gate from the binary's
-// side: `run -stream` must write stdout byte-identical to the batch
-// report while logging each artifact's settle order on stderr — one
-// line per declared artifact, suite-wide.
+// side: `run -v` must write stdout byte-identical to a plain run while
+// logging each artifact's settle order on stderr — one line per
+// declared artifact, suite-wide.
 func TestRunStream(t *testing.T) {
 	var batch, batchErr bytes.Buffer
 	if code := run([]string{"-exp", "all", "-scale", "smoke"}, nil, &batch, &batchErr); code != 0 {
 		t.Fatalf("batch exit %d, stderr:\n%s", code, batchErr.String())
 	}
+	if strings.Contains(batchErr.String(), "pimbench: artifact ") {
+		t.Fatalf("settle order logged without -v:\n%s", batchErr.String())
+	}
 	var stream, streamErr bytes.Buffer
-	if code := run([]string{"-exp", "all", "-scale", "smoke", "-stream"}, nil, &stream, &streamErr); code != 0 {
-		t.Fatalf("stream exit %d, stderr:\n%s", code, streamErr.String())
+	if code := run([]string{"-exp", "all", "-scale", "smoke", "-v"}, nil, &stream, &streamErr); code != 0 {
+		t.Fatalf("verbose exit %d, stderr:\n%s", code, streamErr.String())
 	}
 	if batch.String() != stream.String() {
-		t.Fatalf("streamed stdout diverges from the batch report:\n--- batch ---\n%s\n--- stream ---\n%s",
+		t.Fatalf("verbose stdout diverges from a plain run:\n--- plain ---\n%s\n--- verbose ---\n%s",
 			batch.String(), stream.String())
 	}
 	se := streamErr.String()
@@ -747,13 +752,13 @@ func TestRunStream(t *testing.T) {
 		}
 	}
 	if !strings.Contains(se, "timing (overlapping):") {
-		t.Fatalf("stream run lost the timing footer:\n%s", se)
+		t.Fatalf("verbose run lost the timing footer:\n%s", se)
 	}
 }
 
-// TestCoordStream: a coordinated fleet run with -stream renders the
-// figures coordinator-side as worker results settle, and the assembled
-// stdout is byte-identical to a plain single-process run.
+// TestCoordStream: a plain coordinated fleet run renders the figures
+// coordinator-side as worker results settle, and its stdout is
+// byte-identical to a plain single-process run.
 func TestCoordStream(t *testing.T) {
 	t.Setenv("PIMBENCH_EXEC", "1")
 	var plain, plainErr bytes.Buffer
@@ -763,18 +768,12 @@ func TestCoordStream(t *testing.T) {
 	var stdout bytes.Buffer
 	var stderr syncBuffer
 	code := run([]string{"coord", "-workers", "2", "-exp", "fig8", "-scale", "smoke",
-		"-stream", "-cache-dir", t.TempDir()}, nil, &stdout, &stderr)
+		"-cache-dir", t.TempDir()}, nil, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("coord exit %d, stderr:\n%s", code, stderr.String())
 	}
-	if stdout.String() != plain.String() {
-		t.Fatalf("coord -stream stdout diverges from a plain run:\n--- plain ---\n%s\n--- coord ---\n%s",
+	if stdout.Len() == 0 || stdout.String() != plain.String() {
+		t.Fatalf("coord stdout diverges from a plain run:\n--- plain ---\n%s\n--- coord ---\n%s",
 			plain.String(), stdout.String())
-	}
-	se := stderr.String()
-	for _, a := range []string{"fig8/fig8", "fig8/fig9"} {
-		if !strings.Contains(se, "pimbench: artifact "+a+" ready") {
-			t.Fatalf("missing settle line for %s:\n%s", a, se)
-		}
 	}
 }

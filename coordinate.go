@@ -1,18 +1,22 @@
 package bulkpim
 
-// Fault-tolerant coordinated execution, built on internal/coord: the
-// coordinator plans the suite, dedups it to distinct simulations
-// (dedupPlan — the same rule the in-process executor uses), and
-// submits each as a task carrying its JobSpec to a coord.Pool of
-// `pimbench work` subprocesses — the executor, worker mode and
-// protocol the serve daemon uses. The pool work-steals, retries a job
-// from a crashed or erroring worker on the survivors (at most 3
-// attempts), and the fleet replaces lost workers. Every finished
-// result streams straight into the shared result cache — under the
-// canonical key and every alias — so a mid-run kill loses at most
-// in-flight jobs and a subsequent report pass (pimbench -exp ...
-// -cache-dir ...) is served entirely from cache hits, byte-identical
-// to a single-process run.
+// The one executor, built on internal/coord. Every run — a local
+// report (RunExperiment, StreamReport, Fig8Fig9) and a coordinated
+// fleet run (Coordinate) alike — plans its suite, dedups it to
+// distinct simulations (dedupPlan), settles the groups the result
+// cache already holds, and submits only the misses as tasks to one
+// coord.Pool, the executor the serve daemon uses too. The pool's
+// workers are either in-process (local runs; `serve -local`) or
+// `pimbench work` subprocesses launched from a template (coord;
+// serve). A subprocess fleet work-steals, retries a job from a
+// crashed or erroring worker on the survivors (at most 3 attempts,
+// since a job error there may be host-local), and replaces lost
+// workers; in-process workers never retry, because a simulation error
+// is deterministic. Every settled group fans out through the result
+// cache — under the canonical key and every alias — into the run's
+// report stream, so a coordinated run prints the same bytes as a
+// single-process one, and a mid-run kill loses at most in-flight jobs:
+// re-running resumes from the cache.
 
 import (
 	"errors"
@@ -28,12 +32,9 @@ import (
 	"bulkpim/internal/coord"
 )
 
-// CoordOptions configures a coordinated run.
+// CoordOptions configures a coordinated run. The fleet size is
+// Options.Parallelism.
 type CoordOptions struct {
-	// Workers is the worker-subprocess fleet size, kept up by replacing
-	// lost workers; <= 0 means GOMAXPROCS (never more than the distinct
-	// job count).
-	Workers int
 	// WorkerCmd is the worker launch template. Empty re-executes the
 	// current binary; otherwise it is split on whitespace and its
 	// "{args}" field expands to the work-subcommand arguments (appended
@@ -51,28 +52,23 @@ type CoordOptions struct {
 	// next job in flight, which the coordinator must retry elsewhere.
 	FailWorker int
 	FailAfter  int
-	// Stream, when non-nil, receives each artifact emission the moment
-	// its last planned job settles (see ReportStream): the coordinated
-	// run renders figures coordinator-side from worker results instead
-	// of deferring everything to a warm report pass. Workers stay
-	// execute-only. Calls arrive serialized.
-	Stream func(StreamEmit)
 }
 
-// CoordSummary accounts one coordinated run.
+// CoordSummary accounts one execute run.
 type CoordSummary struct {
 	// Planned counts the suite's manifest entries; Distinct the unique
 	// simulations after fingerprint dedup; Done/Failed the settled
-	// tasks; Retried the re-dispatches after worker crashes or job
-	// errors; WorkersLost the workers that failed to launch or died.
-	Planned, Distinct, Done, Failed, Retried, WorkersLost int
+	// ones, Cached the part of Done served from the result cache;
+	// Retried the re-dispatches after worker crashes or job errors;
+	// WorkersLost the workers that failed to launch or died.
+	Planned, Distinct, Done, Failed, Cached, Retried, WorkersLost int
 	// Stored counts cache entries written, aliases included.
 	Stored int
 }
 
 func (s CoordSummary) String() string {
-	return fmt.Sprintf("%d/%d distinct jobs done (%d planned, %d failed, %d retried, %d workers lost), %d cache entries",
-		s.Done, s.Distinct, s.Planned, s.Failed, s.Retried, s.WorkersLost, s.Stored)
+	return fmt.Sprintf("%d/%d distinct jobs done (%d planned, %d failed, %d retried, %d workers lost), %d cached, %d cache entries",
+		s.Done, s.Distinct, s.Planned, s.Failed, s.Retried, s.WorkersLost, s.Cached, s.Stored)
 }
 
 // workArgs builds the work-subcommand argv of a fleet worker. Workers
@@ -142,7 +138,7 @@ func procLauncher(opts Options, workerCmd string, stderr io.Writer, failWorker, 
 	}
 }
 
-// fleet staffs a coord.Pool for Coordinate and Server alike: it
+// fleet staffs a coord.Pool for execute and Server alike: it
 // launches workers and replaces each lost one while the pool is below
 // its target size, until stop. The pool keeps tasks queued while it
 // has no worker, waiting for a join; when the last worker is gone and
@@ -269,146 +265,173 @@ func (f *fleet) failedLaunches() []error {
 	return append([]error(nil), f.launchErrs...)
 }
 
-// Coordinate is the coordinator half of `pimbench coord`: an
-// execute-only fleet run of the named experiment ("all" for the suite)
-// whose results land in opts.Cache as they finish. Reports stay with a
-// later warm pass against the same cache (or stream coordinator-side
-// with copts.Stream). The run completes as long as a worker survives
-// or a replacement launches, and fails at once on plan skew; it
-// returns an error naming every failed launch and every permanently
-// failed job.
-func Coordinate(name string, opts Options, copts CoordOptions) (CoordSummary, error) {
-	return coordinate(name, opts, copts, nil)
+// localWorker is the one in-process coord.Worker, behind local runs,
+// `serve -local` and the `pimbench work` endpoint: it runs a task
+// through the function itself. A job error or panic is job-level
+// (*coord.JobError), so the worker survives to serve its siblings.
+type localWorker func(coord.Task) (Result, error)
+
+func (run localWorker) Run(t coord.Task) (v Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = Result{}, &coord.JobError{Msg: fmt.Sprintf("panic: %v", p)}
+		}
+	}()
+	if v, err = run(t); err != nil {
+		return Result{}, &coord.JobError{Msg: err.Error(), Skew: errors.Is(err, coord.ErrPlanSkew)}
+	}
+	return v, nil
 }
 
-// coordinate is Coordinate with an injectable worker launch; nil
-// launches `pimbench work` subprocesses as copts describes.
-func coordinate(name string, opts Options, copts CoordOptions, launch func(id int) (coord.Worker, error)) (CoordSummary, error) {
-	var sum CoordSummary
-	if opts.Cache == nil {
-		return sum, errors.New("coordinated run needs Options.Cache: results stream into the shared result cache")
-	}
-	planned, err := planFor(name, opts)
-	if err != nil {
-		return sum, err
-	}
-	groups, manifest := dedupPlan(planned)
-	sum.Planned, sum.Distinct = len(manifest), len(groups)
+func (localWorker) Close() error { return nil }
 
-	// The pool logs and settles from every worker goroutine.
+// executor staffs execute's pool. pool returns the pool's options —
+// its Launch and retry budget — for the groups the result cache could
+// not serve; execute calls it only when there is at least one. spec
+// rides every task to subprocess workers, which plan from it.
+// progress, when non-nil, receives the live jobs-done/ETA footer.
+type executor struct {
+	pool     func(misses []*fpGroup) coord.PoolOptions
+	spec     coord.JobSpec
+	progress io.Writer
+}
+
+// inProcess is the executor of local runs: in-process workers running
+// each missed group's own SimJob, which execute drops once the group
+// settles, so its workload can be released. A simulation error is
+// deterministic, so they never retry and never back off.
+var inProcess = executor{pool: func(misses []*fpGroup) coord.PoolOptions {
+	byFP := make(map[string]*fpGroup, len(misses))
+	for _, g := range misses {
+		byFP[g.fp] = g
+	}
+	w := localWorker(func(t coord.Task) (Result, error) { return byFP[t.Fingerprint].job.Run() })
+	return coord.PoolOptions{
+		Launch:      func(int) (coord.Worker, error) { return w, nil },
+		MaxAttempts: 1,
+		BaseBackoff: time.Nanosecond,
+		MaxBackoff:  time.Nanosecond,
+	}
+}}
+
+// execute is the one executor. It settles each group of a deduplicated
+// plan (dedupPlan) exactly once, through fanOut under every key the
+// plan lists for it (settle, when non-nil, observes each): a group the
+// result cache holds settles at once, and only the misses run, as
+// tasks on one coord.Pool staffed by a fleet of x's workers,
+// Options.Parallelism wide (<= 0 means GOMAXPROCS, never more than
+// the misses). The pool thus bounds simulation concurrency
+// suite-wide, and when every group is a cache hit no pool starts. A
+// settled group's job is dropped, so a generated workload stays alive
+// only until the last group using it settles. A job failure settles
+// under its keys; the returned error names every failed worker launch.
+// Pool callbacks are serialized here, so settle, the cache stores, the
+// log and the footer never run concurrently.
+func execute(opts Options, groups []*fpGroup, settle func(key string, r Result, err error), x executor) (CoordSummary, error) {
 	opts.Log = opts.lockedLog()
-	logf := opts.log
-
-	// The streaming countdown listens on the same alias keys the cache
-	// writes below fan out to, so artifacts complete exactly when their
-	// last distinct simulation settles — including ones whose keys this
-	// experiment shares with a sibling's fingerprint group.
-	var streamSettle func(key string, r Result, err error)
-	if copts.Stream != nil {
-		stream, err := NewReportStream(name, opts, copts.Stream)
-		if err != nil {
-			return sum, err
+	sum := CoordSummary{Distinct: len(groups)}
+	var (
+		mu      sync.Mutex
+		settled = make([]bool, len(groups))
+		done    int
+	)
+	// finish settles group i unless it already settled (the pool
+	// failing a task the fleet's loss already failed); once the pool
+	// runs, callers hold mu.
+	finish := func(i int, o coord.Outcome, cached bool) bool {
+		if settled[i] {
+			return false
 		}
-		streamSettle = stream.Settle
+		settled[i] = true
+		done++
+		g := groups[i]
+		switch {
+		case o.Err != nil:
+			sum.Failed++
+			opts.log("[%d/%d] %s FAILED: %v", done, len(groups), g.keys[0], o.Err)
+		case cached:
+			sum.Done++
+			sum.Cached++
+			opts.log("[%d/%d] %s cycles=%d (cached)", done, len(groups), g.keys[0], o.Value.Cycles)
+		default:
+			sum.Done++
+			opts.log("[%d/%d] %s cycles=%d on worker %d (attempt %d)",
+				done, len(groups), g.keys[0], o.Value.Cycles, o.Worker, o.Attempts)
+		}
+		sum.Stored += opts.fanOut(g, o.Value, o.Err, cached, settle)
+		g.job = SimJob{}
+		return true
 	}
-	if len(groups) == 0 {
+	var misses []*fpGroup
+	var index []int // misses[k] is groups[index[k]]
+	for i, g := range groups {
+		if opts.Cache != nil {
+			if r, hit := opts.Cache.Lookup(g.keys[0], g.fp); hit {
+				finish(i, coord.Outcome{Value: r}, true)
+				continue
+			}
+		}
+		misses, index = append(misses, g), append(index, i)
+	}
+	if len(misses) == 0 {
 		return sum, nil
 	}
 
-	// Pre-warm the snapshot store before any worker launches: the
-	// biggest databases this plan references are published once by the
-	// coordinator, so the fleet — sharing the store's filesystem —
-	// loads them instead of racing to regenerate them per worker. The
-	// already-built plan is reused; the suite is not planned twice.
-	if n := prewarmPlanned(opts, plannedIdentities(planned)); n > 0 {
-		logf("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
-	}
-
-	workers := copts.Workers
+	po := x.pool(misses)
+	po.Log = opts.log
+	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(groups))
-	if launch == nil {
-		launch = procLauncher(opts, copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
-	}
-
-	// Pool callbacks arrive concurrently from worker goroutines, so
-	// settle serializes everything they touch: the cache stores, the
-	// stream, the summary and the footer. A task settles once; a later
-	// outcome for it (the pool failing a task the fleet's loss already
-	// settled) is ignored. Streaming each result as it settles is what
-	// bounds a mid-run kill's loss to in-flight jobs.
+	workers = min(workers, len(misses))
+	footer := &coordFooter{w: x.progress, total: len(misses), workers: workers, start: time.Now()}
 	var (
-		mu       sync.Mutex
-		settled  = make([]bool, len(groups))
-		left     = len(groups)
+		left     = len(misses)
 		finished = make(chan struct{})
-		failures []error
 		f        *fleet
 	)
-	footer := &coordFooter{w: copts.Progress, total: len(groups), workers: workers, start: time.Now()}
-	settle := func(i int, o coord.Outcome) {
+	run := func(k int, o coord.Outcome) {
 		mu.Lock()
 		defer mu.Unlock()
-		if settled[i] {
+		if !finish(index[k], o, false) {
 			return
 		}
-		settled[i] = true
 		left--
-		done, total, key := len(groups)-left, len(groups), groups[i].keys[0]
-		if o.Err != nil {
-			sum.Failed++
-			failures = append(failures, fmt.Errorf("%s: %w", key, o.Err))
-			logf("[%d/%d] %s FAILED: %v", done, total, key, o.Err)
-		} else {
-			sum.Done++
-		}
-		// Nothing here was looked up first: the canonical key is stored
-		// as computed, the aliases where the cache lacks them.
-		sum.Stored += opts.fanOut(groups[i], o.Value, o.Err, false, streamSettle)
-		if o.Err == nil {
-			logf("[%d/%d] %s done on worker %d (attempt %d)", done, total, key, o.Worker, o.Attempts)
-		}
 		st := f.pool.Stats()
-		footer.update(done, sum.Failed, st.Retried, len(st.Workers))
+		footer.update(len(misses)-left, sum.Failed, st.Retried, len(st.Workers))
 		if left == 0 {
 			close(finished)
 		}
 	}
-
-	spec := coord.JobSpec{Exp: strings.ToLower(name), Scale: string(opts.Scale), Seed: opts.Seed}
-	tasks := make([]coord.Task, len(groups))
-	for i, g := range groups {
-		tasks[i] = coord.Task{Key: g.keys[0], Fingerprint: g.fp, Spec: spec}
+	tasks := make([]coord.Task, len(misses))
+	for k, g := range misses {
+		tasks[k] = coord.Task{Key: g.keys[0], Fingerprint: g.fp, Spec: x.spec}
 	}
 	failRest := func(err error) {
-		for i, t := range tasks {
-			settle(i, coord.Outcome{Task: t, Err: err, Worker: -1})
+		for k, t := range tasks {
+			run(k, coord.Outcome{Task: t, Err: err, Worker: -1})
 		}
 	}
-	// Every worker runs the same launch template, so a worker reporting
-	// plan skew means the whole fleet plans differently from this build:
+	// Every worker runs the same launch, so a worker reporting plan
+	// skew means the whole fleet plans differently from this build:
 	// fail the run at once rather than let each job spend its retries
 	// and backoffs on the same error.
-	launchWorker := launch
-	launch = func(id int) (coord.Worker, error) {
-		w, err := launchWorker(id)
+	launch := po.Launch
+	po.Launch = func(id int) (coord.Worker, error) {
+		w, err := launch(id)
 		if err != nil {
 			return nil, err
 		}
 		return skewGuard{w, func(err error) { failRest(fmt.Errorf("run abandoned, worker %d: %w", id, err)) }}, nil
 	}
-	f = newFleet(coord.PoolOptions{Launch: launch, Log: logf}, workers, func() {
-		failRest(errors.New("no live worker"))
-	})
-	for i, t := range tasks {
-		if err := f.pool.Submit(t, func(o coord.Outcome) { settle(i, o) }); err != nil {
-			settle(i, coord.Outcome{Task: t, Err: err, Worker: -1})
+	f = newFleet(po, workers, func() { failRest(errors.New("no live worker")) })
+	for k, t := range tasks {
+		if err := f.pool.Submit(t, func(o coord.Outcome) { run(k, o) }); err != nil {
+			run(k, coord.Outcome{Task: t, Err: err, Worker: -1})
 		}
 	}
 	for _, err := range f.grow(workers) {
-		logf("coord: %v", err)
+		opts.log("fleet: %v", err)
 	}
 	<-finished
 	f.pool.Close()
@@ -416,7 +439,81 @@ func coordinate(name string, opts Options, copts CoordOptions, launch func(id in
 	launchErrs, st := f.failedLaunches(), f.pool.Stats()
 	sum.Retried, sum.WorkersLost = st.Retried, len(launchErrs)+st.Lost
 	footer.finish(sum)
-	return sum, errors.Join(append(launchErrs, failures...)...)
+	return sum, errors.Join(launchErrs...)
+}
+
+// fanOut settles one fingerprint group's outcome under every key the
+// plan lists for it. On success each key the cache lacks is stored:
+// aliases are looked up first, while the canonical key is stored
+// unless cached reports that the result was served from it. settle,
+// when non-nil, then observes every key, failed or not. fanOut returns
+// the number of cache entries written.
+func (o Options) fanOut(g *fpGroup, r Result, err error, cached bool, settle func(key string, r Result, err error)) (stored int) {
+	for i, key := range g.keys {
+		write := err == nil && o.Cache != nil
+		if write && i == 0 {
+			write = !cached
+		} else if write {
+			_, hit := o.Cache.Lookup(key, g.fp)
+			write = !hit
+		}
+		if write {
+			// A failed write-back only costs a future recompute; it is
+			// counted in the cache stats and logged, never fatal.
+			if serr := o.Cache.Store(key, g.fp, r); serr != nil {
+				o.log("cache store %s: %v", key, serr)
+			} else {
+				stored++
+			}
+		}
+		if settle != nil {
+			settle(key, r, err)
+		}
+	}
+	return stored
+}
+
+// Coordinate is the coordinator half of `pimbench coord`: the named
+// experiment ("all" for the suite) run like StreamReport — same
+// report bytes to w, same emissions to emit (which may be nil) — but
+// with its cache misses executed on a fleet of Options.Parallelism
+// `pimbench work` subprocesses, each result landing in opts.Cache as
+// it settles. A run over a cache that holds every group launches no
+// worker. The run completes as long as a worker survives or a
+// replacement launches, and fails at once on plan skew; the returned
+// error names every failed launch and every failed artifact with each
+// failed job it listens on.
+func Coordinate(name string, opts Options, copts CoordOptions, emit func(StreamEmit), w io.Writer) (CoordSummary, error) {
+	return coordinate(name, opts, copts, emit, w, nil)
+}
+
+// coordinate is Coordinate with an injectable worker launch; nil
+// launches `pimbench work` subprocesses as copts describes.
+func coordinate(name string, opts Options, copts CoordOptions, emit func(StreamEmit), w io.Writer,
+	launch func(id int) (coord.Worker, error)) (CoordSummary, error) {
+	if opts.Cache == nil {
+		return CoordSummary{}, errors.New("coordinated run needs Options.Cache: results stream into the shared result cache")
+	}
+	if launch == nil {
+		launch = procLauncher(opts, copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
+	}
+	x := executor{
+		spec:     coord.JobSpec{Exp: strings.ToLower(name), Scale: string(opts.Scale), Seed: opts.Seed},
+		progress: copts.Progress,
+		pool: func(misses []*fpGroup) coord.PoolOptions {
+			// Pre-warm the snapshot store before any worker launches:
+			// the biggest databases the missed jobs reference are
+			// published once by the coordinator, so the fleet — sharing
+			// the store's filesystem — loads them instead of racing to
+			// regenerate them per worker.
+			if n := prewarmPlanned(opts, plannedIdentities(misses)); n > 0 {
+				opts.log("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
+			}
+			return coord.PoolOptions{Launch: launch}
+		},
+	}
+	_, sum, err := streamRun(name, opts, emit, w, x)
+	return sum, err
 }
 
 // skewGuard passes a worker's plan-skew job errors to onSkew.
@@ -452,9 +549,11 @@ func (c *coordFooter) update(done, failed, retried, live int) {
 		done, c.total, failed, retried, live, c.workers, eta), "")
 }
 
+// finish prints the final line over the executed jobs, cache hits
+// excluded.
 func (c *coordFooter) finish(s CoordSummary) {
 	c.print(fmt.Sprintf("coord: %d/%d jobs done (%d failed, %d retried, %d workers lost) in %s",
-		s.Done, s.Distinct, s.Failed, s.Retried, s.WorkersLost,
+		s.Done-s.Cached, c.total, s.Failed, s.Retried, s.WorkersLost,
 		time.Since(c.start).Round(time.Millisecond)), "\n")
 }
 

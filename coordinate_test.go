@@ -66,7 +66,7 @@ func coordinateWithin(t *testing.T, name string, opts Options, copts CoordOption
 	}
 	done := make(chan ret, 1)
 	go func() {
-		sum, err := coordinate(name, opts, copts, launch)
+		sum, err := coordinate(name, opts, copts, nil, io.Discard, launch)
 		done <- ret{sum, err}
 	}()
 	select {
@@ -103,7 +103,7 @@ func TestCoordinateDeliversEachFingerprintOnce(t *testing.T) {
 		var mu sync.Mutex
 		count := map[string]int{}
 		specs := map[coord.JobSpec]bool{}
-		sum, err := coordinateWithin(t, "ALL", Options{Scale: ScaleFull}, CoordOptions{Workers: workers},
+		sum, err := coordinateWithin(t, "ALL", Options{Scale: ScaleFull, Parallelism: workers}, CoordOptions{},
 			func(id int) (coord.Worker, error) {
 				return &manifestWorker{rng: rand.New(rand.NewSource(int64(workers*100 + id))),
 					mu: &mu, count: count, specs: specs}, nil
@@ -170,7 +170,7 @@ func fig3Groups(t *testing.T) []*fpGroup {
 func TestCoordinatePermanentFailure(t *testing.T) {
 	groups := fig3Groups(t)
 	bad := groups[1]
-	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2}, CoordOptions{},
 		func(int) (coord.Worker, error) {
 			return &scriptedWorker{dieAfter: -1, jobErrs: map[string]bool{bad.fp: true}}, nil
 		})
@@ -187,7 +187,7 @@ func TestCoordinatePermanentFailure(t *testing.T) {
 // and the returned error names it exactly once.
 func TestCoordinateLaunchFailure(t *testing.T) {
 	groups := fig3Groups(t)
-	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 3},
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 3}, CoordOptions{},
 		func(id int) (coord.Worker, error) {
 			if id == 2 {
 				return nil, errors.New("ssh: connection refused")
@@ -208,7 +208,7 @@ func TestCoordinateLaunchFailure(t *testing.T) {
 func TestCoordinateAllWorkersLost(t *testing.T) {
 	groups := fig3Groups(t)
 	var launches atomic.Int32
-	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2}, CoordOptions{},
 		func(id int) (coord.Worker, error) {
 			if launches.Add(1) > 2 {
 				return nil, fmt.Errorf("host %d unreachable", id)
@@ -240,7 +240,7 @@ func TestCoordinateStrandedJobFails(t *testing.T) {
 	bad := groups[0]
 	started, running, requeued := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	var startOnce, requeueOnce sync.Once
-	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2}, CoordOptions{},
 		func(id int) (coord.Worker, error) {
 			switch id {
 			case 0: // takes the first job, bad, before worker 1 joins
@@ -287,12 +287,12 @@ func TestCoordinatePlanSkewFailsFast(t *testing.T) {
 	pc := newPlanCache(Options{})
 	var runs atomic.Int32
 	start := time.Now()
-	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 2},
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2}, CoordOptions{},
 		func(int) (coord.Worker, error) {
 			return funcWorker(func(tk coord.Task) (system.Result, error) {
 				runs.Add(1)
 				tk.Spec.Scale = string(ScaleBench)
-				v, err := pc.execute(tk.Spec, tk.Key, tk.Fingerprint)
+				v, err := pc.execute(tk)
 				if err != nil {
 					return v, &coord.JobError{Msg: err.Error(), Skew: errors.Is(err, coord.ErrPlanSkew)}
 				}
@@ -315,8 +315,8 @@ func TestCoordinatePlanSkewFailsFast(t *testing.T) {
 func TestCoordinateProgressFooter(t *testing.T) {
 	groups := fig3Groups(t)
 	var progress bytes.Buffer
-	if _, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke},
-		CoordOptions{Workers: 2, Progress: &progress},
+	if _, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2},
+		CoordOptions{Progress: &progress},
 		func(int) (coord.Worker, error) { return &scriptedWorker{dieAfter: -1}, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +331,65 @@ func TestCoordinateProgressFooter(t *testing.T) {
 	}
 }
 
+// TestCoordinateWarmCacheExecutesNothing: a coordinated run resumes
+// from the cache. A second coordinated run over a cache the first one
+// filled launches no worker, stores nothing, reports every group
+// cached, and prints the same report.
+func TestCoordinateWarmCacheExecutesNothing(t *testing.T) {
+	groups := fig3Groups(t)
+	cache, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	opts := Options{Scale: ScaleSmoke, Parallelism: 2, Cache: cache}
+	var cold, warm bytes.Buffer
+	if _, err := coordinate("fig3", opts, CoordOptions{}, nil, &cold,
+		func(int) (coord.Worker, error) { return &scriptedWorker{dieAfter: -1}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	stores := cache.Stats().Stores
+	sum, err := coordinate("fig3", opts, CoordOptions{}, nil, &warm, func(int) (coord.Worker, error) {
+		t.Error("launched a worker over a full cache")
+		return nil, errors.New("unreachable")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Cached != len(groups) || sum.Done != len(groups) || sum.Stored != 0 || cache.Stats().Stores != stores {
+		t.Fatalf("warm run: summary %+v, %d stores after %d", sum, cache.Stats().Stores, stores)
+	}
+	if cold.Len() == 0 || warm.String() != cold.String() {
+		t.Fatalf("warm report differs from the cold one:\n--- cold ---\n%s\n--- warm ---\n%s", cold.String(), warm.String())
+	}
+}
+
+// TestCoordinateEveryJobFailsTerminates pins the backoff decision: a
+// subprocess fleet keeps its retries and per-worker backoff (a job
+// error there may be host-local), yet a fleet that fails every job on
+// every worker still terminates, with every job failed and named.
+func TestCoordinateEveryJobFailsTerminates(t *testing.T) {
+	groups := fig3Groups(t)
+	bad := map[string]bool{}
+	for _, g := range groups {
+		bad[g.fp] = true
+	}
+	sum, err := coordinateWithin(t, "fig3", Options{Scale: ScaleSmoke, Parallelism: 2}, CoordOptions{},
+		func(int) (coord.Worker, error) { return &scriptedWorker{dieAfter: -1, jobErrs: bad}, nil })
+	if sum.Failed != sum.Distinct || sum.Distinct != len(groups) || sum.Retried == 0 {
+		t.Fatalf("summary %+v, want every job failed after a retry", sum)
+	}
+	for _, g := range groups {
+		if err == nil || !strings.Contains(err.Error(), g.keys[0]+": failed after") {
+			t.Fatalf("error does not name failed job %s: %v", g.keys[0], err)
+		}
+	}
+}
+
 // TestCoordinateEmpty: a plan with no distinct jobs completes
 // immediately without launching a worker.
 func TestCoordinateEmpty(t *testing.T) {
-	sum, err := coordinateWithin(t, "table1", Options{Scale: ScaleSmoke}, CoordOptions{Workers: 4},
+	sum, err := coordinateWithin(t, "table1", Options{Scale: ScaleSmoke, Parallelism: 4}, CoordOptions{},
 		func(int) (coord.Worker, error) {
 			t.Error("launched a worker for zero jobs")
 			return nil, errors.New("unreachable")
@@ -498,7 +553,7 @@ func TestServeWorkArgsRoundTrip(t *testing.T) {
 // TestCoordinateRequiresCache: a coordinated run without a cache would
 // compute results and drop them.
 func TestCoordinateRequiresCache(t *testing.T) {
-	if _, err := Coordinate("fig3", Options{Scale: ScaleSmoke}, CoordOptions{}); err == nil {
+	if _, err := Coordinate("fig3", Options{Scale: ScaleSmoke}, CoordOptions{}, nil, io.Discard); err == nil {
 		t.Fatal("cache-less coordinated run accepted")
 	}
 }

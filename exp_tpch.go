@@ -7,6 +7,7 @@ package bulkpim
 // distributed run ships them all as one unit.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -222,8 +223,8 @@ func fig9YCSBTable(rs *ResultSet) (*Table, error) {
 	return t, nil
 }
 
-// Fig8Fig9 runs the TPC-H grid of Fig. 8 on the in-process executor
-// and returns Fig. 8 (per-query run time normalized to Naive, with the
+// Fig8Fig9 runs the TPC-H grid of Fig. 8 on in-process workers and
+// returns Fig. 8 (per-query run time normalized to Naive, with the
 // geometric mean) and Fig. 9's TPC-H scope buffer hit rates from the
 // same runs. Every other experiment runs only through the registry
 // (RunExperiment, StreamReport); this one exported figure function
@@ -233,11 +234,15 @@ func fig9YCSBTable(rs *ResultSet) (*Table, error) {
 func Fig8Fig9(opts Options) (fig8, fig9 *Table, err error) {
 	groups, _ := dedupPlan([]plannedExperiment{{name: "tpch sweep", jobs: planTPCH(opts, fig7Variants)}})
 	rs := &ResultSet{byKey: map[string]Result{}}
-	if err := execute(opts, "tpch sweep", groups, func(key string, r Result, jobErr error) {
-		if jobErr == nil {
-			rs.byKey[key] = r
+	var errs []error
+	_, launchErr := execute(opts, groups, func(key string, r Result, jobErr error) {
+		if jobErr != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", key, jobErr))
+			return
 		}
-	}); err != nil {
+		rs.byKey[key] = r
+	}, inProcess)
+	if err := errors.Join(append(errs, launchErr)...); err != nil {
 		return nil, nil, err
 	}
 	return fig8fig9Tables(rs)

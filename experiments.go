@@ -9,13 +9,11 @@ package bulkpim
 // coordinate.go.
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
-	"bulkpim/internal/runner"
 	"bulkpim/internal/workload/ycsb"
 )
 
@@ -119,18 +117,6 @@ func (o Options) lockedLog() func(format string, args ...any) {
 	}
 }
 
-// collectErrs folds per-job failures into one error, each reported
-// against its job key. A nil return means every point succeeded.
-func collectErrs(rs []runner.JobResult[Result]) error {
-	var errs []error
-	for _, r := range rs {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Key, r.Err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // ycsbRecordCounts returns the record-count sweep (x axis of Figs. 3/7/10..12).
 func (o Options) ycsbRecordCounts() []int {
 	switch o.Scale {
@@ -186,9 +172,8 @@ func (o Options) lastRecordsParams() ycsb.Params {
 
 // ExperimentTiming is one experiment's wall-clock accounting inside an
 // "all" suite: the time from suite start to the experiment's last
-// artifact emission. Every experiment's jobs share one batch, so Wall
-// is completion latency, not exclusive compute (the batch's
-// runner.Summary in the -v log reports compute): static tables finish
+// artifact emission. Every experiment's jobs share one pool, so Wall
+// is completion latency, not exclusive compute: static tables finish
 // near zero, and the walls sum to more than the suite's elapsed time.
 type ExperimentTiming struct {
 	Name string

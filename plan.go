@@ -19,6 +19,51 @@ type PlannedJob struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
+// SimJob is the declarative spec of one planned grid point: a stable
+// key, a base machine configuration, an optional Config mutator (model
+// selection, ablation switches), and an Execute that builds a fresh
+// System for the final config and runs the workload the closure shares
+// read-only with its siblings. Extra carries workload identity the
+// Config cannot see — operation counts, seeds, query scale — and is
+// folded into the cache fingerprint; omitting it for a sweep whose
+// workload varies outside the Config would let differently-shaped runs
+// alias in the result cache. ExperimentSpec.Plan returns them.
+type SimJob struct {
+	Key     string
+	Base    Config
+	Mutate  func(*Config)
+	Execute func(Config) (Result, error)
+	Extra   string
+}
+
+// FingerprintID content-addresses the point: a digest of the final
+// (mutated) Config plus the Extra workload identity. Mutate must be a
+// pure field-setter — it is applied to a fresh copy of Base here and
+// again at run time. TraceWriter is excluded: tracing is observational
+// and its sink is not part of the simulated machine.
+func (j SimJob) FingerprintID() string {
+	cfg := j.finalConfig()
+	cfg.TraceWriter = nil
+	return resultcache.Fingerprint(cfg, j.Extra)
+}
+
+func (j SimJob) finalConfig() Config {
+	cfg := j.Base
+	if j.Mutate != nil {
+		j.Mutate(&cfg)
+	}
+	return cfg
+}
+
+// Run executes the point on a fresh copy of its final config, so
+// Mutate never leaks across points.
+func (j SimJob) Run() (Result, error) {
+	if j.Execute == nil {
+		return Result{}, errors.New("nil Execute")
+	}
+	return j.Execute(j.finalConfig())
+}
+
 // plannedExperiment pairs an experiment with its planned jobs.
 type plannedExperiment struct {
 	name string
@@ -238,9 +283,9 @@ type fpGroup struct {
 // address, so equal fingerprints under different keys describe the
 // same simulation — and returns the groups in plan order alongside the
 // flat manifest. It computes each job's fingerprint exactly once. This
-// is the one dedup rule every executor shares: the in-process executor
-// (execute), the coordinator and the serve daemon all run one
-// simulation per group and fan its result out to the group's keys.
+// is the one dedup rule every run shares: local runs, the coordinator
+// (both through execute) and the serve daemon all run one simulation
+// per group and fan its result out to the group's keys.
 func dedupPlan(planned []plannedExperiment) (groups []*fpGroup, manifest []PlannedJob) {
 	byFP := map[string]*fpGroup{}
 	seen := map[string]bool{}

@@ -6,12 +6,11 @@ package bulkpim
 // and a set of Artifacts (figures/tables), each declaring the exact
 // job-key set it needs and rendered individually by Render purely from
 // job results looked up by key. Everything else is built on that
-// split: a local run plans the suite, dedups it to one job per
-// fingerprint (dedupPlan) and runs those on one in-process executor
-// (execute), which streams each artifact out the moment its last job
-// settles (stream.go); a coordinated run (coordinate.go) dispatches
-// the same groups to a worker fleet that streams results into a shared
-// result cache, and the report pass runs entirely from cache hits. An
+// split: every run plans the suite, dedups it to one job per
+// fingerprint (dedupPlan) and runs the cache misses on one executor
+// (execute, coordinate.go) — in-process workers locally, a worker
+// fleet for a coordinated run — which streams each artifact out the
+// moment its last job settles (stream.go). An
 // experiment's report is its artifacts' renders concatenated in
 // declaration order; pimbench -csvdir writes the same report items as
 // CSV. RunExperiment, StreamReport, Coordinate and the pimbench plan
@@ -22,9 +21,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
-
-	"bulkpim/internal/runner"
 )
 
 // Artifact is one renderable output of an ExperimentSpec — a figure or
@@ -229,7 +225,7 @@ func StandaloneExperiments() []string {
 }
 
 // render concatenates an artifact's report items, one per line — the
-// report bytes of every emission (ReportStream.finish) and every
+// report bytes of every emission (reportStream.finish) and every
 // daemon artifact read (Server.artifactStatus).
 func render(items ...ReportItem) string {
 	var b strings.Builder
@@ -238,84 +234,6 @@ func render(items ...ReportItem) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// execute is the one in-process executor, behind RunExperiment,
-// StreamReport and Fig8Fig9.
-// It runs each fingerprint group of a deduplicated plan (dedupPlan)
-// exactly once, as one job of a single RunJobs batch on a private
-// pool opts.Parallelism wide, so the pool bounds simulation
-// concurrency suite-wide and lazily generated workloads are built
-// inside that bound. Each group's outcome is fanned out to all of its
-// keys the moment it settles (fanOut, handing every key to settle when
-// non-nil), and the group's job is dropped then, so a generated
-// workload stays alive only until the last group using it settles.
-// Failures are reported against their groups' canonical keys; the
-// batch's accounting is logged under label.
-func execute(opts Options, label string, groups []*fpGroup, settle func(key string, r Result, err error)) error {
-	opts.Log = opts.lockedLog()
-	jobs := make([]runner.Job[Result], len(groups))
-	for i, g := range groups {
-		jobs[i] = runner.Job[Result]{Key: g.keys[0], Fingerprint: g.fp,
-			Run: func() (Result, error) { return g.job.Run() }}
-	}
-	ro := runner.Options[Result]{
-		Parallelism: opts.Parallelism,
-		// OnResult calls are serialized, so the cache stores, settle
-		// and the log lines below never run concurrently.
-		OnResult: func(done, total int, r runner.JobResult[Result]) {
-			g := groups[r.Index]
-			g.job = SimJob{}
-			opts.fanOut(g, r.Value, r.Err, r.Cached, settle)
-			if r.Err != nil {
-				opts.log("[%d/%d] %s FAILED: %v", done, total, r.Key, r.Err)
-				return
-			}
-			cached := ""
-			if r.Cached {
-				cached = " (cached)"
-			}
-			opts.log("[%d/%d] %s cycles=%d wall=%s%s", done, total, r.Key,
-				r.Value.Cycles, r.Wall.Round(time.Millisecond), cached)
-		},
-	}
-	if opts.Cache != nil {
-		ro.Lookup = opts.Cache.Lookup
-	}
-	results := runner.RunJobs(jobs, ro)
-	opts.log("%s: %s", label, runner.Summarize(results))
-	return collectErrs(results)
-}
-
-// fanOut settles one fingerprint group's outcome under every key the
-// plan lists for it; execute and Coordinate share it. On success each
-// key the cache lacks is stored: aliases are looked up first, while
-// the canonical key is stored unless cached reports that the result
-// was served from it. settle, when non-nil, then observes every key,
-// failed or not. fanOut returns the number of cache entries written.
-func (o Options) fanOut(g *fpGroup, r Result, err error, cached bool, settle func(key string, r Result, err error)) (stored int) {
-	for i, key := range g.keys {
-		write := err == nil && o.Cache != nil
-		if write && i == 0 {
-			write = !cached
-		} else if write {
-			_, hit := o.Cache.Lookup(key, g.fp)
-			write = !hit
-		}
-		if write {
-			// A failed write-back only costs a future recompute; it is
-			// counted in the cache stats and logged, never fatal.
-			if serr := o.Cache.Store(key, g.fp, r); serr != nil {
-				o.log("cache store %s: %v", key, serr)
-			} else {
-				stored++
-			}
-		}
-		if settle != nil {
-			settle(key, r, err)
-		}
-	}
-	return stored
 }
 
 // RunExperiment dispatches by name through the registry and returns

@@ -1,16 +1,15 @@
 package bulkpim
 
-// Tests for the parallel job runner's core contract: a sweep's results
-// are identical at every parallelism level, and one failed grid point
-// is reported against its job key without losing sibling results.
+// Tests for the executor's core contract on real simulations: a
+// sweep's results are identical at every parallelism level, and one
+// failed grid point is reported against its job key without losing
+// sibling results.
 
 import (
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-
-	"bulkpim/internal/runner"
 )
 
 // TestRunnerDeterminism executes the same ScaleBench YCSB sweep —
@@ -25,11 +24,11 @@ func TestRunnerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]Result{}
-		if err := execute(opts, "fig7", groups, func(key string, r Result, jobErr error) {
+		if _, err := execute(opts, groups, func(key string, r Result, jobErr error) {
 			if jobErr == nil {
 				out[key] = r
 			}
-		}); err != nil {
+		}, inProcess); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -79,25 +78,20 @@ func TestRunnerErrorKeepsSiblings(t *testing.T) {
 			},
 		}
 	}
-	jobs := runner.SimJobs([]SimJob{
+	results, errs, sum := executeJobs(t, Options{Parallelism: 2},
 		mkJob("point-a", Naive, false),
 		mkJob("point-b", Scope, true),
 		mkJob("point-c", SWFlush, false),
-	})
-	rs := runner.RunJobs(jobs, runner.Options[Result]{Parallelism: 2})
-	if len(rs) != 3 {
-		t.Fatalf("got %d results", len(rs))
+	)
+	if err := errs["point-b"]; err == nil || !strings.Contains(err.Error(), "injected failure") || len(errs) != 1 {
+		t.Fatalf("failed job not reported against its key: %v", errs)
 	}
-	if rs[1].Err == nil || !strings.Contains(rs[1].Err.Error(), "injected failure") || rs[1].Key != "point-b" {
-		t.Fatalf("failed job not reported against its key: %+v", rs[1])
-	}
-	for _, i := range []int{0, 2} {
-		if rs[i].Err != nil || rs[i].Value.Cycles == 0 {
-			t.Fatalf("sibling %s lost: err=%v cycles=%d", rs[i].Key, rs[i].Err, rs[i].Value.Cycles)
+	for _, key := range []string{"point-a", "point-c"} {
+		if results[key].Cycles == 0 {
+			t.Fatalf("sibling %s lost: %+v", key, results[key])
 		}
 	}
-	sum := runner.Summarize(rs)
-	if sum.Jobs != 3 || sum.Failed != 1 {
+	if sum.Distinct != 3 || sum.Done != 2 || sum.Failed != 1 {
 		t.Fatalf("summary %+v", sum)
 	}
 }

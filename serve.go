@@ -6,7 +6,8 @@ package bulkpim
 // request (experiment × scale × seed × config overrides) to its
 // deduplicated plan, strict config-override validation, the shared
 // result cache, and the two execution backends (in-process local
-// workers, or the `pimbench work` subprocess fleet Coordinate uses).
+// workers, or the `pimbench work` subprocess fleet Coordinate uses),
+// both on the executor's coord.Pool.
 
 import (
 	"bytes"
@@ -154,23 +155,18 @@ func (pc *planCache) resolve(spec coord.JobSpec) (*resolvedPlan, error) {
 	return rp, nil
 }
 
-// execute resolves a job's spec and runs the fingerprint's simulation.
-// A panicking point becomes a job-level error, mirroring the in-process
-// runner's panic capture: the worker survives to serve its siblings.
-func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Result, err error) {
-	rp, err := pc.resolve(spec)
+// execute resolves a task's spec and runs the fingerprint's
+// simulation. Its workers (localWorker) capture a panicking point as a
+// job-level error, so they survive to serve its siblings.
+func (pc *planCache) execute(t coord.Task) (Result, error) {
+	rp, err := pc.resolve(t.Spec)
 	if err != nil {
-		return r, err
+		return Result{}, err
 	}
-	j, ok := rp.byFP[fingerprint]
+	j, ok := rp.byFP[t.Fingerprint]
 	if !ok {
-		return r, fmt.Errorf("unknown fingerprint %s for %s: %w", fingerprint, key, coord.ErrPlanSkew)
+		return Result{}, fmt.Errorf("unknown fingerprint %s for %s: %w", t.Fingerprint, t.Key, coord.ErrPlanSkew)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-		}
-	}()
 	return j.Run()
 }
 
@@ -181,11 +177,13 @@ func (pc *planCache) execute(spec coord.JobSpec, key, fingerprint string) (r Res
 // the crash-injection test hook (serve that many jobs, then exit 3 on
 // the next).
 func ServeWorker(opts Options, in io.Reader, out io.Writer, failAfter int) error {
-	pc := newPlanCache(opts)
+	w := localWorker(newPlanCache(opts).execute)
 	return coord.Serve(in, out, coord.ServeOptions{
-		ExecuteSpec: pc.execute,
-		FailAfter:   failAfter,
-		Log:         opts.Log,
+		ExecuteSpec: func(spec coord.JobSpec, key, fingerprint string) (Result, error) {
+			return w.Run(coord.Task{Key: key, Fingerprint: fingerprint, Spec: spec})
+		},
+		FailAfter: failAfter,
+		Log:       opts.Log,
 	})
 }
 
@@ -244,7 +242,7 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 	if target <= 0 {
 		target = 2
 	}
-	launch := func(int) (coord.Worker, error) { return &localServeWorker{pc: s.pc}, nil }
+	launch := func(int) (coord.Worker, error) { return localWorker(s.pc.execute), nil }
 	if !sopts.Local {
 		launch = procLauncher(opts, sopts.WorkerCmd, sopts.WorkerStderr, sopts.FailWorker, sopts.FailAfter)
 	}
@@ -438,18 +436,3 @@ func (s *Server) exec(req serve.JobRequest, p serve.Point, done func(Result, err
 		done(Result{}, err)
 	}
 }
-
-// localServeWorker executes tasks in-process. Execution errors
-// are job-level (*coord.JobError): an in-process worker does not die
-// with its job.
-type localServeWorker struct{ pc *planCache }
-
-func (w *localServeWorker) Run(t coord.Task) (Result, error) {
-	v, err := w.pc.execute(t.Spec, t.Key, t.Fingerprint)
-	if err != nil {
-		return Result{}, &coord.JobError{Msg: err.Error()}
-	}
-	return v, nil
-}
-
-func (w *localServeWorker) Close() error { return nil }

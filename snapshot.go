@@ -89,14 +89,13 @@ func generateTPCH(snap *SnapshotStore, q tpch.QuerySpec, threads int, scale floa
 	return w
 }
 
-// plannedIdentities collects the workload identity strings a plan's
-// jobs carry in Extra.
-func plannedIdentities(planned []plannedExperiment) map[string]bool {
+// plannedIdentities collects the workload identity strings the jobs of
+// fingerprint groups carry in Extra. The fingerprint folds Extra in, so
+// a plan's groups carry every identity its jobs do.
+func plannedIdentities(groups []*fpGroup) map[string]bool {
 	identities := map[string]bool{}
-	for _, p := range planned {
-		for _, j := range p.jobs {
-			identities[j.Extra] = true
-		}
+	for _, g := range groups {
+		identities[g.job.Extra] = true
 	}
 	return identities
 }
@@ -110,7 +109,7 @@ func plannedIdentities(planned []plannedExperiment) map[string]bool {
 // identity, so a TPC-H-only run pre-warms nothing. Databases whose
 // snapshot already exists are skipped with a header-only presence
 // check (no multi-GB load just to discard it). Coordinate calls this
-// before dispatch, with the plan it dispatches from, so a fleet
+// before its first worker launches, with the jobs it dispatches, so a fleet
 // sharing the store's filesystem finds the big databases instead of
 // racing to regenerate them; everything smaller is published by
 // whichever worker generates it first. No-op without a store. Returns

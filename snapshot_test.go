@@ -112,11 +112,11 @@ func TestPrewarmSnapshots(t *testing.T) {
 	// identities of the plan it dispatches.
 	prewarm := func(name string, opts Options) int {
 		t.Helper()
-		planned, err := planFor(name, opts)
+		groups, _, err := planGroups(name, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return prewarmPlanned(opts, plannedIdentities(planned))
+		return prewarmPlanned(opts, plannedIdentities(groups))
 	}
 	snap, err := OpenSnapshotStore(t.TempDir())
 	if err != nil {

@@ -3,14 +3,12 @@ package bulkpim
 // Streaming reports: instead of one batch report after the last job of
 // the last experiment, each declared artifact (registry.go) is
 // rendered and emitted the moment its final job settles. The machinery
-// is split in two so every execution path can reuse it — ReportStream
-// is the per-artifact remaining-key countdown fed by job settlements
-// (the in-process executor's fan-out or coordinator completions), and
-// StreamAssembler reorders the resulting emissions into canonical
-// report order. StreamReport wires both onto a local run — it is the
-// only way a local report is produced, so streamed and batch output
-// are the same bytes; Coordinate accepts a Stream hook for the fleet
-// path (coordinate.go).
+// is split in two — reportStream is the per-artifact remaining-key
+// countdown fed by the executor's settlements (fanOut), and
+// streamAssembler reorders the resulting emissions into canonical
+// report order. streamRun wires both onto one execute run; it is the
+// only way a report is produced, local (StreamReport) or coordinated
+// (Coordinate), so every run prints the same bytes.
 
 import (
 	"errors"
@@ -36,8 +34,8 @@ type StreamEmit struct {
 	Err        error
 }
 
-// streamArtifact is one artifact's countdown state; err records the
-// first failed job among its keys.
+// streamArtifact is one artifact's countdown state; err joins the
+// failures of the jobs among its keys.
 type streamArtifact struct {
 	spec      ExperimentSpec
 	name      string
@@ -46,7 +44,7 @@ type streamArtifact struct {
 	err       error
 }
 
-// ReportStream tracks per-artifact remaining-key countdowns over
+// reportStream tracks per-artifact remaining-key countdowns over
 // settling job results and emits each artifact — rendered from results
 // alone — the moment its last key settles. Settle is safe for
 // concurrent use; emissions are serialized under one mutex. A key is
@@ -55,7 +53,7 @@ type streamArtifact struct {
 // TestManifestKeyFingerprintCoherent), so the first settlement of a
 // shared key — the Naive baselines several experiments plan — answers
 // every artifact listening on it.
-type ReportStream struct {
+type reportStream struct {
 	opts Options
 	emit func(StreamEmit)
 
@@ -81,16 +79,16 @@ func streamSpecs(name string) ([]ExperimentSpec, error) {
 	return []ExperimentSpec{spec}, nil
 }
 
-// NewReportStream builds the countdown tracker for the named
+// newReportStream builds the countdown tracker for the named
 // experiment ("all" for the suite) and immediately emits every
 // jobless artifact — the static tables are renderable before any job
 // runs, so they stream out at construction.
-func NewReportStream(name string, opts Options, emit func(StreamEmit)) (*ReportStream, error) {
+func newReportStream(name string, opts Options, emit func(StreamEmit)) (*reportStream, error) {
 	specs, err := streamSpecs(name)
 	if err != nil {
 		return nil, err
 	}
-	s := &ReportStream{
+	s := &reportStream{
 		opts:    opts,
 		emit:    emit,
 		rs:      &ResultSet{byKey: map[string]Result{}},
@@ -121,9 +119,9 @@ func NewReportStream(name string, opts Options, emit func(StreamEmit)) (*ReportS
 // artifact whose last outstanding key this was is rendered and emitted
 // before Settle returns. A failed job still counts down, so a stream
 // always terminates, and it fails every artifact listening on its key:
-// such an artifact emits the job's error instead of a render, and
-// assemblers skip it.
-func (s *ReportStream) Settle(key string, r Result, jobErr error) {
+// such an artifact emits its failed jobs' errors instead of a render,
+// and assemblers skip it.
+func (s *reportStream) Settle(key string, r Result, jobErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.settled[key] {
@@ -137,8 +135,8 @@ func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 		if sa.done {
 			continue
 		}
-		if jobErr != nil && sa.err == nil {
-			sa.err = fmt.Errorf("%s: %w", key, jobErr)
+		if jobErr != nil {
+			sa.err = errors.Join(sa.err, fmt.Errorf("%s: %w", key, jobErr))
 		}
 		delete(sa.remaining, key)
 		if len(sa.remaining) == 0 {
@@ -148,7 +146,7 @@ func (s *ReportStream) Settle(key string, r Result, jobErr error) {
 }
 
 // finish renders and emits one completed artifact; callers hold s.mu.
-func (s *ReportStream) finish(sa *streamArtifact) {
+func (s *reportStream) finish(sa *streamArtifact) {
 	sa.done = true
 	e := StreamEmit{Experiment: sa.spec.Name, Artifact: sa.name, Seq: s.seq, Err: sa.err}
 	if e.Err == nil {
@@ -161,7 +159,7 @@ func (s *ReportStream) finish(sa *streamArtifact) {
 }
 
 // Pending returns the number of artifacts not yet emitted.
-func (s *ReportStream) Pending() int {
+func (s *reportStream) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pending
@@ -177,7 +175,7 @@ type streamSlot struct {
 	out      string
 }
 
-// StreamAssembler reassembles streamed emissions into canonical report
+// streamAssembler reassembles streamed emissions into canonical report
 // order, writing incrementally to w: an artifact's bytes go out as
 // soon as it and everything before it in declaration order are ready.
 // A fully-successful stream therefore produces output byte-identical
@@ -186,7 +184,7 @@ type streamSlot struct {
 // with an error is skipped (the run's returned error reports it); in
 // "all" mode an experiment's header and closing blank line are written
 // only if at least one of its artifacts is.
-type StreamAssembler struct {
+type streamAssembler struct {
 	w   io.Writer
 	all bool
 
@@ -198,14 +196,14 @@ type StreamAssembler struct {
 	err   error
 }
 
-// NewStreamAssembler derives the canonical slot order for the named
+// newStreamAssembler derives the canonical slot order for the named
 // experiment ("all" for the suite) from the registry.
-func NewStreamAssembler(name string, w io.Writer) (*StreamAssembler, error) {
+func newStreamAssembler(name string, w io.Writer) (*streamAssembler, error) {
 	specs, err := streamSpecs(name)
 	if err != nil {
 		return nil, err
 	}
-	a := &StreamAssembler{w: w, all: strings.ToLower(name) == "all", index: map[string]int{}}
+	a := &streamAssembler{w: w, all: strings.ToLower(name) == "all", index: map[string]int{}}
 	for _, spec := range specs {
 		names := spec.ArtifactNames()
 		for i, an := range names {
@@ -219,7 +217,7 @@ func NewStreamAssembler(name string, w io.Writer) (*StreamAssembler, error) {
 
 // Observe feeds one emission into the assembler; safe for concurrent
 // use. Unknown or repeated (experiment, artifact) pairs are ignored.
-func (a *StreamAssembler) Observe(e StreamEmit) {
+func (a *streamAssembler) Observe(e StreamEmit) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	i, ok := a.index[e.Experiment+"\x00"+e.Artifact]
@@ -247,7 +245,7 @@ func (a *StreamAssembler) Observe(e StreamEmit) {
 }
 
 // write appends to the output, latching the first writer error.
-func (a *StreamAssembler) write(s string) {
+func (a *streamAssembler) write(s string) {
 	if a.err != nil {
 		return
 	}
@@ -255,33 +253,49 @@ func (a *StreamAssembler) write(s string) {
 }
 
 // Err returns the first error the output writer reported, if any.
-func (a *StreamAssembler) Err() error {
+func (a *streamAssembler) Err() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.err
 }
 
-// StreamReport runs the named experiment ("all" for the suite) on the
-// in-process executor and streams its report: each artifact is
-// rendered and handed to emit the moment its last job settles (emit
-// may be nil), while w receives the artifacts' bytes in canonical
-// report order, incrementally. RunExperiment(name) returns exactly
-// these bytes. The whole plan is made before any job runs, so a Plan
-// error fails the run up front, naming its experiment. Failed jobs
-// fail the artifacts listening on them, which w then omits; the
-// returned error names every failed artifact and its cause. Timings
-// are the per-experiment walls for "all" runs (see ExperimentTiming),
-// nil otherwise.
+// StreamReport runs the named experiment ("all" for the suite) on
+// in-process workers and streams its report: each artifact is rendered
+// and handed to emit the moment its last job settles (emit may be
+// nil), while w receives the artifacts' bytes in canonical report
+// order, incrementally. RunExperiment(name) returns exactly these
+// bytes. With Options.Cache set, only cache misses execute. The whole
+// plan is made before any job runs, so a Plan error fails the run up
+// front, naming its experiment. Failed jobs fail the artifacts
+// listening on them, which w then omits; the returned error names
+// every failed artifact and its failed jobs. Timings are the
+// per-experiment walls for "all" runs (see ExperimentTiming), nil
+// otherwise.
 func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer) ([]ExperimentTiming, error) {
+	timings, sum, err := streamRun(name, opts, emit, w, inProcess)
+	if sum.Planned > 0 {
+		opts.log("%s: %s", strings.ToLower(name), sum)
+	}
+	return timings, err
+}
+
+// streamRun plans the named experiment ("all" for the suite), runs it
+// through execute on x's workers, and streams its report to w and each
+// emission to emit (when non-nil). It returns the per-experiment
+// timings of an "all" run, the run's accounting, and an error naming
+// every failed worker launch, every failed artifact and any error
+// writing w.
+func streamRun(name string, opts Options, emit func(StreamEmit), w io.Writer, x executor) ([]ExperimentTiming, CoordSummary, error) {
 	start := time.Now()
-	asm, err := NewStreamAssembler(name, w)
+	asm, err := newStreamAssembler(name, w)
 	if err != nil {
-		return nil, err
+		return nil, CoordSummary{}, err
 	}
-	groups, _, err := planGroups(name, opts)
+	groups, manifest, err := planGroups(name, opts)
 	if err != nil {
-		return nil, err
+		return nil, CoordSummary{}, err
 	}
+	// Emissions are serialized: they run under the stream's lock.
 	last := map[string]time.Duration{}
 	var failed []error
 	observe := func(e StreamEmit) {
@@ -294,14 +308,15 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 			emit(e)
 		}
 	}
-	stream, err := NewReportStream(name, opts, observe)
+	stream, err := newReportStream(name, opts, observe)
 	if err != nil {
-		return nil, err
+		return nil, CoordSummary{}, err
 	}
 	// Every planned key belongs to one of its experiment's artifacts
-	// (TestArtifactContract), so each job failure is already in failed,
-	// named by the artifacts it failed.
-	_ = execute(opts, strings.ToLower(name), groups, stream.Settle)
+	// (TestArtifactContract), so each job failure reaches failed, named
+	// by the artifacts it failed.
+	sum, launchErr := execute(opts, groups, stream.Settle, x)
+	sum.Planned = len(manifest)
 
 	var timings []ExperimentTiming
 	if strings.ToLower(name) == "all" {
@@ -312,5 +327,5 @@ func StreamReport(name string, opts Options, emit func(StreamEmit), w io.Writer)
 	if werr := asm.Err(); werr != nil {
 		failed = append(failed, fmt.Errorf("stream write: %w", werr))
 	}
-	return timings, errors.Join(failed...)
+	return timings, sum, errors.Join(append([]error{launchErr}, failed...)...)
 }

@@ -141,7 +141,7 @@ func TestStreamReportSingleExperiment(t *testing.T) {
 // tables) emit at stream construction, before any job settles.
 func TestReportStreamStaticImmediate(t *testing.T) {
 	var emits []StreamEmit
-	s, err := NewReportStream("table2", Options{Scale: ScaleSmoke}, func(e StreamEmit) {
+	s, err := newReportStream("table2", Options{Scale: ScaleSmoke}, func(e StreamEmit) {
 		emits = append(emits, e)
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestReportStreamStaticImmediate(t *testing.T) {
 func TestReportStreamFailedJob(t *testing.T) {
 	opts := Options{Scale: ScaleSmoke}
 	var emits []StreamEmit
-	s, err := NewReportStream("fig1", opts, func(e StreamEmit) {
+	s, err := newReportStream("fig1", opts, func(e StreamEmit) {
 		emits = append(emits, e)
 	})
 	if err != nil {
