@@ -44,44 +44,93 @@ func (s MESI) String() string {
 	}
 }
 
-// Line is one cache line with its coherence and directory metadata.
+// Line is one cache line with its coherence and directory metadata. It
+// holds no pointers and its zero value is an empty way, so a set-assoc
+// array is one allocation the GC never scans. Fields run widest first so
+// the struct packs into 48 bytes (TestLineLayout).
 type Line struct {
-	Addr  mem.LineAddr
+	Addr mem.LineAddr
+	// Writer is the happens-before event of the write that produced the
+	// payload.
+	Writer uint64
+	// Directory state (LLC only): Sharers is a bitmask of cores holding S
+	// copies; see Owner for the E/M holder.
+	Sharers uint64
+
+	used uint64
+	// data is the payload's handle in the owning array's slot arena; 0
+	// means the line has no payload.
+	data  uint32
+	Scope mem.ScopeID
 	State MESI
 	// Dirty marks LLC contents newer than memory (merged L1 writebacks).
 	Dirty bool
 	// PIMEnabled marks lines of PIM-enabled scopes (drives the SBV).
 	PIMEnabled bool
-	Scope      mem.ScopeID
-	// Data is the 64-byte payload; Writer the happens-before event of the
-	// write that produced it.
-	Data   []byte
-	Writer uint64
-	// Directory state (LLC only): Sharers is a bitmask of cores holding S
-	// copies; Owner is the core holding E/M, or -1.
-	Sharers uint64
-	Owner   int
-
-	used  uint64
+	// owner is the E/M-holding core plus one; 0 means no owner.
+	owner uint8
 	valid bool
 }
 
-// setAssoc is an N-way set-associative array with LRU replacement.
+// Owner returns the core holding the line E/M (LLC directory), or -1.
+func (ln *Line) Owner() int { return int(ln.owner) - 1 }
+
+// setOwner records core as the E/M holder; -1 clears it.
+func (ln *Line) setOwner(core int) { ln.owner = uint8(core + 1) }
+
+// slotBlock is how many 64-byte payload slots an arena grows by.
+const slotBlock = 128
+
+// slotArena holds the payloads of one set-assoc array in 64-byte slots,
+// allocated in blocks and recycled through a free list. Handles start at
+// 1 so a zero Line.data means "no payload". Blocks never move, so a
+// payload slice stays valid memory, but its contents belong to the slot's
+// next owner once the line releases it.
+type slotArena struct {
+	blocks []*[slotBlock][mem.LineSize]byte
+	free   []uint32
+}
+
+// alloc returns a zeroed slot's handle.
+func (a *slotArena) alloc() uint32 {
+	n := len(a.free)
+	if n == 0 {
+		base := uint32(len(a.blocks)) * slotBlock
+		a.blocks = append(a.blocks, new([slotBlock][mem.LineSize]byte))
+		for i := uint32(slotBlock); i > 0; i-- {
+			a.free = append(a.free, base+i)
+		}
+		n = slotBlock
+	}
+	h := a.free[n-1]
+	a.free = a.free[:n-1]
+	clear(a.bytes(h))
+	return h
+}
+
+// release returns slot h to the free list.
+func (a *slotArena) release(h uint32) { a.free = append(a.free, h) }
+
+// bytes is the payload of slot h (h != 0).
+func (a *slotArena) bytes(h uint32) []byte {
+	i := h - 1
+	return a.blocks[i/slotBlock][i%slotBlock][:]
+}
+
+// setAssoc is an N-way set-associative array with LRU replacement. Line
+// payloads live in its slot arena; Invalidate returns them.
 type setAssoc struct {
 	sets, ways int
 	lines      []Line
 	clock      uint64
+	slots      slotArena
 }
 
 func newSetAssoc(sets, ways int) setAssoc {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic("cache: geometry must be positive with power-of-two sets")
 	}
-	lines := make([]Line, sets*ways)
-	for i := range lines {
-		lines[i].Owner = -1
-	}
-	return setAssoc{sets: sets, ways: ways, lines: lines}
+	return setAssoc{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
 }
 
 // SetOf maps a line address to its set index.
@@ -133,27 +182,50 @@ func (c *setAssoc) Victim(l mem.LineAddr) *Line {
 // Install places a line into slot v (which the caller has vacated).
 func (c *setAssoc) Install(v *Line, l mem.LineAddr, state MESI) {
 	c.clock++
-	*v = Line{Addr: l, State: state, Owner: -1, used: c.clock, valid: true}
+	*v = Line{Addr: l, State: state, used: c.clock, valid: true}
 }
 
-// ForEachInSet visits valid lines of one set.
-func (c *setAssoc) ForEachInSet(idx int, fn func(*Line)) {
-	set := c.set(idx)
-	for i := range set {
-		if set[i].valid {
-			fn(&set[i])
-		}
-	}
-}
-
-// Invalidate clears a line slot.
+// Invalidate clears a line slot and returns its payload slot.
 func (c *setAssoc) Invalidate(ln *Line) {
+	if ln.data != 0 {
+		c.slots.release(ln.data)
+		ln.data = 0
+	}
 	ln.valid = false
 	ln.State = Invalid
-	ln.Data = nil
 	ln.Sharers = 0
-	ln.Owner = -1
+	ln.owner = 0
 	ln.Dirty = false
+}
+
+// Data returns ln's payload, or nil if it has none. The slice aliases the
+// arena: callers consume it before the line changes hands.
+func (c *setAssoc) Data(ln *Line) []byte {
+	if ln.data == 0 {
+		return nil
+	}
+	return c.slots.bytes(ln.data)
+}
+
+// payload returns ln's payload, giving it a zeroed slot first if it has
+// none.
+func (c *setAssoc) payload(ln *Line) []byte {
+	if ln.data == 0 {
+		ln.data = c.slots.alloc()
+	}
+	return c.slots.bytes(ln.data)
+}
+
+// SetData copies src into ln's payload; a nil src releases the payload.
+func (c *setAssoc) SetData(ln *Line, src []byte) {
+	if src == nil {
+		if ln.data != 0 {
+			c.slots.release(ln.data)
+			ln.data = 0
+		}
+		return
+	}
+	copy(c.payload(ln), src)
 }
 
 // Valid reports whether the slot holds a line.
@@ -168,41 +240,6 @@ func (c *setAssoc) CountValid() int {
 		}
 	}
 	return n
-}
-
-// Sets returns the set count.
-func (c *setAssoc) Sets() int { return c.sets }
-
-// Ways returns the way count.
-func (c *setAssoc) Ways() int { return c.ways }
-
-// cloneData copies line payloads defensively (tests; the hot paths use
-// pooled buffers via setLineData / RequestPool.CloneLine instead).
-func cloneData(d []byte) []byte {
-	if d == nil {
-		return nil
-	}
-	out := make([]byte, len(d))
-	copy(out, d)
-	return out
-}
-
-// setLineData copies src into ln's payload, reusing the line's pooled
-// buffer in place (allocating one from the pool only on first use). A nil
-// src releases the buffer. Every Line.Data in the hierarchy is pool-owned;
-// the component invalidating a slot returns its buffer.
-func setLineData(p *mem.RequestPool, ln *Line, src []byte) {
-	if src == nil {
-		if ln.Data != nil {
-			p.PutLine(ln.Data)
-			ln.Data = nil
-		}
-		return
-	}
-	if ln.Data == nil {
-		ln.Data = p.GetLine()
-	}
-	copy(ln.Data[:mem.LineSize], src)
 }
 
 // FillWaiter is a closure-free L1 fill continuation: Fn(Ctx, line, data,

@@ -21,9 +21,9 @@ type L1 struct {
 	llc *LLC
 	up  *noc.Link // requests toward the LLC
 
-	// Pool supplies requests and line buffers. NewL1 creates a private
-	// pool; the system builder overrides it so the whole machine shares
-	// one.
+	// Pool supplies requests. NewL1 creates a private pool; the system
+	// builder overrides it so the whole machine shares one. Line payloads
+	// live in arr's slot arena.
 	Pool *mem.RequestPool
 
 	// SB/SBV are non-nil only for the scope-relaxed model.
@@ -111,11 +111,11 @@ func (c *L1) putMiss(e *l1Miss) {
 }
 
 // TryLoad returns the line's data and writer on a hit. The returned slice
-// is the cache's own pooled buffer: callers consume it synchronously.
+// is the cache's own payload slot: callers consume it synchronously.
 func (c *L1) TryLoad(l mem.LineAddr) (data []byte, writer uint64, ok bool) {
 	if ln := c.arr.Lookup(l); ln.Valid() {
 		c.Hits.Inc()
-		return ln.Data, ln.Writer, true
+		return c.arr.Data(ln), ln.Writer, true
 	}
 	return nil, 0, false
 }
@@ -128,10 +128,7 @@ func (c *L1) TryStore(l mem.LineAddr, off int, data []byte, writer uint64) bool 
 		return false
 	}
 	c.Hits.Inc()
-	if ln.Data == nil {
-		ln.Data = c.Pool.GetLine()
-	}
-	copy(ln.Data[off:off+len(data)], data)
+	copy(c.arr.payload(ln)[off:off+len(data)], data)
 	ln.State = Modified
 	ln.Writer = writer
 	return true
@@ -235,7 +232,7 @@ func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pim
 	if ln := c.arr.Peek(l); ln.Valid() {
 		// Upgrade in place (e.g. S -> E on a GetM fill).
 		ln.State = state
-		setLineData(c.Pool, ln, data)
+		c.arr.SetData(ln, data)
 		ln.Writer = writer
 		return
 	}
@@ -244,7 +241,7 @@ func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pim
 		c.evict(v)
 	}
 	c.arr.Install(v, l, state)
-	setLineData(c.Pool, v, data)
+	c.arr.SetData(v, data)
 	v.Writer = writer
 	v.PIMEnabled = pimEnabled
 	v.Scope = scope
@@ -261,19 +258,10 @@ func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pim
 func (c *L1) evict(v *Line) {
 	if v.State == Modified {
 		c.Writebacks.Inc()
-		c.llc.WritebackFromL1(c.CoreID, v.Addr, v.Data, v.Writer)
+		c.llc.WritebackFromL1(c.CoreID, v.Addr, c.arr.Data(v), v.Writer)
 	}
 	if v.PIMEnabled && c.SBV != nil {
 		c.SBV.OnEvict(c.arr.SetOf(v.Addr))
-	}
-	c.dropLine(v)
-}
-
-// dropLine invalidates a slot, returning its payload buffer to the pool.
-func (c *L1) dropLine(v *Line) {
-	if v.Data != nil {
-		c.Pool.PutLine(v.Data)
-		v.Data = nil
 	}
 	c.arr.Invalidate(v)
 }
@@ -287,16 +275,17 @@ func (c *L1) RecallLine(l mem.LineAddr, invalidate bool, dst []byte) (writer uin
 	if !ln.Valid() {
 		return 0, false, false
 	}
-	dirty = ln.State == Modified && ln.Data != nil
+	data := c.arr.Data(ln)
+	dirty = ln.State == Modified && data != nil
 	writer = ln.Writer
 	if dirty {
-		copy(dst[:mem.LineSize], ln.Data)
+		copy(dst[:mem.LineSize], data)
 	}
 	if invalidate {
 		if ln.PIMEnabled && c.SBV != nil {
 			c.SBV.OnEvict(c.arr.SetOf(l))
 		}
-		c.dropLine(ln)
+		c.arr.Invalidate(ln)
 	} else if ln.State == Modified || ln.State == Exclusive {
 		ln.State = Shared
 	}

@@ -29,9 +29,9 @@ type LLC struct {
 	SBV    *core.SBV
 	Scopes *mem.ScopeMap
 
-	// Pool supplies requests, fills and line buffers. NewLLC creates a
+	// Pool supplies requests and in-flight line buffers. NewLLC creates a
 	// private pool; the system builder overrides it so the whole machine
-	// shares one.
+	// shares one. Cached payloads live in arr's slot arena.
 	Pool *mem.RequestPool
 
 	l1s  []*L1
@@ -321,19 +321,19 @@ func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
 	if ln.Valid() {
 		l.Hits.Inc()
 		cost := l.HitLatency
-		if ln.Owner >= 0 && ln.Owner != req.Core {
-			writer, dirty, present := l.l1s[ln.Owner].RecallLine(req.Line, req.Excl, l.recallBuf[:])
+		if owner := ln.Owner(); owner >= 0 && owner != req.Core {
+			writer, dirty, present := l.l1s[owner].RecallLine(req.Line, req.Excl, l.recallBuf[:])
 			if present {
 				if dirty {
-					setLineData(l.Pool, ln, l.recallBuf[:])
+					l.arr.SetData(ln, l.recallBuf[:])
 					ln.Writer = writer
 					ln.Dirty = true
 				}
 				if !req.Excl {
-					ln.Sharers |= 1 << uint(ln.Owner)
+					ln.Sharers |= 1 << uint(owner)
 				}
 			}
-			ln.Owner = -1
+			ln.setOwner(-1)
 			cost += 8 // owner round trip
 		}
 		l.grant(ln, req)
@@ -402,7 +402,7 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 	if v.Valid() {
 		// The line reappeared (e.g. installed by a racing writeback path);
 		// reuse the slot.
-		l.dropLine(v)
+		l.arr.Invalidate(v)
 	} else {
 		v = l.arr.Victim(fetch.Line)
 		if v.Valid() {
@@ -410,7 +410,7 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 		}
 	}
 	l.arr.Install(v, fetch.Line, Shared)
-	setLineData(l.Pool, v, fetch.Data)
+	l.arr.SetData(v, fetch.Data)
 	v.Writer = fetch.Writer
 	scope := l.Scopes.ScopeOf(fetch.Line.Addr())
 	v.Scope = scope
@@ -442,20 +442,20 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 			if i == req.Core {
 				continue
 			}
-			if ln.Sharers&(1<<uint(i)) != 0 || ln.Owner == i {
+			if ln.Sharers&(1<<uint(i)) != 0 || ln.Owner() == i {
 				writer, dirty, present := l.l1s[i].RecallLine(ln.Addr, true, l.recallBuf[:])
 				if present && dirty {
-					setLineData(l.Pool, ln, l.recallBuf[:])
+					l.arr.SetData(ln, l.recallBuf[:])
 					ln.Writer = writer
 					ln.Dirty = true
 				}
 			}
 		}
 		ln.Sharers = 0
-		ln.Owner = req.Core
+		ln.setOwner(req.Core)
 		state = Exclusive
-	} else if ln.Sharers == 0 && ln.Owner < 0 {
-		ln.Owner = req.Core
+	} else if ln.Sharers == 0 && ln.Owner() < 0 {
+		ln.setOwner(req.Core)
 		state = Exclusive
 	} else {
 		ln.Sharers |= 1 << uint(req.Core)
@@ -463,8 +463,8 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 	}
 	m := l.getFill()
 	m.addr, m.state = ln.Addr, state
-	if ln.Data != nil {
-		m.data = l.Pool.CloneLine(ln.Data)
+	if data := l.arr.Data(ln); data != nil {
+		m.data = l.Pool.CloneLine(data)
 	}
 	m.writer = ln.Writer
 	m.pim, m.scope = ln.PIMEnabled, ln.Scope
@@ -490,10 +490,10 @@ func (l *LLC) deliverFill(req *mem.Request, state MESI, data []byte, writer uint
 // data, clear SBV.
 func (l *LLC) evictVictim(v *Line) {
 	for i := range l.l1s {
-		if v.Sharers&(1<<uint(i)) != 0 || v.Owner == i {
+		if v.Sharers&(1<<uint(i)) != 0 || v.Owner() == i {
 			writer, dirty, present := l.l1s[i].RecallLine(v.Addr, true, l.recallBuf[:])
 			if present && dirty {
-				setLineData(l.Pool, v, l.recallBuf[:])
+				l.arr.SetData(v, l.recallBuf[:])
 				v.Writer = writer
 				v.Dirty = true
 			}
@@ -505,15 +505,6 @@ func (l *LLC) evictVictim(v *Line) {
 	if v.PIMEnabled && l.SBV != nil {
 		l.SBV.OnEvict(l.arr.SetOf(v.Addr))
 	}
-	l.dropLine(v)
-}
-
-// dropLine invalidates a slot, returning its payload buffer to the pool.
-func (l *LLC) dropLine(v *Line) {
-	if v.Data != nil {
-		l.Pool.PutLine(v.Data)
-		v.Data = nil
-	}
 	l.arr.Invalidate(v)
 }
 
@@ -522,8 +513,8 @@ func (l *LLC) writebackToMemory(v *Line) {
 	r := l.Pool.Get()
 	r.Kind, r.Line, r.Scope = mem.ReqWriteback, v.Addr, v.Scope
 	r.Writer, r.Core = v.Writer, -1
-	if v.Data != nil {
-		r.Data = l.Pool.CloneLine(v.Data)
+	if data := l.arr.Data(v); data != nil {
+		r.Data = l.Pool.CloneLine(data)
 		r.DataPooled = true
 	}
 	l.egressPush(r)
@@ -538,11 +529,11 @@ func (l *LLC) WritebackFromL1(coreID int, line mem.LineAddr, data []byte, writer
 		// data; nothing to do.
 		return
 	}
-	setLineData(l.Pool, ln, data)
+	l.arr.SetData(ln, data)
 	ln.Writer = writer
 	ln.Dirty = true
-	if ln.Owner == coreID {
-		ln.Owner = -1
+	if ln.Owner() == coreID {
+		ln.setOwner(-1)
 	}
 	ln.Sharers &^= 1 << uint(coreID)
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Randomized mixes of loads, stores, PIM scans, flushes and fences must
-// preserve the coherence invariants at every step and never lose data
-// that reached its visibility point.
+// preserve the coherence invariants and every array's payload-slot
+// accounting at every step, and never lose data that reached its
+// visibility point.
 func TestCoherenceInvariantsWithPIMScans(t *testing.T) {
 	r := newRig(t, core.Atomic, 3)
 	rng := sim.NewRand(777)
@@ -44,6 +45,9 @@ func TestCoherenceInvariantsWithPIMScans(t *testing.T) {
 		}
 		if addr, bad := r.llc.CheckInclusive(); bad {
 			t.Fatalf("step %d: inclusivity violated at %#x", step, uint64(addr))
+		}
+		if err := r.checkSlots(); err != nil {
+			t.Fatalf("step %d: payload slots: %v", step, err)
 		}
 	}
 }

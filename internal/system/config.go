@@ -6,6 +6,7 @@
 package system
 
 import (
+	"fmt"
 	"io"
 
 	"bulkpim/internal/core"
@@ -134,4 +135,29 @@ func Default() Config {
 // Seconds converts cycles to wall-clock seconds at the configured clock.
 func (c Config) Seconds(ticks sim.Tick) float64 {
 	return float64(ticks) / (c.ClockGHz * 1e9)
+}
+
+// maxCores is the largest core count the LLC directory tracks: sharers
+// are a 64-bit mask.
+const maxCores = 64
+
+// Validate reports a configuration the machine cannot be built from: a
+// core count outside [1, maxCores], or an L1/LLC geometry without
+// power-of-two sets and at least one way.
+func (c Config) Validate() error {
+	if c.Cores < 1 || c.Cores > maxCores {
+		return fmt.Errorf("system: Cores = %d, want 1..%d", c.Cores, maxCores)
+	}
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{{"L1", c.L1Sets, c.L1Ways}, {"LLC", c.LLCSets, c.LLCWays}} {
+		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
+			return fmt.Errorf("system: %sSets = %d, want a power of two", g.name, g.sets)
+		}
+		if g.ways < 1 {
+			return fmt.Errorf("system: %sWays = %d, want >= 1", g.name, g.ways)
+		}
+	}
+	return nil
 }

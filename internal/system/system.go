@@ -40,8 +40,12 @@ type System struct {
 	running int
 }
 
-// New builds and wires a system for cfg.
+// New builds and wires a system for cfg. It panics with cfg.Validate's
+// error if cfg describes no buildable machine.
 func New(cfg Config) *System {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	k := sim.NewKernel()
 	k.EventLimit = 0
 	rng := sim.NewRand(cfg.Seed)

@@ -31,9 +31,9 @@ import (
 // an object of Config field overrides such as {"Cores":2,"MCQueue":16}
 // — and returns a pure mutator applying it, or nil for an empty/null
 // override. Decoding is strict (unknown fields, type mismatches and
-// trailing data are errors) and validated once against the default
-// Config, so a bad override is rejected at request time, never inside
-// a worker.
+// trailing data are errors), and the override applied to the default
+// Config must pass Config.Validate, so a bad override is rejected at
+// request time, never inside a worker.
 func ParseConfigOverride(raw []byte) (func(*Config), error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) == 0 || bytes.Equal(trimmed, []byte("null")) {
@@ -52,6 +52,9 @@ func ParseConfigOverride(raw []byte) (func(*Config), error) {
 	}
 	probe := DefaultConfig()
 	if err := apply(&probe); err != nil {
+		return nil, fmt.Errorf("config override: %w", err)
+	}
+	if err := probe.Validate(); err != nil {
 		return nil, fmt.Errorf("config override: %w", err)
 	}
 	// The mutator re-applies the already-validated document; decoding

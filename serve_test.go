@@ -49,6 +49,10 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"Cores":2} {"x":1}`, // trailing data
 		`{"Cores":`,           // truncated
 		`true`,
+		`{"Cores":65}`,  // more cores than the sharer mask tracks
+		`{"Cores":0}`,   // no cores
+		`{"LLCSets":3}`, // not a power of two
+		`{"L1Ways":0}`,  // no ways
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
