@@ -15,6 +15,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("smallest geometry with %d cores rejected: %v", maxCores, err)
 	}
+	unbounded := Default()
+	unbounded.PIMBufferSize = 0 // Fig. 11a
+	if err := unbounded.Validate(); err != nil {
+		t.Fatalf("unbounded PIM buffer rejected: %v", err)
+	}
 	for name, mut := range map[string]func(*Config){
 		"Cores=0":    func(c *Config) { c.Cores = 0 },
 		"Cores=65":   func(c *Config) { c.Cores = maxCores + 1 },
@@ -25,6 +30,19 @@ func TestConfigValidate(t *testing.T) {
 		"LLCSets=3":  func(c *Config) { c.LLCSets = 3 },
 		"LLCSets=-8": func(c *Config) { c.LLCSets = -8 },
 		"LLCWays=-1": func(c *Config) { c.LLCWays = -1 },
+
+		// Values that divide by zero, deadlock or silently misrun.
+		"Banks=0":           func(c *Config) { c.Banks = 0 },
+		"Banks=-1":          func(c *Config) { c.Banks = -1 },
+		"MCQueue=0":         func(c *Config) { c.MCQueue = 0 },
+		"MLP=0":             func(c *Config) { c.MLP = 0 },
+		"PIMCredits=0":      func(c *Config) { c.PIMCredits = 0 },
+		"PIMModules=0":      func(c *Config) { c.PIMModules = 0 },
+		"ClockGHz=0":        func(c *Config) { c.ClockGHz = 0 },
+		"ScopeSize=0":       func(c *Config) { c.ScopeSize = 0 },
+		"ScopeSize=3MB":     func(c *Config) { c.ScopeSize = 3 << 20 },
+		"L1ScopeBufWays=0":  func(c *Config) { c.L1ScopeBufWays = 0 },
+		"LLCScopeBufSets=0": func(c *Config) { c.LLCScopeBufSets = 0 },
 	} {
 		cfg := Default()
 		mut(&cfg)

@@ -141,9 +141,12 @@ func (c Config) Seconds(ticks sim.Tick) float64 {
 // are a 64-bit mask.
 const maxCores = 64
 
-// Validate reports a configuration the machine cannot be built from: a
-// core count outside [1, maxCores], or an L1/LLC geometry without
-// power-of-two sets and at least one way.
+// Validate reports a configuration the machine cannot be built from or
+// would misrun: a core count outside [1, maxCores]; an L1/LLC geometry
+// without power-of-two sets and at least one way; a scope buffer without
+// sets or ways; no banks, queue slots, memory-level parallelism, PIM
+// credits or PIM modules; a non-positive clock; or a scope size that is
+// not a power of two. PIMBufferSize 0 is valid (unbounded, Fig. 11a).
 func (c Config) Validate() error {
 	if c.Cores < 1 || c.Cores > maxCores {
 		return fmt.Errorf("system: Cores = %d, want 1..%d", c.Cores, maxCores)
@@ -158,6 +161,28 @@ func (c Config) Validate() error {
 		if g.ways < 1 {
 			return fmt.Errorf("system: %sWays = %d, want >= 1", g.name, g.ways)
 		}
+	}
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{{"L1ScopeBuf", c.L1ScopeBufSets, c.L1ScopeBufWays}, {"LLCScopeBuf", c.LLCScopeBufSets, c.LLCScopeBufWays}} {
+		if g.sets < 1 || g.ways < 1 {
+			return fmt.Errorf("system: %s geometry %dx%d, want >= 1 sets and ways", g.name, g.sets, g.ways)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Banks", c.Banks}, {"MCQueue", c.MCQueue}, {"MLP", c.MLP}, {"PIMCredits", c.PIMCredits}, {"PIMModules", c.PIMModules}} {
+		if f.v < 1 {
+			return fmt.Errorf("system: %s = %d, want >= 1", f.name, f.v)
+		}
+	}
+	if !(c.ClockGHz > 0) {
+		return fmt.Errorf("system: ClockGHz = %v, want > 0", c.ClockGHz)
+	}
+	if c.ScopeSize == 0 || c.ScopeSize&(c.ScopeSize-1) != 0 {
+		return fmt.Errorf("system: ScopeSize = %d, want a power of two", c.ScopeSize)
 	}
 	return nil
 }

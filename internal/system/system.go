@@ -60,11 +60,7 @@ func New(cfg Config) *System {
 	geom := pim.DefaultGeometry()
 	geom.Validate(cfg.ScopeSize)
 
-	nModules := cfg.PIMModules
-	if nModules < 1 {
-		nModules = 1
-	}
-	modules := make([]*pim.Module, nModules)
+	modules := make([]*pim.Module, cfg.PIMModules)
 	for i := range modules {
 		m := pim.NewModule(k, backing)
 		m.BufferSize = cfg.PIMBufferSize

@@ -35,6 +35,11 @@ func TestParseConfigOverride(t *testing.T) {
 		t.Fatalf("override clobbered Banks: %d", cfg.Banks)
 	}
 
+	// An unbounded PIM buffer is Fig. 11a's configuration.
+	if _, err := ParseConfigOverride([]byte(`{"PIMBufferSize":0}`)); err != nil {
+		t.Fatalf("unbounded PIM buffer rejected: %v", err)
+	}
+
 	for _, empty := range []string{"", "   ", "null"} {
 		mut, err := ParseConfigOverride([]byte(empty))
 		if err != nil || mut != nil {
@@ -53,6 +58,17 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"Cores":0}`,   // no cores
 		`{"LLCSets":3}`, // not a power of two
 		`{"L1Ways":0}`,  // no ways
+		`{"Banks":0}`,   // divides by zero
+		`{"Banks":-1}`,  // silently misruns
+		`{"ScopeSize":0}`,
+		`{"L1ScopeBufWays":0}`,
+		`{"MCQueue":0}`, // deadlocks
+		`{"MCQueue":-1}`,
+		`{"MLP":0}`,
+		`{"PIMCredits":0}`,
+		`{"PIMModules":0}`, // silently clamped
+		`{"PIMModules":-1}`,
+		`{"ClockGHz":0}`, // infinite Seconds
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
