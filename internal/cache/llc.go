@@ -51,7 +51,7 @@ type LLC struct {
 	busyUntil     sim.Tick
 	wakeScheduled bool
 
-	mshr     map[mem.LineAddr]*llcMiss
+	mshr     mem.LineTable[*llcMiss]
 	missFree []*llcMiss
 	fillFree []*fillMsg
 
@@ -135,7 +135,6 @@ func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick
 		ScanPerLine: 2,
 		Scopes:      scopes,
 		Pool:        mem.NewRequestPool(),
-		mshr:        make(map[mem.LineAddr]*llcMiss),
 	}
 	if model.FlushesLLCOnPIMOp() {
 		l.SB = core.NewScopeBuffer(64, 4)
@@ -341,10 +340,10 @@ func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
 		return cost
 	}
 	l.Misses.Inc()
-	e := l.mshr[req.Line]
+	e, _ := l.mshr.Get(req.Line)
 	if e == nil {
 		e = l.getMiss()
-		l.mshr[req.Line] = e
+		l.mshr.Put(req.Line, e)
 	}
 	e.waiters = append(e.waiters, req)
 	if !e.issued {
@@ -365,7 +364,7 @@ func (l *LLC) issueMemoryFetch(line mem.LineAddr, scope mem.ScopeID) {
 // fillArrived installs a memory fill and serves the waiters. The caller
 // releases fetch afterwards.
 func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
-	e := l.mshr[fetch.Line]
+	e, _ := l.mshr.Get(fetch.Line)
 	if e == nil {
 		return l.HitLatency
 	}
@@ -393,11 +392,11 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 			l.issueMemoryFetch(fetch.Line, fetch.Scope)
 			return l.HitLatency
 		}
-		delete(l.mshr, fetch.Line)
+		l.mshr.Delete(fetch.Line)
 		l.putMiss(e)
 		return l.HitLatency
 	}
-	delete(l.mshr, fetch.Line)
+	l.mshr.Delete(fetch.Line)
 	v := l.arr.Peek(fetch.Line)
 	if v.Valid() {
 		// The line reappeared (e.g. installed by a racing writeback path);
@@ -640,11 +639,11 @@ func (l *LLC) scanFlush(scope mem.ScopeID) sim.Tick {
 // markStaleMisses flags outstanding misses of the scope so their fills do
 // not resurrect flushed lines (see fillArrived).
 func (l *LLC) markStaleMisses(scope mem.ScopeID) {
-	for line, e := range l.mshr {
+	l.mshr.Range(func(line mem.LineAddr, e *llcMiss) {
 		if l.Scopes.ScopeOf(line.Addr()) == scope {
 			e.stale = true
 		}
-	}
+	})
 }
 
 // egressPush appends a request to the FIFO toward the memory controller
@@ -704,17 +703,17 @@ func (l *LLC) CheckInclusive() (mem.LineAddr, bool) {
 // L1s: a line modified in one L1 appears in no other L1.
 func (l *LLC) CheckSWMR() (mem.LineAddr, bool) {
 	type holder struct{ m, any int }
-	seen := make(map[mem.LineAddr]*holder)
+	var seen mem.LineTable[*holder]
 	for _, l1 := range l.l1s {
 		for i := range l1.arr.lines {
 			ln := &l1.arr.lines[i]
 			if !ln.valid {
 				continue
 			}
-			h := seen[ln.Addr]
+			h, _ := seen.Get(ln.Addr)
 			if h == nil {
 				h = &holder{}
-				seen[ln.Addr] = h
+				seen.Put(ln.Addr, h)
 			}
 			h.any++
 			if ln.State == Modified || ln.State == Exclusive {
@@ -722,10 +721,12 @@ func (l *LLC) CheckSWMR() (mem.LineAddr, bool) {
 			}
 		}
 	}
-	for addr, h := range seen {
-		if h.m > 0 && h.any > 1 {
-			return addr, true
+	var bad mem.LineAddr
+	found := false
+	seen.Range(func(addr mem.LineAddr, h *holder) {
+		if !found && h.m > 0 && h.any > 1 {
+			bad, found = addr, true
 		}
-	}
-	return 0, false
+	})
+	return bad, found
 }

@@ -75,7 +75,7 @@ type Controller struct {
 	// answer "does an earlier conflicting entry exist" in O(1) — an
 	// entry is its line's (or scope's) oldest exactly when its prev
 	// pointer is nil.
-	lineTail  map[mem.LineAddr]*entry
+	lineTail  mem.LineTable[*entry]
 	scopeTail map[mem.ScopeID]*entry
 
 	// ready holds conflict-free waiting entries as a min-heap on seq, so
@@ -169,7 +169,6 @@ func New(k *sim.Kernel, module *pim.Module, backing *mem.Backing) *Controller {
 		BankBusy:    40,
 		Backing:     backing,
 		Pool:        mem.NewRequestPool(),
-		lineTail:    make(map[mem.LineAddr]*entry),
 		scopeTail:   make(map[mem.ScopeID]*entry),
 		pimBySeq:    make(map[mem.ScopeID][]pimRef),
 	}
@@ -251,11 +250,11 @@ func (c *Controller) link(e *entry) {
 	c.qTail = e
 	c.queueLen++
 
-	if t := c.lineTail[e.req.Line]; t != nil {
+	if t, _ := c.lineTail.Get(e.req.Line); t != nil {
 		t.lineNext = e
 		e.linePrev = t
 	}
-	c.lineTail[e.req.Line] = e
+	c.lineTail.Put(e.req.Line, e)
 
 	if t := c.scopeTail[e.req.Scope]; t != nil {
 		t.scopeNext = e
@@ -287,9 +286,9 @@ func (c *Controller) unlink(e *entry) {
 	if e.lineNext != nil {
 		e.lineNext.linePrev = e.linePrev
 	} else if e.linePrev != nil {
-		c.lineTail[e.req.Line] = e.linePrev
+		c.lineTail.Put(e.req.Line, e.linePrev)
 	} else {
-		delete(c.lineTail, e.req.Line)
+		c.lineTail.Delete(e.req.Line)
 	}
 
 	scopeSucc, wasScopeHead := e.scopeNext, e.scopePrev == nil

@@ -10,6 +10,7 @@ type referenceScheduler struct {
 	now     Tick
 	seq     uint64
 	pending []refEvent
+	stopped bool
 }
 
 type refEvent struct {
@@ -24,19 +25,44 @@ func (s *referenceScheduler) schedule(delay Tick, fn func()) {
 }
 
 func (s *referenceScheduler) run() {
-	for len(s.pending) > 0 {
-		min := 0
-		for i := 1; i < len(s.pending); i++ {
-			e, m := s.pending[i], s.pending[min]
-			if e.when < m.when || (e.when == m.when && e.seq < m.seq) {
-				min = i
-			}
+	s.stopped = false
+	for !s.stopped && len(s.pending) > 0 {
+		s.fireMin()
+	}
+}
+
+// min returns the index of the earliest pending event.
+func (s *referenceScheduler) min() int {
+	min := 0
+	for i := 1; i < len(s.pending); i++ {
+		e, m := s.pending[i], s.pending[min]
+		if e.when < m.when || (e.when == m.when && e.seq < m.seq) {
+			min = i
 		}
-		ev := s.pending[min]
-		s.pending[min] = s.pending[len(s.pending)-1]
-		s.pending = s.pending[:len(s.pending)-1]
-		s.now = ev.when
-		ev.fn()
+	}
+	return min
+}
+
+func (s *referenceScheduler) fireMin() {
+	min := s.min()
+	ev := s.pending[min]
+	s.pending[min] = s.pending[len(s.pending)-1]
+	s.pending = s.pending[:len(s.pending)-1]
+	s.now = ev.when
+	ev.fn()
+}
+
+// runUntil is Kernel.RunUntil's contract: fire events due by the
+// deadline, then, unless stopped, move the clock to the deadline — back
+// to it too when events of a later tick are still pending, which they
+// keep their (time, seq) order through.
+func (s *referenceScheduler) runUntil(deadline Tick) {
+	s.stopped = false
+	for !s.stopped && len(s.pending) > 0 && s.pending[s.min()].when <= deadline {
+		s.fireMin()
+	}
+	if !s.stopped && (len(s.pending) > 0 || s.now < deadline) {
+		s.now = deadline
 	}
 }
 
@@ -89,15 +115,7 @@ func TestKernelEquivalence(t *testing.T) {
 		ref := &referenceScheduler{}
 		want := run(ref.schedule, func() Tick { return ref.now }, ref.run)
 
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at event %d: kernel %d, reference %d",
-					seed, i, got[i], want[i])
-			}
-		}
+		compareTraces(t, seed, got, want)
 	}
 }
 
@@ -190,15 +208,7 @@ func TestKernelEquivalenceWideDelays(t *testing.T) {
 		ref := &referenceScheduler{}
 		want := run(ref.schedule, ref.run)
 
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing order diverges at event %d: kernel %d, reference %d",
-					seed, i, got[i], want[i])
-			}
-		}
+		compareTraces(t, seed, got, want)
 	}
 }
 
@@ -224,5 +234,219 @@ func TestScheduleCtxAllocationFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("ScheduleCtx/Run allocates %.1f objects per cycle, want 0", avg)
+	}
+}
+
+// scheduler is the surface the equivalence harnesses drive, implemented
+// by the kernel and by the reference scheduler.
+type scheduler interface {
+	schedule(delay Tick, fn func())
+	now() Tick
+	stop()
+	run()
+	runUntil(deadline Tick)
+	pending() int
+}
+
+type kernelSched struct {
+	t *testing.T
+	k *Kernel
+}
+
+func (s kernelSched) schedule(d Tick, fn func()) { s.k.ScheduleCtx(d, callFn, fn) }
+func (s kernelSched) now() Tick                  { return s.k.Now() }
+func (s kernelSched) stop()                      { s.k.Stop() }
+func (s kernelSched) pending() int               { return s.k.Pending() }
+func (s kernelSched) run() {
+	if _, err := s.k.Run(); err != nil {
+		s.t.Fatal(err)
+	}
+}
+func (s kernelSched) runUntil(d Tick) {
+	if _, err := s.k.RunUntil(d); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+type refSched struct{ r *referenceScheduler }
+
+func (s refSched) schedule(d Tick, fn func()) { s.r.schedule(d, fn) }
+func (s refSched) now() Tick                  { return s.r.now }
+func (s refSched) stop()                      { s.r.stopped = true }
+func (s refSched) pending() int               { return len(s.r.pending) }
+func (s refSched) run()                       { s.r.run() }
+func (s refSched) runUntil(d Tick)            { s.r.runUntil(d) }
+
+// compareTraces fails at the first firing-order divergence.
+func compareTraces(t *testing.T, seed uint64, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: firing order diverges at event %d: kernel %d, reference %d",
+				seed, i, got[i], want[i])
+		}
+	}
+}
+
+// Event kinds by the structure the kernel queues them on.
+const (
+	kindHeap   = 1 << iota // scheduled >= wheelSize ahead
+	kindBucket             // scheduled 1..wheelSize-1 ahead
+	kindFIFO               // scheduled for the current tick
+)
+
+func kindOf(d Tick) uint8 {
+	switch {
+	case d == 0:
+		return kindFIFO
+	case d < wheelSize:
+		return kindBucket
+	}
+	return kindHeap
+}
+
+// TestKernelEquivalenceHeapBucketCascade drives ticks where far-future
+// heap events, wheel-bucket events and zero-delay cascades all fire
+// together. Events aim at "hot" ticks (multiples of 97) up to ~2.4
+// horizons ahead, so a hot tick collects heap events scheduled early and
+// bucket events scheduled once it is inside the horizon, and every event
+// may add same-tick children. The harness requires at least one tick
+// that fired all three kinds, so the schedule cannot drift away from the
+// case it exists for.
+func TestKernelEquivalenceHeapBucketCascade(t *testing.T) {
+	const hot = 97
+	for _, seed := range []uint64{5, 11, 1 << 35} {
+		trace := func(s scheduler) ([]int, map[Tick]uint8) {
+			rng := NewRand(seed)
+			var order []int
+			kinds := map[Tick]uint8{}
+			next, budget := 0, 8000
+			var spawn func(kind uint8) func()
+			add := func(d Tick) {
+				budget--
+				s.schedule(d, spawn(kindOf(d)))
+			}
+			spawn = func(kind uint8) func() {
+				id := next
+				next++
+				return func() {
+					order = append(order, id)
+					kinds[s.now()] |= kind
+					n := int(rng.Uint64n(3))
+					for i := 0; i < n && budget > 0; i++ {
+						switch rng.Uint64n(3) {
+						case 0:
+							add(0)
+						case 1:
+							add(Tick(rng.Uint64n(40)))
+						default:
+							now := s.now()
+							target := (now/hot + 1 + Tick(rng.Uint64n(25))) * hot
+							add(target - now)
+						}
+					}
+				}
+			}
+			for i := 0; i < 400; i++ {
+				add(Tick(rng.Uint64n(3 * wheelSize)))
+			}
+			s.run()
+			return order, kinds
+		}
+
+		got, kinds := trace(kernelSched{t, NewKernel()})
+		want, _ := trace(refSched{&referenceScheduler{}})
+		compareTraces(t, seed, got, want)
+		full := 0
+		for _, k := range kinds {
+			if k == kindHeap|kindBucket|kindFIFO {
+				full++
+			}
+		}
+		if full == 0 {
+			t.Fatalf("seed %d: no tick fired heap, bucket and same-tick events together", seed)
+		}
+	}
+}
+
+// TestKernelEquivalenceStopAndDeadlines cuts ticks short. Events call Stop
+// at random, and the driver resumes with Run, with RunUntil to a deadline
+// ahead, or with RunUntil to a deadline at or just below the clock, which
+// on a cut tick pushes the rest of its bucket and FIFO back; between
+// steps it also schedules fresh events. Crowded ticks (hundreds of
+// initial events over 16 ticks) plus zero-delay children mean a Stop
+// usually leaves both the bucket and the FIFO holding events; the
+// harness requires that it happened. Firing order and the clock after
+// every step must match the reference.
+func TestKernelEquivalenceStopAndDeadlines(t *testing.T) {
+	for _, seed := range []uint64{2, 9, 1 << 41} {
+		cuts := 0
+		trace := func(s scheduler, probe func()) ([]int, []Tick) {
+			rng := NewRand(seed)
+			var order []int
+			var clocks []Tick
+			next, budget := 0, 6000
+			var spawn func() func()
+			spawn = func() func() {
+				id := next
+				next++
+				return func() {
+					order = append(order, id)
+					if rng.Uint64n(6) == 0 {
+						s.stop()
+					}
+					n := int(rng.Uint64n(3))
+					for i := 0; i < n && budget > 0; i++ {
+						budget--
+						s.schedule(Tick(rng.Uint64n(6)/2), spawn()) // half same-tick
+					}
+				}
+			}
+			for i := 0; i < 300; i++ {
+				s.schedule(Tick(rng.Uint64n(16)), spawn())
+			}
+			for step := 0; s.pending() > 0; step++ {
+				if step > 100000 {
+					t.Fatalf("seed %d: schedule did not drain", seed)
+				}
+				switch now := s.now(); rng.Uint64n(4) {
+				case 0:
+					s.run()
+				case 1:
+					s.runUntil(now + Tick(rng.Uint64n(10)))
+				case 2:
+					back := Tick(rng.Uint64n(4))
+					if back > now {
+						back = now
+					}
+					s.runUntil(now - back)
+				default:
+					s.schedule(Tick(rng.Uint64n(3)), spawn())
+				}
+				clocks = append(clocks, s.now())
+				probe()
+			}
+			return order, clocks
+		}
+
+		k := NewKernel()
+		got, gotClocks := trace(kernelSched{t, k}, func() {
+			if k.chead < len(k.cur) && k.fhead < len(k.fifo) {
+				cuts++
+			}
+		})
+		want, wantClocks := trace(refSched{&referenceScheduler{}}, func() {})
+		compareTraces(t, seed, got, want)
+		for i := range wantClocks {
+			if gotClocks[i] != wantClocks[i] {
+				t.Fatalf("seed %d: clock after step %d is %d, reference %d", seed, i, gotClocks[i], wantClocks[i])
+			}
+		}
+		if cuts == 0 {
+			t.Fatalf("seed %d: no step left a tick cut with both bucket and FIFO pending", seed)
+		}
 	}
 }

@@ -41,6 +41,8 @@ func TestConfigValidate(t *testing.T) {
 		"ClockGHz=0":        func(c *Config) { c.ClockGHz = 0 },
 		"ScopeSize=0":       func(c *Config) { c.ScopeSize = 0 },
 		"ScopeSize=3MB":     func(c *Config) { c.ScopeSize = 3 << 20 },
+		"PIMBase=4096":      func(c *Config) { c.PIMBase = 4096 },
+		"PIMBase=base+64":   func(c *Config) { c.PIMBase += 64 },
 		"L1ScopeBufWays=0":  func(c *Config) { c.L1ScopeBufWays = 0 },
 		"LLCScopeBufSets=0": func(c *Config) { c.LLCScopeBufSets = 0 },
 	} {

@@ -184,5 +184,8 @@ func (c Config) Validate() error {
 	if c.ScopeSize == 0 || c.ScopeSize&(c.ScopeSize-1) != 0 {
 		return fmt.Errorf("system: ScopeSize = %d, want a power of two", c.ScopeSize)
 	}
+	if uint64(c.PIMBase)%c.ScopeSize != 0 {
+		return fmt.Errorf("system: PIMBase = %#x, want a multiple of ScopeSize (%#x)", uint64(c.PIMBase), c.ScopeSize)
+	}
 	return nil
 }

@@ -75,6 +75,9 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 				th.owned = append(th.owned, mem.ScopeID(s))
 			}
 		}
+		// A run emits at most a flush, the query's ops, a fence and a
+		// burst per owned scope, then the barrier; size the buffer once.
+		th.pending = make([]cpu.Instr, 0, len(th.owned)*(w.Q.OpsPerScope()+3)+1)
 		if sys.Cfg.Model == core.SWFlush {
 			th.touched = make(map[mem.ScopeID][]mem.LineAddr)
 			th.touchedSet = make(map[mem.LineAddr]bool)

@@ -94,3 +94,26 @@ func TestScaledWorkloadBounds(t *testing.T) {
 	}()
 	NewWorkload(q, 4, 1.5, false)
 }
+
+// TestPendingSizedOnce pins the instruction buffer's up-front capacity as
+// an upper bound on one run: no model (SW-Flush adds flushes, the scope
+// models fences) and neither query shape makes it grow.
+func TestPendingSizedOnce(t *testing.T) {
+	for _, name := range []string{"q6", "q12"} {
+		q, _ := QueryByName(name)
+		for _, m := range core.AllVariants() {
+			w := NewWorkload(q, 2, 1.0, false)
+			w.Scopes, w.Runs = 6, 3
+			cfg := w.SystemConfig(system.Default())
+			cfg.Model = m
+			for _, thr := range w.BuildThreads(system.New(cfg)) {
+				th := thr.(*thread)
+				want := cap(th.pending)
+				drain(t, th, 100000)
+				if got := cap(th.pending); got != want {
+					t.Errorf("%s/%v: pending grew from cap %d to %d", name, m, want, got)
+				}
+			}
+		}
+	}
+}

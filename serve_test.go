@@ -68,7 +68,8 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"PIMCredits":0}`,
 		`{"PIMModules":0}`, // silently clamped
 		`{"PIMModules":-1}`,
-		`{"ClockGHz":0}`, // infinite Seconds
+		`{"ClockGHz":0}`,   // infinite Seconds
+		`{"PIMBase":4096}`, // not scope aligned: panics in NewScopeMap
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
