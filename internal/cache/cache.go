@@ -16,7 +16,10 @@
 package cache
 
 import (
+	"unsafe"
+
 	"bulkpim/internal/mem"
+	"bulkpim/internal/sim"
 )
 
 // MESI is the coherence state of a cached line.
@@ -81,6 +84,9 @@ func (ln *Line) setOwner(core int) { ln.owner = uint8(core + 1) }
 // slotBlock is how many 64-byte payload slots an arena grows by.
 const slotBlock = 128
 
+// slotBlockBytes is one block's size.
+const slotBlockBytes = slotBlock * mem.LineSize
+
 // slotArena holds the payloads of one set-assoc array in 64-byte slots,
 // allocated in blocks and recycled through a free list. Handles start at
 // 1 so a zero Line.data means "no payload". Blocks never move, so a
@@ -91,12 +97,24 @@ type slotArena struct {
 	free   []uint32
 }
 
+// blockFree holds released arenas' blocks. alloc zeroes every slot it
+// hands out, so a recycled block needs no clearing.
+var blockFree = sim.NewFreeList[*[slotBlock][mem.LineSize]byte]()
+
+// lineFree holds released arrays' line slices, by length; newSetAssoc
+// clears one before use.
+var lineFree = sim.NewFreeList[[]Line]()
+
 // alloc returns a zeroed slot's handle.
 func (a *slotArena) alloc() uint32 {
 	n := len(a.free)
 	if n == 0 {
 		base := uint32(len(a.blocks)) * slotBlock
-		a.blocks = append(a.blocks, new([slotBlock][mem.LineSize]byte))
+		b, ok := blockFree.Get(slotBlock)
+		if !ok {
+			b = new([slotBlock][mem.LineSize]byte)
+		}
+		a.blocks = append(a.blocks, b)
 		for i := uint32(slotBlock); i > 0; i-- {
 			a.free = append(a.free, base+i)
 		}
@@ -110,6 +128,16 @@ func (a *slotArena) alloc() uint32 {
 
 // release returns slot h to the free list.
 func (a *slotArena) release(h uint32) { a.free = append(a.free, h) }
+
+// recycle hands the arena's blocks to blockFree and empties it.
+func (a *slotArena) recycle() {
+	for _, b := range a.blocks {
+		if !blockFree.Put(slotBlock, slotBlockBytes, b) {
+			break
+		}
+	}
+	a.blocks, a.free = nil, nil
+}
 
 // bytes is the payload of slot h (h != 0).
 func (a *slotArena) bytes(h uint32) []byte {
@@ -130,7 +158,24 @@ func newSetAssoc(sets, ways int) setAssoc {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic("cache: geometry must be positive with power-of-two sets")
 	}
-	return setAssoc{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	lines, ok := lineFree.Get(sets * ways)
+	if ok {
+		clear(lines)
+	} else {
+		lines = make([]Line, sets*ways)
+	}
+	return setAssoc{sets: sets, ways: ways, lines: lines}
+}
+
+// recycle hands the line array and the payload blocks to the free lists
+// and leaves c unusable: any lookup on its nil line slice panics.
+func (c *setAssoc) recycle() {
+	if c.lines == nil {
+		panic("cache: array released twice")
+	}
+	lineFree.Put(len(c.lines), len(c.lines)*int(unsafe.Sizeof(Line{})), c.lines)
+	c.lines = nil
+	c.slots.recycle()
 }
 
 // SetOf maps a line address to its set index.

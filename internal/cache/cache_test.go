@@ -488,8 +488,15 @@ func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
 	const n, depth = 4000, 32
 	r.llc.Tracer = trace.New(r.k.Now, nil, 1<<trace.CatCache, n)
 	live := func() int { return len(r.llc.queue) - r.llc.qHead }
+	// A feeder event tops the queue up to depth and comes back every
+	// depth/2 cycles. Uncacheable requests occupy the LLC one cycle each,
+	// so each interval drains about half the queue, never all of it.
 	sent := 0
-	for sent < n {
+	var feed func()
+	feed = func() {
+		if sent > 0 && live() == 0 {
+			t.Fatalf("queue drained after %d requests; the test needs it non-empty", sent)
+		}
 		for sent < n && live() < depth {
 			req := r.llc.Pool.Get()
 			req.ID, req.Kind, req.Uncacheable = uint64(sent), mem.ReqLoad, true
@@ -497,20 +504,19 @@ func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
 			r.llc.Receive(req)
 			sent++
 		}
-		// Uncacheable requests occupy the LLC one cycle each: run long
-		// enough to drain about half the queue, never all of it.
-		if _, err := r.k.RunUntil(r.k.Now() + depth/2); err != nil {
-			t.Fatal(err)
+		if sent < n {
+			r.k.ScheduleCtx(depth/2, func(any) { feed() }, nil)
 		}
-		if sent < n && live() == 0 {
-			t.Fatalf("queue drained after %d requests; the test needs it non-empty", sent)
-		}
+	}
+	feed()
+	if _, err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sent != n {
+		t.Fatalf("fed %d requests, want %d", sent, n)
 	}
 	if c, peak := cap(r.llc.queue), r.llc.QueuePeak; c > 4*peak {
 		t.Fatalf("queue backing array grew to cap %d for a peak of %d live requests", c, peak)
-	}
-	if _, err := r.k.Run(); err != nil {
-		t.Fatal(err)
 	}
 	handled := 0
 	for _, rec := range r.llc.Tracer.Recent() {

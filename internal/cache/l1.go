@@ -74,6 +74,10 @@ func NewL1(k *sim.Kernel, coreID, sets, ways int, hitLatency sim.Tick) *L1 {
 	return c
 }
 
+// Release hands the line array and its payload blocks to the next cache
+// built; any later lookup on c panics. The machine must be drained.
+func (c *L1) Release() { c.arr.recycle() }
+
 // Connect wires the L1 to its LLC and upstream link.
 func (c *L1) Connect(llc *LLC, up *noc.Link) {
 	c.llc = llc

@@ -3,10 +3,12 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"bulkpim/internal/mem"
+	"bulkpim/internal/sim"
 )
 
 // cloneData copies a payload the caller must not keep aliased (a fill
@@ -147,5 +149,96 @@ func TestSlotArenaReuse(t *testing.T) {
 	}
 	if err := c.checkSlots(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillArray installs a line with a non-zero payload in every way of c.
+func fillArray(c *setAssoc) {
+	for i := 0; i < c.sets*c.ways; i++ {
+		l := mem.LineAddr(uint64(i) * mem.LineSize)
+		v := c.Victim(l)
+		c.Install(v, l, Modified)
+		c.payload(v)[0] = 0xFF
+		v.Writer, v.Sharers, v.Dirty = 7, 3, true
+	}
+}
+
+// A released array's lines and blocks come back to the next array of its
+// size empty, and zeroed where a payload is handed out.
+func TestSetAssocRecycledIsEmpty(t *testing.T) {
+	sim.DropFreeLists()
+	c := newSetAssoc(4, 2)
+	fillArray(&c)
+	lines, block := c.lines, c.slots.blocks[0]
+	c.recycle()
+	if c.lines != nil || c.slots.blocks != nil {
+		t.Fatal("a released array kept its buffers")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("lookup on a released array did not panic")
+			}
+		}()
+		c.Peek(0)
+	}()
+	d := newSetAssoc(4, 2)
+	if &d.lines[0] != &lines[0] {
+		t.Fatal("newSetAssoc did not reuse the released line array")
+	}
+	for i := range d.lines {
+		if d.lines[i] != (Line{}) {
+			t.Fatalf("recycled line %d = %+v, want the zero line", i, d.lines[i])
+		}
+	}
+	l := mem.LineAddr(0)
+	v := d.Victim(l)
+	d.Install(v, l, Shared)
+	if p := d.payload(v); p[0] != 0 {
+		t.Fatalf("recycled block's slot not zeroed: payload[0] = %#x", p[0])
+	}
+	if d.slots.blocks[0] != block {
+		t.Fatal("the arena did not reuse the released block")
+	}
+	if err := d.checkSlots(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// drain empties size class class of f and returns how many entries it held.
+func drain[T any](f *sim.FreeList[T], class int) int {
+	n := 0
+	for _, ok := f.Get(class); ok; _, ok = f.Get(class) {
+		n++
+	}
+	return n
+}
+
+// Concurrent releases never push a free list past its cap.
+func TestFreeListsCappedUnderConcurrentRelease(t *testing.T) {
+	sim.DropFreeLists()
+	const sets, ways = 16, 4
+	lineCap := sim.FreeListCap(sets * ways * int(unsafe.Sizeof(Line{})))
+	blockCap := sim.FreeListCap(slotBlockBytes)
+	n := max(lineCap, blockCap/2) + 16
+	arrays := make([]setAssoc, n)
+	for i := range arrays {
+		arrays[i] = newSetAssoc(sets, ways)
+		fillArray(&arrays[i]) // 64 payloads: one block each
+	}
+	var wg sync.WaitGroup
+	for i := range arrays {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arrays[i].recycle()
+		}()
+	}
+	wg.Wait()
+	if got := drain(lineFree, sets*ways); got != lineCap {
+		t.Errorf("line free list holds %d arrays after %d releases, want its cap %d", got, n, lineCap)
+	}
+	if got := drain(blockFree, slotBlock); got != blockCap {
+		t.Errorf("block free list holds %d blocks after %d releases, want its cap %d", got, n, blockCap)
 	}
 }

@@ -155,6 +155,10 @@ func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick
 	return l
 }
 
+// Release hands the line array and its payload blocks to the next cache
+// built; any later lookup on l panics. The machine must be drained.
+func (l *LLC) Release() { l.arr.recycle() }
+
 // Connect wires the LLC to its L1s, per-core response links, the memory
 // controller and the links to/from it.
 func (l *LLC) Connect(l1s []*L1, down []*noc.Link, mc *memctrl.Controller, mcLink, mcResp *noc.Link) {

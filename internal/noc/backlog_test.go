@@ -18,21 +18,19 @@ func TestBacklogGrowsAndDrains(t *testing.T) {
 	if got := l.Backlog(); got != 40 {
 		t.Fatalf("backlog = %d, want 40 (4 msgs x 10 cycles)", got)
 	}
-	if _, err := k.RunUntil(25); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Backlog(); got != 15 {
-		t.Fatalf("backlog after 25 cycles = %d, want 15", got)
-	}
-	// Past the serialization horizon the backlog is zero.
+	// Probe the backlog from events at cycles 25 and 40, mid-run and
+	// past the serialization horizon.
+	var at25, at40 sim.Tick
+	k.ScheduleAtCtx(25, callFn, func() { at25 = l.Backlog() })
+	k.ScheduleAtCtx(40, callFn, func() { at40 = l.Backlog() })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.RunUntil(40); err != nil {
-		t.Fatal(err)
+	if at25 != 15 {
+		t.Fatalf("backlog after 25 cycles = %d, want 15", at25)
 	}
-	if l.Backlog() != 0 {
-		t.Fatalf("backlog at t=40 is %d, want 0", l.Backlog())
+	if at40 != 0 {
+		t.Fatalf("backlog at t=40 is %d, want 0", at40)
 	}
 	if l.BusyCycles != 40 {
 		t.Fatalf("busy cycles = %d, want 40", l.BusyCycles)

@@ -35,11 +35,14 @@ func (g Geometry) Validate(scopeSize uint64) {
 	if g.Cols != mem.LineSize*8 {
 		panic("pim: geometry columns must equal one cache line")
 	}
-	if uint64(g.Rows*g.Arrays*mem.LineSize) != scopeSize {
+	if g.ScopeBytes() != scopeSize {
 		panic(fmt.Sprintf("pim: geometry %dx%dx%d does not tile scope of %d bytes",
 			g.Arrays, g.Rows, g.Cols, scopeSize))
 	}
 }
+
+// ScopeBytes is the size of the scope the geometry tiles.
+func (g Geometry) ScopeBytes() uint64 { return uint64(g.Rows * g.Arrays * mem.LineSize) }
 
 // LineOf returns the cache line holding row `row` of array `array` in the
 // scope starting at base.

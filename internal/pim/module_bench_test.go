@@ -61,8 +61,9 @@ func newModuleBenchRig(build buildModule) func() error {
 	return func() error {
 		// Start every drain on the same phase of the kernel's timing
 		// wheel, so each drain reuses the buckets exactly as the last one
-		// sized them.
-		if _, err := k.RunUntil((k.Now()/benchModuleAlign + 1) * benchModuleAlign); err != nil {
+		// sized them: a no-op event moves the clock there.
+		k.ScheduleAtCtx((k.Now()/benchModuleAlign+1)*benchModuleAlign, func(any) {}, nil)
+		if _, err := k.Run(); err != nil {
 			return err
 		}
 		qi = 0

@@ -76,24 +76,8 @@ func TestModuleScopeExclusivityProperty(t *testing.T) {
 		s := r.Scope
 		running[s][len(running[s])-1].end = k.Now()
 	}
-	orig := m.Tracer
-	_ = orig
-	for i := 0; i < 200; i++ {
-		s := mem.ScopeID(rng.Intn(6))
-		req := &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Program: &mem.PIMProgram{MicroOps: rng.Intn(5)}}}
-		// record start via a wrapper on enqueue time is not the start;
-		// instead track via the executing map after TryEnqueue.
-		m.TryEnqueue(req)
-		if m.ScopeBusy(s) && len(running[s]) == 0 {
-			running[s] = append(running[s], window{start: k.Now()})
-		}
-		if rng.Intn(3) == 0 {
-			if _, err := k.RunUntil(k.Now() + sim.Tick(rng.Intn(100))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Re-open windows for scopes that started during draining.
+	// Re-open windows for scopes that started while time passed.
+	reopen := func() {
 		for sc := mem.ScopeID(0); sc < 6; sc++ {
 			if m.ScopeBusy(sc) {
 				ws := running[sc]
@@ -103,6 +87,34 @@ func TestModuleScopeExclusivityProperty(t *testing.T) {
 			}
 		}
 	}
+	// drive enqueues ops in a loop; on a coin flip it lets up to 99
+	// cycles pass, resuming as an event after the ones due by then.
+	i := 0
+	var drive, resume func(any)
+	resume = func(any) {
+		reopen()
+		drive(nil)
+	}
+	drive = func(any) {
+		for i < 200 {
+			s := mem.ScopeID(rng.Intn(6))
+			req := &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
+				PIM: &mem.PIMCommand{Program: &mem.PIMProgram{MicroOps: rng.Intn(5)}}}
+			// record start via a wrapper on enqueue time is not the start;
+			// instead track via the executing map after TryEnqueue.
+			m.TryEnqueue(req)
+			if m.ScopeBusy(s) && len(running[s]) == 0 {
+				running[s] = append(running[s], window{start: k.Now()})
+			}
+			i++
+			if rng.Intn(3) == 0 {
+				k.ScheduleCtx(sim.Tick(rng.Intn(100)), resume, nil)
+				return
+			}
+			reopen()
+		}
+	}
+	drive(nil)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

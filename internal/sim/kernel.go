@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Tick is simulated time, measured in CPU clock cycles.
@@ -74,13 +75,13 @@ const (
 // (when it was queued the tick was >= wheelSize away; bucket entries for
 // that tick were queued later, once the tick was inside the horizon).
 type Kernel struct {
-	now     Tick
-	seq     uint64
-	stopped bool
+	now Tick
+	seq uint64
 
 	wheel      [wheelSize][]fifoEntry // per-tick buckets, horizon wheelSize
 	occ        [wheelSize / 64]uint64 // occupancy bitmap over buckets
 	wheelCount int
+	bufs       *wheelBufs // where Release hands the buckets on; nil once released
 
 	arena []event  // index-stable pooled storage for far-future events
 	free  []uint32 // recycled arena slots
@@ -100,29 +101,73 @@ type Kernel struct {
 	fired      uint64
 }
 
+// wheelBufs is what a released kernel hands the next one: its bucket
+// slices, grown to what its run needed, and the seed array every bucket
+// starts in (see NewKernel). The kernel works on its own copy of the
+// slices, so the wheel stays inline in Kernel on the scheduling path.
+type wheelBufs struct {
+	buckets [wheelSize][]fifoEntry
+	// A bucket that outgrows its share of seed moves out and leaves its
+	// entries behind uncleared, so Release clears the seed.
+	seed []fifoEntry
+}
+
+// wheelBufsBytes is a wheelBufs' size with its seed, the free list's
+// measure of it.
+const wheelBufsBytes = int(unsafe.Sizeof(wheelBufs{})) + wheelSize*bucketSeedCap*int(unsafe.Sizeof(fifoEntry{}))
+
+// wheelFree holds released kernels' buckets. A released kernel was
+// drained, so every bucket is empty and every bucket slot was cleared as
+// it fired; Release clears what growing buckets left in the seed.
+var wheelFree = NewFreeList[*wheelBufs]()
+
 // ErrEventLimit is returned by Run when Kernel.EventLimit is exceeded.
 var ErrEventLimit = fmt.Errorf("sim: event limit exceeded")
 
-// NewKernel returns an empty kernel at time zero.
+// NewKernel returns an empty kernel at time zero. It reuses a released
+// kernel's buckets when some are free.
 func NewKernel() *Kernel {
 	k := &Kernel{
 		arena: make([]event, 0, 64),
 		heap:  make([]uint32, 0, 64),
 		fifo:  make([]fifoEntry, 0, 64),
 	}
+	if b, ok := wheelFree.Get(0); ok {
+		k.wheel, k.bufs = b.buckets, b
+		clear(b.buckets[:]) // the kernel's copy is the live one
+		return k
+	}
 	// Seed every bucket with capacity from one contiguous backing array so
 	// a bucket's first events don't each pay a small allocation; a bucket
 	// that outgrows its seed capacity reallocates once and keeps the larger
 	// array across wheel rotations.
-	backing := make([]fifoEntry, wheelSize*bucketSeedCap)
+	k.bufs = &wheelBufs{seed: make([]fifoEntry, wheelSize*bucketSeedCap)}
 	for i := range k.wheel {
-		k.wheel[i] = backing[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
+		k.wheel[i] = k.bufs.seed[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
 	}
 	return k
 }
 
-// bucketSeedCap is the initial per-bucket capacity carved from the shared
-// backing array in NewKernel.
+// Release hands the kernel's buckets to the next NewKernel and leaves k
+// holding none of them: running k again panics. k must be drained; a
+// kernel that still holds events panics here instead.
+func (k *Kernel) Release() {
+	if k.bufs == nil {
+		panic("sim: Release of a released kernel")
+	}
+	if n := k.Pending(); n != 0 {
+		panic(fmt.Sprintf("sim: Release of a kernel with %d pending events", n))
+	}
+	// Entries left in the seed would keep this machine alive for as
+	// long as the buckets are reused.
+	clear(k.bufs.seed)
+	k.bufs.buckets = k.wheel
+	wheelFree.Put(0, wheelBufsBytes, k.bufs)
+	*k = Kernel{now: k.now, fired: k.fired}
+}
+
+// bucketSeedCap is the initial per-bucket capacity carved from the
+// wheel's seed array in NewKernel.
 const bucketSeedCap = 4
 
 // Now returns the current simulated time.
@@ -179,9 +224,6 @@ func (k *Kernel) alloc() uint32 {
 	return uint32(len(k.arena) - 1)
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // nextPending returns the earliest pending tick across wheel and heap.
 func (k *Kernel) nextPending() (Tick, bool) {
 	t, ok := k.nextWheelTick()
@@ -225,59 +267,17 @@ func (k *Kernel) bucketTick(b uint32) Tick {
 	return t
 }
 
-// Run executes events until the queue drains, Stop is called, or the event
-// limit is hit. It returns the time of the last executed event.
+// Run executes events until the queue drains or the event limit is hit.
+// It returns the time of the last executed event.
 func (k *Kernel) Run() (Tick, error) {
-	k.stopped = false
-	for !k.stopped {
-		e := k.next()
-		if e == nil {
-			t, ok := k.nextPending()
-			if !ok {
-				break
-			}
-			k.enterTick(t)
-			continue
-		}
-		if err := k.fire(e); err != nil {
-			return k.now, err
-		}
+	if k.bufs == nil {
+		panic("sim: Run of a released kernel")
 	}
-	return k.now, nil
-}
-
-// RunUntil executes events with time <= deadline, then advances the clock
-// to the deadline (time passes even when the queue drains early).
-func (k *Kernel) RunUntil(deadline Tick) (Tick, error) {
-	k.stopped = false
-	for !k.stopped {
-		if k.now > deadline && k.tickPending() {
-			// Only reachable when a stopped run left events of its tick
-			// pending and the deadline is before that tick. Push them back
-			// to the heap, the rest of the bucket first and then the FIFO:
-			// the clock moves to the earlier deadline, so later scheduling
-			// may legally interleave ahead of them. Fresh sequence numbers
-			// are order-preserving: the heap holds no events for this tick
-			// (entering the tick drained them), and any event subsequently
-			// scheduled for it is younger still.
-			for e := k.next(); e != nil; e = k.next() {
-				k.seq++
-				idx := k.alloc()
-				k.arena[idx] = event{when: k.now, seq: k.seq, fn: e.fn, ctx: e.ctx}
-				*e = fifoEntry{}
-				k.push(idx)
-			}
-			k.now = deadline
-			return k.now, nil
-		}
+	for {
 		e := k.next()
 		if e == nil {
 			t, ok := k.nextPending()
 			if !ok {
-				break
-			}
-			if t > deadline {
-				k.now = deadline
 				return k.now, nil
 			}
 			k.enterTick(t)
@@ -287,15 +287,6 @@ func (k *Kernel) RunUntil(deadline Tick) (Tick, error) {
 			return k.now, err
 		}
 	}
-	if !k.stopped && k.now < deadline {
-		k.now = deadline
-	}
-	return k.now, nil
-}
-
-// tickPending reports whether the current tick still has unfired events.
-func (k *Kernel) tickPending() bool {
-	return k.chead < len(k.cur) || k.fhead < len(k.fifo)
 }
 
 // next takes the current tick's next event: the rest of the entered

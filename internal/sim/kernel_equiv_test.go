@@ -10,7 +10,6 @@ type referenceScheduler struct {
 	now     Tick
 	seq     uint64
 	pending []refEvent
-	stopped bool
 }
 
 type refEvent struct {
@@ -25,8 +24,7 @@ func (s *referenceScheduler) schedule(delay Tick, fn func()) {
 }
 
 func (s *referenceScheduler) run() {
-	s.stopped = false
-	for !s.stopped && len(s.pending) > 0 {
+	for len(s.pending) > 0 {
 		s.fireMin()
 	}
 }
@@ -50,20 +48,6 @@ func (s *referenceScheduler) fireMin() {
 	s.pending = s.pending[:len(s.pending)-1]
 	s.now = ev.when
 	ev.fn()
-}
-
-// runUntil is Kernel.RunUntil's contract: fire events due by the
-// deadline, then, unless stopped, move the clock to the deadline — back
-// to it too when events of a later tick are still pending, which they
-// keep their (time, seq) order through.
-func (s *referenceScheduler) runUntil(deadline Tick) {
-	s.stopped = false
-	for !s.stopped && len(s.pending) > 0 && s.pending[s.min()].when <= deadline {
-		s.fireMin()
-	}
-	if !s.stopped && (len(s.pending) > 0 || s.now < deadline) {
-		s.now = deadline
-	}
 }
 
 // TestKernelEquivalence replays a large random schedule — including nested
@@ -116,39 +100,6 @@ func TestKernelEquivalence(t *testing.T) {
 		want := run(ref.schedule, func() Tick { return ref.now }, ref.run)
 
 		compareTraces(t, seed, got, want)
-	}
-}
-
-// TestKernelEquivalenceRunUntil checks the windowed variant against the
-// reference order: firing the same schedule in deadline slices must not
-// reorder anything.
-func TestKernelEquivalenceRunUntil(t *testing.T) {
-	rng := NewRand(99)
-	k := NewKernel()
-	ref := &referenceScheduler{}
-	var got, want []int
-	for i := 0; i < 3000; i++ {
-		i := i
-		d := Tick(rng.Uint64n(200))
-		k.ScheduleCtx(d, callFn, func() { got = append(got, i) })
-		ref.schedule(d, func() { want = append(want, i) })
-	}
-	for deadline := Tick(0); deadline < 220; deadline += 13 {
-		if _, err := k.RunUntil(deadline); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ref.run()
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, reference fired %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order diverges at %d: kernel %d, reference %d", i, got[i], want[i])
-		}
 	}
 }
 
@@ -242,9 +193,7 @@ func TestScheduleCtxAllocationFree(t *testing.T) {
 type scheduler interface {
 	schedule(delay Tick, fn func())
 	now() Tick
-	stop()
 	run()
-	runUntil(deadline Tick)
 	pending() int
 }
 
@@ -255,15 +204,9 @@ type kernelSched struct {
 
 func (s kernelSched) schedule(d Tick, fn func()) { s.k.ScheduleCtx(d, callFn, fn) }
 func (s kernelSched) now() Tick                  { return s.k.Now() }
-func (s kernelSched) stop()                      { s.k.Stop() }
 func (s kernelSched) pending() int               { return s.k.Pending() }
 func (s kernelSched) run() {
 	if _, err := s.k.Run(); err != nil {
-		s.t.Fatal(err)
-	}
-}
-func (s kernelSched) runUntil(d Tick) {
-	if _, err := s.k.RunUntil(d); err != nil {
 		s.t.Fatal(err)
 	}
 }
@@ -272,10 +215,8 @@ type refSched struct{ r *referenceScheduler }
 
 func (s refSched) schedule(d Tick, fn func()) { s.r.schedule(d, fn) }
 func (s refSched) now() Tick                  { return s.r.now }
-func (s refSched) stop()                      { s.r.stopped = true }
 func (s refSched) pending() int               { return len(s.r.pending) }
 func (s refSched) run()                       { s.r.run() }
-func (s refSched) runUntil(d Tick)            { s.r.runUntil(d) }
 
 // compareTraces fails at the first firing-order divergence.
 func compareTraces(t *testing.T, seed uint64, got, want []int) {
@@ -372,19 +313,17 @@ func TestKernelEquivalenceHeapBucketCascade(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceStopAndDeadlines cuts ticks short. Events call Stop
-// at random, and the driver resumes with Run, with RunUntil to a deadline
-// ahead, or with RunUntil to a deadline at or just below the clock, which
-// on a cut tick pushes the rest of its bucket and FIFO back; between
-// steps it also schedules fresh events. Crowded ticks (hundreds of
-// initial events over 16 ticks) plus zero-delay children mean a Stop
-// usually leaves both the bucket and the FIFO holding events; the
-// harness requires that it happened. Firing order and the clock after
-// every step must match the reference.
-func TestKernelEquivalenceStopAndDeadlines(t *testing.T) {
+// TestKernelEquivalenceRunAgain runs one kernel to drain many times:
+// between runs the driver schedules fresh events from outside, at a
+// clock left wherever the last run ended, so buckets are entered at
+// every wheel phase. Crowded ticks and zero-delay children make each run
+// fire bucket and same-tick events together. The kernel side replays
+// the schedule twice, on a fresh kernel and then on a kernel given the
+// first one's released buckets, grown to the schedule's shape. Firing order and the clock after every step must match the
+// reference.
+func TestKernelEquivalenceRunAgain(t *testing.T) {
 	for _, seed := range []uint64{2, 9, 1 << 41} {
-		cuts := 0
-		trace := func(s scheduler, probe func()) ([]int, []Tick) {
+		trace := func(s scheduler) ([]int, []Tick) {
 			rng := NewRand(seed)
 			var order []int
 			var clocks []Tick
@@ -395,9 +334,6 @@ func TestKernelEquivalenceStopAndDeadlines(t *testing.T) {
 				next++
 				return func() {
 					order = append(order, id)
-					if rng.Uint64n(6) == 0 {
-						s.stop()
-					}
 					n := int(rng.Uint64n(3))
 					for i := 0; i < n && budget > 0; i++ {
 						budget--
@@ -408,45 +344,42 @@ func TestKernelEquivalenceStopAndDeadlines(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				s.schedule(Tick(rng.Uint64n(16)), spawn())
 			}
-			for step := 0; s.pending() > 0; step++ {
-				if step > 100000 {
-					t.Fatalf("seed %d: schedule did not drain", seed)
-				}
-				switch now := s.now(); rng.Uint64n(4) {
-				case 0:
+			for step := 0; step < 400; step++ {
+				if rng.Uint64n(3) == 0 {
 					s.run()
-				case 1:
-					s.runUntil(now + Tick(rng.Uint64n(10)))
-				case 2:
-					back := Tick(rng.Uint64n(4))
-					if back > now {
-						back = now
+				} else {
+					for n := rng.Uint64n(8); n > 0; n-- {
+						s.schedule(Tick(rng.Uint64n(2*wheelSize)), spawn())
 					}
-					s.runUntil(now - back)
-				default:
-					s.schedule(Tick(rng.Uint64n(3)), spawn())
 				}
 				clocks = append(clocks, s.now())
-				probe()
 			}
-			return order, clocks
+			s.run()
+			if s.pending() != 0 {
+				t.Fatalf("seed %d: %d events pending after Run", seed, s.pending())
+			}
+			return order, append(clocks, s.now())
 		}
 
+		want, wantClocks := trace(refSched{&referenceScheduler{}})
+		DropFreeLists()
 		k := NewKernel()
-		got, gotClocks := trace(kernelSched{t, k}, func() {
-			if k.chead < len(k.cur) && k.fhead < len(k.fifo) {
-				cuts++
+		for pass, name := range []string{"fresh", "recycled"} {
+			if pass == 1 {
+				bufs := k.bufs
+				k.Release()
+				if k = NewKernel(); k.bufs != bufs {
+					t.Fatalf("seed %d: the new kernel did not get the released buckets", seed)
+				}
 			}
-		})
-		want, wantClocks := trace(refSched{&referenceScheduler{}}, func() {})
-		compareTraces(t, seed, got, want)
-		for i := range wantClocks {
-			if gotClocks[i] != wantClocks[i] {
-				t.Fatalf("seed %d: clock after step %d is %d, reference %d", seed, i, gotClocks[i], wantClocks[i])
+			got, gotClocks := trace(kernelSched{t, k})
+			compareTraces(t, seed, got, want)
+			for i := range wantClocks {
+				if gotClocks[i] != wantClocks[i] {
+					t.Fatalf("seed %d, %s kernel: clock after step %d is %d, reference %d",
+						seed, name, i, gotClocks[i], wantClocks[i])
+				}
 			}
-		}
-		if cuts == 0 {
-			t.Fatalf("seed %d: no step left a tick cut with both bucket and FIFO pending", seed)
 		}
 	}
 }

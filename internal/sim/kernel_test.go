@@ -114,42 +114,92 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+// A released kernel's buckets go to the next NewKernel, grown buckets
+// included, and the new kernel starts at time zero with nothing pending.
+// The released kernel keeps none of them and panics when run.
+func TestKernelRelease(t *testing.T) {
+	DropFreeLists()
 	k := NewKernel()
-	fired := 0
-	for i := Tick(1); i <= 10; i++ {
-		k.ScheduleCtx(i*10, callFn, func() { fired++ })
-	}
-	if _, err := k.RunUntil(50); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
-	}
-	if k.Now() != 50 {
-		t.Fatalf("now = %d, want 50", k.Now())
+	for i := Tick(1); i <= 3000; i += 7 {
+		k.ScheduleCtx(i, callFn, func() {})
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10", fired)
+	// Eight events on one tick move its bucket out of the seed array.
+	b := uint32(k.Now()+5) & wheelMask
+	for i := 0; i < 8; i++ {
+		k.ScheduleCtx(5, callFn, func() {})
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bufs := k.bufs
+	k.Release()
+	for i, e := range bufs.seed {
+		if e.fn != nil || e.ctx != nil {
+			t.Fatalf("released seed slot %d still holds an entry", i)
+		}
+	}
+	for i := range k.wheel {
+		if k.wheel[i] != nil {
+			t.Fatalf("released kernel still holds bucket %d", i)
+		}
+	}
+	for name, use := range map[string]func(){
+		"Release": k.Release,
+		"Run":     func() { k.Run() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released kernel did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	k2 := NewKernel()
+	if k2.bufs != bufs || cap(k2.wheel[b]) < 8 {
+		t.Fatalf("NewKernel did not reuse the released buckets (bucket %d has cap %d)", b, cap(k2.wheel[b]))
+	}
+	if k2.Now() != 0 || k2.Fired() != 0 || k2.Pending() != 0 {
+		t.Fatalf("recycled kernel at now %d, fired %d, pending %d; want 0, 0, 0",
+			k2.Now(), k2.Fired(), k2.Pending())
+	}
+	var got []Tick
+	k2.ScheduleCtx(5, callFn, func() { got = append(got, k2.Now()) })
+	k2.ScheduleCtx(2000, callFn, func() { got = append(got, k2.Now()) })
+	if _, err := k2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 5 || got[1] != 2000 {
+		t.Fatalf("recycled kernel fired at %v, want [5 2000]", got)
 	}
 }
 
-func TestStop(t *testing.T) {
+// A kernel that still holds events, as after a failed Run, refuses
+// Release and keeps its wheel.
+func TestKernelReleasePending(t *testing.T) {
+	DropFreeLists()
 	k := NewKernel()
-	fired := 0
-	k.ScheduleCtx(1, callFn, func() { fired++; k.Stop() })
-	k.ScheduleCtx(2, callFn, func() { fired++ })
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
+	k.EventLimit = 10
+	for i := Tick(1); i <= 100; i++ {
+		k.ScheduleCtx(i, callFn, func() {})
 	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (stopped)", fired)
+	if _, err := k.Run(); err != ErrEventLimit {
+		t.Fatalf("err = %v, want ErrEventLimit", err)
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Release of a kernel with pending events did not panic")
+			}
+		}()
+		k.Release()
+	}()
+	if n := len(wheelFree.classes[0]); n != 0 {
+		t.Fatalf("free list holds %d wheels after a refused Release, want 0", n)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"bulkpim/internal/sim"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -20,6 +22,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := unbounded.Validate(); err != nil {
 		t.Fatalf("unbounded PIM buffer rejected: %v", err)
 	}
+	// Zero latencies are legal: an ideal L1 or DRAM is a what-if like
+	// Fig. 11b's zero-latency PIM, and the machine runs with them.
+	ideal := Default()
+	ideal.L1HitLatency, ideal.DRAMLatency = 0, 0
+	if err := ideal.Validate(); err != nil {
+		t.Fatalf("zero L1HitLatency and DRAMLatency rejected: %v", err)
+	}
+	New(ideal)
 	for name, mut := range map[string]func(*Config){
 		"Cores=0":    func(c *Config) { c.Cores = 0 },
 		"Cores=65":   func(c *Config) { c.Cores = maxCores + 1 },
@@ -41,6 +51,10 @@ func TestConfigValidate(t *testing.T) {
 		"ClockGHz=0":        func(c *Config) { c.ClockGHz = 0 },
 		"ScopeSize=0":       func(c *Config) { c.ScopeSize = 0 },
 		"ScopeSize=3MB":     func(c *Config) { c.ScopeSize = 3 << 20 },
+		"ScopeSize=64":      func(c *Config) { c.ScopeSize = 64 },
+		"ScopeSize=4MB":     func(c *Config) { c.ScopeSize = 4 << 20 },
+		"ScopeCount=0":      func(c *Config) { c.ScopeCount = 0 },
+		"ScopeCount=-1":     func(c *Config) { c.ScopeCount = -1 },
 		"PIMBase=4096":      func(c *Config) { c.PIMBase = 4096 },
 		"PIMBase=base+64":   func(c *Config) { c.PIMBase += 64 },
 		"L1ScopeBufWays=0":  func(c *Config) { c.L1ScopeBufWays = 0 },
@@ -65,13 +79,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkSystemNew measures building the paper's Table II machine, which
-// every grid point does once.
+// BenchmarkSystemNew measures building the paper's Table II machine from
+// fresh memory.
 func BenchmarkSystemNew(b *testing.B) {
 	cfg := Default()
+	sim.DropFreeLists()
 	b.ReportAllocs()
 	for b.Loop() {
 		New(cfg)
+	}
+}
+
+// BenchmarkSystemNewReused measures building it from a released
+// machine's buffers, which is what every grid point after the first
+// does.
+func BenchmarkSystemNewReused(b *testing.B) {
+	cfg := Default()
+	New(cfg).Release()
+	b.ReportAllocs()
+	for b.Loop() {
+		New(cfg).Release()
 	}
 }
 
@@ -82,6 +109,7 @@ func TestSystemNewAllocBound(t *testing.T) {
 	const maxBytes = 2 << 20
 	cfg := Default()
 	New(cfg) // warm one-time package state
+	sim.DropFreeLists()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

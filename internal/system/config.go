@@ -11,6 +11,7 @@ import (
 
 	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
+	"bulkpim/internal/pim"
 	"bulkpim/internal/sim"
 )
 
@@ -145,8 +146,10 @@ const maxCores = 64
 // would misrun: a core count outside [1, maxCores]; an L1/LLC geometry
 // without power-of-two sets and at least one way; a scope buffer without
 // sets or ways; no banks, queue slots, memory-level parallelism, PIM
-// credits or PIM modules; a non-positive clock; or a scope size that is
-// not a power of two. PIMBufferSize 0 is valid (unbounded, Fig. 11a).
+// credits or PIM modules; a non-positive clock; a scope size other than
+// the one the PIM geometry tiles (2 MB); no scopes; or a PIM base that
+// is not scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
+// and so are zero latencies (an ideal L1 or DRAM).
 func (c Config) Validate() error {
 	if c.Cores < 1 || c.Cores > maxCores {
 		return fmt.Errorf("system: Cores = %d, want 1..%d", c.Cores, maxCores)
@@ -181,8 +184,12 @@ func (c Config) Validate() error {
 	if !(c.ClockGHz > 0) {
 		return fmt.Errorf("system: ClockGHz = %v, want > 0", c.ClockGHz)
 	}
-	if c.ScopeSize == 0 || c.ScopeSize&(c.ScopeSize-1) != 0 {
-		return fmt.Errorf("system: ScopeSize = %d, want a power of two", c.ScopeSize)
+	if g := pim.DefaultGeometry(); c.ScopeSize != g.ScopeBytes() {
+		return fmt.Errorf("system: ScopeSize = %d, want %d, the scope the PIM geometry %dx%dx%d tiles",
+			c.ScopeSize, g.ScopeBytes(), g.Arrays, g.Rows, g.Cols)
+	}
+	if c.ScopeCount < 1 {
+		return fmt.Errorf("system: ScopeCount = %d, want >= 1", c.ScopeCount)
 	}
 	if uint64(c.PIMBase)%c.ScopeSize != 0 {
 		return fmt.Errorf("system: PIMBase = %#x, want a multiple of ScopeSize (%#x)", uint64(c.PIMBase), c.ScopeSize)

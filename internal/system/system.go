@@ -37,7 +37,9 @@ type System struct {
 	Tracer     *trace.Tracer
 	Violations stats.Counter
 
-	running int
+	// failed marks a machine whose Run returned an error; released one
+	// whose buffers went back (see Release).
+	failed, released bool
 }
 
 // New builds and wires a system for cfg. It panics with cfg.Validate's
@@ -47,7 +49,6 @@ func New(cfg Config) *System {
 		panic(err)
 	}
 	k := sim.NewKernel()
-	k.EventLimit = 0
 	rng := sim.NewRand(cfg.Seed)
 	// One request/line-buffer pool shared by every component, so requests
 	// recycled at one tile are reused by the next (NoPooling reverts every
@@ -179,10 +180,43 @@ type Result struct {
 	Stats       map[string]float64
 }
 
+// Release hands the machine's large buffers to the free lists the next
+// New draws from: the L1 and LLC line arrays, their payload blocks and
+// the event kernel's wheel buckets. It leaves s unusable: a second
+// Release, a Run, and a cache lookup or a run of the kernel on s panic.
+// A machine whose Run returned an error, or whose kernel still holds
+// events, gives nothing back. Calling Release is optional; a machine
+// never released goes to the garbage collector whole.
+func (s *System) Release() {
+	if s.released {
+		panic("system: Release of a released System")
+	}
+	s.released = true
+	if s.failed || s.K.Pending() != 0 {
+		return
+	}
+	for _, l1 := range s.L1s {
+		l1.Release()
+	}
+	s.LLC.Release()
+	s.K.Release()
+}
+
 // Run executes one thread per core (len(threads) <= cores) and returns
 // when all threads retire and the machine quiesces. Run time is the
 // latest thread retirement, matching the benchmark-client view.
 func (s *System) Run(threads []cpu.Thread) (Result, error) {
+	if s.released {
+		panic("system: Run of a released System")
+	}
+	res, err := s.run(threads)
+	if err != nil {
+		s.failed = true
+	}
+	return res, err
+}
+
+func (s *System) run(threads []cpu.Thread) (Result, error) {
 	if len(threads) > len(s.Cores) {
 		return Result{}, fmt.Errorf("system: %d threads > %d cores", len(threads), len(s.Cores))
 	}

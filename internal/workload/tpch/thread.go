@@ -87,14 +87,19 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 	return out
 }
 
-// Run executes the query workload on a fresh system built from cfg.
+// Run executes the query workload on a fresh system built from cfg, and
+// releases the machine's buffers for the next one after a clean run.
 func Run(w *Workload, cfg system.Config) (system.Result, error) {
 	cfg = w.SystemConfig(cfg)
 	s := system.New(cfg)
 	if cfg.Functional {
 		w.InitBacking(s.Backing, s.Scopes)
 	}
-	return s.Run(w.BuildThreads(s))
+	res, err := s.Run(w.BuildThreads(s))
+	if err == nil {
+		s.Release()
+	}
+	return res, err
 }
 
 type thread struct {

@@ -191,14 +191,19 @@ func (w *Workload) InitBacking(bk *mem.Backing, scopes *mem.ScopeMap) {
 }
 
 // Run builds a system for cfg, initializes the database when functional,
-// and executes the workload.
+// executes the workload, and releases the machine's buffers for the next
+// one after a clean run.
 func Run(w *Workload, cfg system.Config) (system.Result, error) {
 	cfg = w.SystemConfig(cfg)
 	s := system.New(cfg)
 	if cfg.Functional {
 		w.InitBacking(s.Backing, s.Scopes)
 	}
-	return s.Run(w.Threads(s))
+	res, err := s.Run(w.Threads(s))
+	if err == nil {
+		s.Release()
+	}
+	return res, err
 }
 
 // Precompute materializes every scan op's lazily-built match cache.

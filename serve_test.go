@@ -39,6 +39,10 @@ func TestParseConfigOverride(t *testing.T) {
 	if _, err := ParseConfigOverride([]byte(`{"PIMBufferSize":0}`)); err != nil {
 		t.Fatalf("unbounded PIM buffer rejected: %v", err)
 	}
+	// So is an ideal L1 or DRAM.
+	if _, err := ParseConfigOverride([]byte(`{"L1HitLatency":0,"DRAMLatency":0}`)); err != nil {
+		t.Fatalf("zero latencies rejected: %v", err)
+	}
 
 	for _, empty := range []string{"", "   ", "null"} {
 		mut, err := ParseConfigOverride([]byte(empty))
@@ -70,6 +74,9 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"PIMModules":-1}`,
 		`{"ClockGHz":0}`,   // infinite Seconds
 		`{"PIMBase":4096}`, // not scope aligned: panics in NewScopeMap
+		`{"ScopeSize":64}`, // the PIM geometry does not tile it: panics in New
+		`{"ScopeCount":0}`, // no scopes
+		`{"ScopeCount":-1}`,
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
