@@ -35,6 +35,7 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	mod := pim.NewModule(k, b)
 	mod.Functional = true
 	mc := memctrl.New(k, mod, b)
+	mc.Functional = true
 	llc := NewLLC(k, model, 16, 2, 18, scopes)
 	rng := sim.NewRand(7)
 	l1s := make([]*L1, cores)

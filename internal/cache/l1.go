@@ -124,14 +124,17 @@ func (c *L1) TryLoad(l mem.LineAddr) (data []byte, writer uint64, ok bool) {
 }
 
 // TryStore writes bytes into the line if the cache holds write permission
-// (E or M), transitioning it to M.
+// (E or M), transitioning it to M. A nil data (timing-only store) writes
+// no payload.
 func (c *L1) TryStore(l mem.LineAddr, off int, data []byte, writer uint64) bool {
 	ln := c.arr.Lookup(l)
 	if !ln.Valid() || (ln.State != Exclusive && ln.State != Modified) {
 		return false
 	}
 	c.Hits.Inc()
-	copy(c.arr.payload(ln)[off:off+len(data)], data)
+	if data != nil {
+		copy(c.arr.payload(ln)[off:off+len(data)], data)
+	}
 	ln.State = Modified
 	ln.Writer = writer
 	return true
@@ -269,21 +272,20 @@ func (c *L1) evict(v *Line) {
 	c.arr.Invalidate(v)
 }
 
-// RecallLine is the LLC-initiated downgrade/invalidate. When it reports
-// dirty, the line's payload has been copied into dst (len >= LineSize) —
-// the caller owns dst, so no buffer changes hands. Invalidation updates
-// the SBV.
-func (c *L1) RecallLine(l mem.LineAddr, invalidate bool, dst []byte) (writer uint64, dirty, present bool) {
+// RecallLine is the LLC-initiated downgrade/invalidate. dirty is the MESI
+// state alone (the line was Modified), whether or not the line carries a
+// payload. data is the line's payload, or nil when it has none (always on
+// a timing-only machine); it aliases this cache's slot, whose bytes
+// hold until the cache next hands out a slot, so the caller copies them
+// at once. Invalidation updates the SBV.
+func (c *L1) RecallLine(l mem.LineAddr, invalidate bool) (data []byte, writer uint64, dirty, present bool) {
 	ln := c.arr.Peek(l)
 	if !ln.Valid() {
-		return 0, false, false
+		return nil, 0, false, false
 	}
-	data := c.arr.Data(ln)
-	dirty = ln.State == Modified && data != nil
+	data = c.arr.Data(ln)
+	dirty = ln.State == Modified
 	writer = ln.Writer
-	if dirty {
-		copy(dst[:mem.LineSize], data)
-	}
 	if invalidate {
 		if ln.PIMEnabled && c.SBV != nil {
 			c.SBV.OnEvict(c.arr.SetOf(l))
@@ -292,7 +294,7 @@ func (c *L1) RecallLine(l mem.LineAddr, invalidate bool, dst []byte) (writer uin
 	} else if ln.State == Modified || ln.State == Exclusive {
 		ln.State = Shared
 	}
-	return writer, dirty, true
+	return data, writer, dirty, true
 }
 
 // ScanFlushScope scans this cache for lines of the scope, writing dirty
@@ -341,6 +343,10 @@ func (c *L1) markStale(scope mem.ScopeID) {
 
 // LineCount reports valid lines (tests).
 func (c *L1) LineCount() int { return c.arr.CountValid() }
+
+// PayloadBlocks reports how many payload slot blocks the cache's arena
+// holds (tests: a timing-only machine grows none).
+func (c *L1) PayloadBlocks() int { return len(c.arr.slots.blocks) }
 
 // MSHRLen reports outstanding misses (deadlock diagnostics).
 func (c *L1) MSHRLen() int { return c.mshr.Len() }

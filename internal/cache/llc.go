@@ -55,10 +55,6 @@ type LLC struct {
 	missFree []*llcMiss
 	fillFree []*fillMsg
 
-	// recallBuf is the scratch an owner L1's dirty payload is recalled
-	// into; every RecallLine result is consumed before the next call.
-	recallBuf [mem.LineSize]byte
-
 	// victims is scanFlush's reusable per-set eviction list.
 	victims []*Line
 
@@ -325,10 +321,10 @@ func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
 		l.Hits.Inc()
 		cost := l.HitLatency
 		if owner := ln.Owner(); owner >= 0 && owner != req.Core {
-			writer, dirty, present := l.l1s[owner].RecallLine(req.Line, req.Excl, l.recallBuf[:])
+			data, writer, dirty, present := l.l1s[owner].RecallLine(req.Line, req.Excl)
 			if present {
 				if dirty {
-					l.arr.SetData(ln, l.recallBuf[:])
+					l.arr.SetData(ln, data)
 					ln.Writer = writer
 					ln.Dirty = true
 				}
@@ -446,9 +442,9 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 				continue
 			}
 			if ln.Sharers&(1<<uint(i)) != 0 || ln.Owner() == i {
-				writer, dirty, present := l.l1s[i].RecallLine(ln.Addr, true, l.recallBuf[:])
+				data, writer, dirty, present := l.l1s[i].RecallLine(ln.Addr, true)
 				if present && dirty {
-					l.arr.SetData(ln, l.recallBuf[:])
+					l.arr.SetData(ln, data)
 					ln.Writer = writer
 					ln.Dirty = true
 				}
@@ -494,9 +490,9 @@ func (l *LLC) deliverFill(req *mem.Request, state MESI, data []byte, writer uint
 func (l *LLC) evictVictim(v *Line) {
 	for i := range l.l1s {
 		if v.Sharers&(1<<uint(i)) != 0 || v.Owner() == i {
-			writer, dirty, present := l.l1s[i].RecallLine(v.Addr, true, l.recallBuf[:])
+			data, writer, dirty, present := l.l1s[i].RecallLine(v.Addr, true)
 			if present && dirty {
-				l.arr.SetData(v, l.recallBuf[:])
+				l.arr.SetData(v, data)
 				v.Writer = writer
 				v.Dirty = true
 			}
@@ -685,6 +681,10 @@ func (l *LLC) HasLine(line mem.LineAddr) bool { return l.arr.Peek(line).Valid() 
 
 // LineCount reports valid lines (tests).
 func (l *LLC) LineCount() int { return l.arr.CountValid() }
+
+// PayloadBlocks reports how many payload slot blocks the cache's arena
+// holds (tests: a timing-only machine grows none).
+func (l *LLC) PayloadBlocks() int { return len(l.arr.slots.blocks) }
 
 // L1s exposes the connected L1 caches (system wiring, tests).
 func (l *LLC) L1s() []*L1 { return l.l1s }

@@ -46,6 +46,10 @@ type Core struct {
 	// Pool supplies requests and store-data buffers. NewCore creates a
 	// private pool; the system builder overrides it with the shared one.
 	Pool *mem.RequestPool
+	// Functional makes stores carry their bytes through the store buffer
+	// into the caches. A timing-only core buffers only each store's
+	// position and size.
+	Functional bool
 
 	// HB, when non-nil and enabled, records the happens-before relation.
 	HB *core.Recorder
@@ -106,6 +110,10 @@ type Core struct {
 	ackToken     uint64
 
 	reqID uint64
+	// opSeq stamps buffered stores and PIM ops in program order, so the
+	// scope model's gates can tell older same-scope operations from
+	// younger ones.
+	opSeq uint64
 
 	lastInstr InstrKind
 
@@ -143,9 +151,12 @@ const (
 )
 
 type sbEntry struct {
+	seq  uint64 // program-order stamp (opSeq)
 	line mem.LineAddr
 	off  int
-	// data is a pool-owned buffer (released when the entry retires).
+	size int
+	// data is a pool-owned buffer of size bytes (released when the entry
+	// retires), or nil on a timing-only core.
 	data   []byte
 	scope  mem.ScopeID
 	writer core.EventID
@@ -157,6 +168,7 @@ type sbEntry struct {
 }
 
 type pimEntry struct {
+	seq uint64 // program-order stamp (opSeq)
 	req *mem.Request
 	ev  core.EventID
 }
@@ -369,10 +381,14 @@ func (c *Core) execStore(in Instr) {
 	if c.hbOn() {
 		ev = c.HB.RecordOp(c.ID, core.OpRef{Class: core.OpStore, Scope: scope, Line: line}, in.Label)
 	}
-	data := c.Pool.GetLine()[:len(in.Data)]
-	copy(data, in.Data)
+	var data []byte
+	if c.Functional {
+		data = c.Pool.GetLine()[:len(in.Data)]
+		copy(data, in.Data)
+	}
+	c.opSeq++
 	c.sb = append(c.sb, sbEntry{
-		line: line, off: int(in.Addr - line.Addr()), data: data,
+		seq: c.opSeq, line: line, off: int(in.Addr - line.Addr()), size: len(in.Data), data: data,
 		scope: scope, writer: ev,
 		uncached: c.Model == core.Uncacheable && scope != mem.NoScope,
 	})
@@ -422,17 +438,19 @@ func (c *Core) drainStep() {
 		c.sendDirect(e.pim.req)
 		return
 	}
-	// Scope model: a store to a scope with an in-flight PIM op is held
-	// (same-scope order), holding later stores per TSO.
-	if c.Model == core.Scope && e.scope != mem.NoScope && c.pimPendingTo(e.scope) > 0 {
-		return // ACK resumes via kickDrain
+	// Scope model: a store behind an earlier in-flight or queued PIM op
+	// to its scope is held (same-scope order), holding later stores per
+	// TSO. A PIM op younger than the store must not hold it: that op
+	// waits for the store (tryLaunchScopePIM).
+	if c.Model == core.Scope && e.scope != mem.NoScope && c.scopePIMBefore(e.scope, e.seq) {
+		return // ACK or launch resumes via kickDrain
 	}
 	if e.uncached {
 		e.issued = true
 		req := c.newReq(mem.ReqStore, e.line, e.scope)
 		req.Uncacheable = true
 		req.Data = e.data
-		req.Off, req.Size = e.off, len(e.data)
+		req.Off, req.Size = e.off, e.size
 		req.Writer = uint64(e.writer)
 		req.OnDone = c.uncStoreDone
 		c.sendDirect(req)
@@ -476,7 +494,8 @@ func (c *Core) drainProgressed() {
 }
 
 // sbForward searches the store buffer for the newest store covering the
-// read (TSO store-to-load forwarding).
+// read (TSO store-to-load forwarding). The bytes are nil on a timing-only
+// core.
 func (c *Core) sbForward(a mem.Addr, size int) ([]byte, core.EventID, bool) {
 	line := mem.LineOf(a)
 	off := int(a - line.Addr())
@@ -485,7 +504,10 @@ func (c *Core) sbForward(a mem.Addr, size int) ([]byte, core.EventID, bool) {
 		if e.pim != nil || e.line != line {
 			continue
 		}
-		if off >= e.off && off+size <= e.off+len(e.data) {
+		if off >= e.off && off+size <= e.off+e.size {
+			if e.data == nil {
+				return nil, e.writer, true
+			}
 			return e.data[off-e.off : off-e.off+size], e.writer, true
 		}
 	}
@@ -789,7 +811,8 @@ func (c *Core) buildPIMReq(in Instr) *pimEntry {
 		ev = c.HB.RecordOp(c.ID, core.OpRef{Class: core.OpPIM, Scope: in.Scope}, in.Label)
 	}
 	req.Writer = uint64(ev)
-	return &pimEntry{req: req, ev: ev}
+	c.opSeq++
+	return &pimEntry{seq: c.opSeq, req: req, ev: ev}
 }
 
 func (c *Core) execPIM(in Instr) {
@@ -821,14 +844,14 @@ func (c *Core) execPIM(in Instr) {
 		}
 		e := c.buildPIMReq(in)
 		c.PIMIssued.Inc()
-		c.sb = append(c.sb, sbEntry{scope: in.Scope, pim: e})
+		c.sb = append(c.sb, sbEntry{seq: e.seq, scope: in.Scope, pim: e})
 		c.kickDrain()
 		c.next(1)
 	case core.Scope:
 		// §V-D: non-FIFO entry point; ops queue per scope.
 		e := c.buildPIMReq(in)
 		c.PIMIssued.Inc()
-		if c.pimUnacked[in.Scope] > 0 || len(c.pimQueues[in.Scope]) > 0 || c.sbHasScopeStore(in.Scope) {
+		if c.pimUnacked[in.Scope] > 0 || len(c.pimQueues[in.Scope]) > 0 || c.sbHasScopeStoreBefore(in.Scope, e.seq) {
 			c.pimQueues[in.Scope] = append(c.pimQueues[in.Scope], e)
 		} else {
 			c.pimUnacked[in.Scope]++
@@ -857,15 +880,31 @@ func (c *Core) execPIM(in Instr) {
 	}
 }
 
-// sbHasScopeStore reports a buffered store to the scope (a scope-model PIM
-// op must not pass it).
-func (c *Core) sbHasScopeStore(scope mem.ScopeID) bool {
+// sbHasScopeStoreBefore reports a buffered store to the scope older than
+// seq (a scope-model PIM op must not pass it). Younger stores wait for
+// the op instead (drainStep), so counting them would deadlock.
+func (c *Core) sbHasScopeStoreBefore(scope mem.ScopeID, seq uint64) bool {
 	for i := range c.sb {
+		if c.sb[i].seq >= seq {
+			break // the store buffer is in program order
+		}
 		if c.sb[i].pim == nil && c.sb[i].scope == scope {
 			return true
 		}
 	}
 	return false
+}
+
+// scopePIMBefore reports a scope-model PIM op to scope, older than seq,
+// that is un-ACKed or still queued. Every un-ACKed op is older than every
+// buffered same-scope store: an op launches only once no older store to
+// its scope is buffered.
+func (c *Core) scopePIMBefore(scope mem.ScopeID, seq uint64) bool {
+	if c.pimUnacked[scope] > 0 {
+		return true
+	}
+	q := c.pimQueues[scope]
+	return len(q) > 0 && q[0].seq < seq
 }
 
 // tryLaunchScopePIM sends the next queued scope-model PIM op for scope if
@@ -875,7 +914,7 @@ func (c *Core) tryLaunchScopePIM(scope mem.ScopeID) {
 		return
 	}
 	q := c.pimQueues[scope]
-	if len(q) == 0 || c.pimUnacked[scope] > 0 || c.sbHasScopeStore(scope) {
+	if len(q) == 0 || c.pimUnacked[scope] > 0 || c.sbHasScopeStoreBefore(scope, q[0].seq) {
 		return
 	}
 	e := q[0]

@@ -46,12 +46,16 @@ type Controller struct {
 	// same host", §II-A). The paper's configuration has one.
 	PIMs    []*pim.Module
 	Backing *mem.Backing
+	// Functional makes loads carry the line's bytes from Backing. A
+	// timing-only machine leaves it off: its loads complete with no
+	// payload, which every cache level passes on as "no data".
+	Functional bool
 
 	// Pool recycles requests and line buffers. New creates a private pool;
 	// the system overrides it so every component shares one. finishDRAM
-	// fills load data from it, and the controller — as the completion
-	// invoker — releases requests that carry no completion callback
-	// (writebacks) once they retire.
+	// fills a functional machine's load data from it, and the controller
+	// — as the completion invoker — releases requests that carry no
+	// completion callback (writebacks) once they retire.
 	Pool *mem.RequestPool
 
 	// SendACK, when set, is invoked as soon as a PIM op is accepted into
@@ -434,11 +438,13 @@ func (c *Controller) finishDRAM(e *entry) {
 	switch req.Kind {
 	case mem.ReqLoad:
 		c.LoadsServed.Inc()
-		if req.Data == nil {
-			req.Data = c.Pool.GetLine()
-			req.DataPooled = true
+		if c.Functional {
+			if req.Data == nil {
+				req.Data = c.Pool.GetLine()
+				req.DataPooled = true
+			}
+			c.Backing.ReadLine(req.Line, req.Data)
 		}
-		c.Backing.ReadLine(req.Line, req.Data)
 		req.Writer = c.Backing.WriterOf(req.Line)
 	case mem.ReqStore, mem.ReqWriteback:
 		c.WritesServed.Inc()
@@ -448,8 +454,10 @@ func (c *Controller) finishDRAM(e *entry) {
 				off, size = 0, mem.LineSize
 			}
 			c.Backing.Write(req.Line.Addr()+mem.Addr(off), req.Data[:size])
-			c.Backing.SetWriter(req.Line, req.Writer)
 		}
+		// A timing-only write carries no bytes but still orders reads
+		// from it (TrackHB).
+		c.Backing.SetWriter(req.Line, req.Writer)
 	default:
 		// Flushes and fences do not reach DRAM.
 	}

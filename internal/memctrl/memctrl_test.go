@@ -15,6 +15,7 @@ func setup() (*sim.Kernel, *mem.Backing, *pim.Module, *Controller) {
 	m.FixedOpLatency = 500
 	m.CyclesPerMicroOp = 0
 	c := New(k, m, b)
+	c.Functional = true
 	return k, b, m, c
 }
 

@@ -94,9 +94,10 @@ type Kernel struct {
 	fifo  []fifoEntry // same-tick events, in sequence order
 	fhead int         // next unfired fifo entry
 
-	// EventLimit, when non-zero, aborts Run with ErrEventLimit after that
-	// many events have fired. It is a watchdog against scheduling bugs
-	// (livelock / runaway retry loops).
+	// EventLimit, when non-zero, aborts Run with ErrEventLimit once that
+	// many events have fired. The event that would exceed it stays
+	// pending. It is a watchdog against scheduling bugs (livelock /
+	// runaway retry loops).
 	EventLimit uint64
 	fired      uint64
 }
@@ -283,9 +284,11 @@ func (k *Kernel) Run() (Tick, error) {
 			k.enterTick(t)
 			continue
 		}
-		if err := k.fire(e); err != nil {
-			return k.now, err
+		if k.EventLimit != 0 && k.fired >= k.EventLimit {
+			k.unnext()
+			return k.now, ErrEventLimit
 		}
+		k.fire(e)
 	}
 }
 
@@ -305,6 +308,17 @@ func (k *Kernel) next() *fifoEntry {
 	k.cur, k.chead = nil, 0
 	k.fifo, k.fhead = k.fifo[:0], 0
 	return nil
+}
+
+// unnext puts back the event next just took. A tick's FIFO is read only
+// once its bucket is exhausted, so a started FIFO means the event came
+// from it.
+func (k *Kernel) unnext() {
+	if k.fhead > 0 {
+		k.fhead--
+	} else {
+		k.chead--
+	}
 }
 
 // enterTick advances the clock to tick t and takes everything scheduled
@@ -341,15 +355,11 @@ func (k *Kernel) enterTick(t Tick) {
 
 // fire executes e, clearing its slot first so the callback and context
 // don't outlive the event.
-func (k *Kernel) fire(e *fifoEntry) error {
+func (k *Kernel) fire(e *fifoEntry) {
 	fn, ctx := e.fn, e.ctx
 	*e = fifoEntry{}
 	k.fired++
-	if k.EventLimit != 0 && k.fired > k.EventLimit {
-		return ErrEventLimit
-	}
 	fn(ctx)
-	return nil
 }
 
 // Pending reports the number of queued events.

@@ -103,14 +103,28 @@ func TestSchedulePastPanics(t *testing.T) {
 	}
 }
 
+// The event limit stops Run before the event that would exceed it, which
+// stays pending: exactly EventLimit events fire, whether the next one
+// comes from a wheel bucket (delay 1) or the same-tick FIFO (delay 0).
 func TestEventLimit(t *testing.T) {
-	k := NewKernel()
-	k.EventLimit = 100
-	var tick func()
-	tick = func() { k.ScheduleCtx(1, callFn, tick) }
-	k.ScheduleCtx(1, callFn, tick)
-	if _, err := k.Run(); err != ErrEventLimit {
-		t.Fatalf("err = %v, want ErrEventLimit", err)
+	for _, delay := range []Tick{1, 0} {
+		k := NewKernel()
+		k.EventLimit = 100
+		var tick func()
+		tick = func() { k.ScheduleCtx(delay, callFn, tick) }
+		k.ScheduleCtx(1, callFn, tick)
+		if _, err := k.Run(); err != ErrEventLimit {
+			t.Fatalf("delay %d: err = %v, want ErrEventLimit", delay, err)
+		}
+		if k.Fired() != 100 || k.Pending() != 1 {
+			t.Fatalf("delay %d: after the limit fired %d, pending %d; want 100, 1", delay, k.Fired(), k.Pending())
+		}
+		// Raising the limit resumes with the held event.
+		k.EventLimit = 150
+		if _, err := k.Run(); err != ErrEventLimit || k.Fired() != 150 || k.Pending() != 1 {
+			t.Fatalf("delay %d: resumed run: err %v, fired %d, pending %d; want ErrEventLimit, 150, 1",
+				delay, err, k.Fired(), k.Pending())
+		}
 	}
 }
 
@@ -189,6 +203,9 @@ func TestKernelReleasePending(t *testing.T) {
 	}
 	if _, err := k.Run(); err != ErrEventLimit {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
+	}
+	if n := k.Pending(); n != 90 {
+		t.Fatalf("pending after the limit = %d, want 90", n)
 	}
 	func() {
 		defer func() {

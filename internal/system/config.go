@@ -76,8 +76,12 @@ type Config struct {
 	// identical either way.
 	NoPooling bool
 
-	// Functional executes PIM programs and verifies data; TrackHB records
-	// the happens-before relation (litmus-scale runs only).
+	// Functional executes PIM programs and verifies data, and is the one
+	// switch for payload bytes: only a functional machine moves line data
+	// through DRAM reads, store buffers and cache fills (timing-only runs
+	// carry none; a line's dirtiness is its MESI state either way).
+	// TrackHB records the happens-before relation (litmus-scale runs
+	// only).
 	Functional bool
 	TrackHB    bool
 

@@ -78,6 +78,7 @@ func New(cfg Config) *System {
 		mc.AddPIMModule(m)
 	}
 	mc.Pool = pool
+	mc.Functional = cfg.Functional
 	mc.QueueSize = cfg.MCQueue
 	mc.DRAMLatency = cfg.DRAMLatency
 	mc.Banks = cfg.Banks
@@ -139,6 +140,7 @@ func New(cfg Config) *System {
 	for i := 0; i < cfg.Cores; i++ {
 		c := cpu.NewCore(k, i, cfg.Model)
 		c.Pool = pool
+		c.Functional = cfg.Functional
 		c.L1 = l1s[i]
 		c.LLC = llc
 		c.Reply = down[i]

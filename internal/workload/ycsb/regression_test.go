@@ -24,3 +24,22 @@ func TestEightThreadBarrierRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Regression: under the scope model a PIM op queued behind a younger
+// same-scope store deadlocked. The op waited for the store buffer to hold
+// no store to its scope, and the store buffer held that (younger) store
+// because a PIM op to its scope was pending. Each gate now counts only
+// older operations: stores older than the op, ops older than the store.
+func TestScopeModelYoungerStoreDeadlockRegression(t *testing.T) {
+	for _, seed := range []uint64{1, 3, 4} {
+		p := DefaultParams(100_000)
+		p.Operations = 64
+		p.ScanFraction = 0.5
+		p.Seed = seed
+		cfg := system.Default()
+		cfg.Model = core.Scope
+		if _, err := Run(New(p), cfg); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
