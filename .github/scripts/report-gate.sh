@@ -2,7 +2,7 @@
 # report-gate.sh: the report gate shared by CI's coord and incremental
 # jobs. It runs one report pass and checks that its bytes
 # match a reference report and that its stderr shows the expected
-# cache or snapshot accounting.
+# cache accounting.
 #
 # Usage: report-gate.sh REFERENCE NAME [-e PATTERN]... -- COMMAND [ARG]...
 #

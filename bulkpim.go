@@ -27,7 +27,6 @@ import (
 	"bulkpim/internal/report"
 	"bulkpim/internal/resultcache"
 	"bulkpim/internal/sim"
-	"bulkpim/internal/snapshot"
 	"bulkpim/internal/system"
 	"bulkpim/internal/workload/litmus"
 	"bulkpim/internal/workload/tpch"
@@ -199,29 +198,6 @@ type CacheStats = resultcache.Stats
 
 // OpenResultCache loads (or creates) a result cache under dir.
 func OpenResultCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
-
-// ---- workload snapshot store ----
-
-// SnapshotStore is a content-addressed, on-disk store of generated
-// workload snapshots, keyed by workload identity (the same identity
-// SimJob.Extra folds into result-cache fingerprints) and verified by
-// an integrity hash on load. Set it on Options.Snapshots (or pimbench
-// -snapshot-dir) to skip regenerating identical databases across
-// harness invocations — and, with a shared filesystem, across a whole
-// worker fleet: writers publish atomically, so each database is
-// generated at most once suite-wide. Corrupt or foreign-version files
-// degrade to regeneration, never errors.
-type SnapshotStore = snapshot.Store
-
-// SnapshotStats is the store's hit/miss/corruption accounting;
-// SnapshotInfo describes one stored snapshot for inspection.
-type (
-	SnapshotStats = snapshot.Stats
-	SnapshotInfo  = snapshot.Info
-)
-
-// OpenSnapshotStore prepares a snapshot store under dir.
-func OpenSnapshotStore(dir string) (*SnapshotStore, error) { return snapshot.Open(dir) }
 
 // ---- Hardware overhead (paper §VI-A) ----
 

@@ -2,7 +2,7 @@ package main
 
 // Single source of shared flag definitions. The run, plan, coord,
 // serve and work subcommands overlap on most of their flags — the
-// -exp/-scale/-seed trio, -v, -cache-dir, -snapshot-dir, the fleet and
+// -exp/-scale/-seed trio, -v, -cache-dir, the fleet and
 // crash-injection knobs — and before this file each subcommand
 // declared its copies inline, so a rename or default change in one
 // place could silently skew the others. Every shared
@@ -67,10 +67,6 @@ func addCacheDir(fs *flag.FlagSet, help string) *string {
 	return fs.String("cache-dir", "", help)
 }
 
-func addSnapshotDir(fs *flag.FlagSet, help string) *string {
-	return fs.String("snapshot-dir", "", help)
-}
-
 func addFailAfter(fs *flag.FlagSet, help string) *int {
 	return fs.Int("fail-after", 0, help)
 }
@@ -115,7 +111,6 @@ type runFlags struct {
 	cacheDir *string
 	noCache  *bool
 	resume   *bool
-	snapDir  *string
 	prof     profileFlags
 	gcstats  *string
 }
@@ -131,7 +126,6 @@ func newRunFlags(stderr io.Writer) (*flag.FlagSet, *runFlags) {
 		cacheDir: addCacheDir(fs, "persist finished grid points here and skip them on re-runs (reports are byte-identical either way)"),
 		noCache:  fs.Bool("no-cache", false, "disable the result cache even when -cache-dir or -resume is set"),
 		resume:   fs.Bool("resume", false, "resume an interrupted run from the result cache (defaults -cache-dir to "+defaultCacheDir+")"),
-		snapDir:  addSnapshotDir(fs, "memoize generated workloads here (content-addressed) and load instead of regenerating on re-runs; shareable across a fleet"),
 		prof:     addProfileFlags(fs),
 		gcstats:  fs.String("gcstats", "", "write an allocation/GC summary (runtime.MemStats JSON) at run end to this file"),
 	}
@@ -160,7 +154,6 @@ type coordFlags struct {
 	expFlags
 	fleet    fleetFlags
 	cacheDir *string
-	snapDir  *string
 	verbose  *bool
 }
 
@@ -170,7 +163,6 @@ func newCoordFlags(stderr io.Writer) (*flag.FlagSet, *coordFlags) {
 		expFlags: addExpFlags(fs, "run"),
 		fleet:    addFleetFlags(fs, "worker subprocesses (0 = GOMAXPROCS)"),
 		cacheDir: addCacheDir(fs, "serve cached results from, and stream finished ones into, this cache directory (required)"),
-		snapDir:  addSnapshotDir(fs, "workload snapshot store: the coordinator pre-warms the biggest databases and every worker is pointed at it"),
 		verbose:  addVerbose(fs, "log per-job progress and each artifact's settle order, and forward worker stderr"),
 	}
 	return fs, f
@@ -180,7 +172,6 @@ func newCoordFlags(stderr io.Writer) (*flag.FlagSet, *coordFlags) {
 type serveFlags struct {
 	addr     *string
 	cacheDir *string
-	snapDir  *string
 	fleet    fleetFlags
 	local    *bool
 	verbose  *bool
@@ -191,7 +182,6 @@ func newServeFlags(stderr io.Writer) (*flag.FlagSet, *serveFlags) {
 	f := &serveFlags{
 		addr:     fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks an ephemeral port)"),
 		cacheDir: addCacheDir(fs, "result cache directory the daemon serves from and writes back into (required)"),
-		snapDir:  addSnapshotDir(fs, "workload snapshot store shared with the worker fleet"),
 		fleet:    addFleetFlags(fs, "initial worker fleet size and auto-replace target (0 = 2)"),
 		local:    fs.Bool("local", false, "execute in-process instead of spawning worker subprocesses"),
 		verbose:  addVerbose(fs, "log requests, fleet events and forward worker stderr"),
@@ -202,7 +192,6 @@ func newServeFlags(stderr io.Writer) (*flag.FlagSet, *serveFlags) {
 // workFlags is the `pimbench work` flag set. It has no experiment
 // flags: every job frame carries the spec the worker plans for.
 type workFlags struct {
-	snapDir   *string
 	verbose   *bool
 	failAfter *int
 	prof      profileFlags
@@ -211,7 +200,6 @@ type workFlags struct {
 func newWorkFlags(stderr io.Writer) (*flag.FlagSet, *workFlags) {
 	fs := newFlagSet("pimbench work", stderr)
 	f := &workFlags{
-		snapDir:   addSnapshotDir(fs, "workload snapshot store shared with the coordinator and sibling workers"),
 		verbose:   addVerbose(fs, "log served jobs on stderr"),
 		failAfter: addFailAfter(fs, "crash-injection test hook: exit 3 when job N+1 arrives"),
 		prof:      addProfileFlags(fs),

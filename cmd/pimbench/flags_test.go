@@ -78,18 +78,17 @@ func TestSharedFlagParity(t *testing.T) {
 }
 
 // TestWorkFlagsParseCoordArgs: the work flag set must parse exactly
-// the argv shape workArgs builds for coord and serve fleets (plus the
-// crash-injection hook) — the cmd-side half of the bulkpim round-trip
-// test TestServeWorkArgsRoundTrip — and reject the retired static-plan
-// flags.
+// the argv shape coord and serve fleets launch workers with (the
+// crash-injection hook is the only flag they pass) — the cmd-side half
+// of the bulkpim round-trip test TestServeWorkArgsRoundTrip — and
+// reject the retired static-plan flags.
 func TestWorkFlagsParseCoordArgs(t *testing.T) {
-	snapDir := t.TempDir()
 	fs, f := newWorkFlags(io.Discard)
-	if err := fs.Parse([]string{"-snapshot-dir", snapDir, "-fail-after", "2"}); err != nil {
+	if err := fs.Parse([]string{"-fail-after", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if *f.snapDir != snapDir || *f.failAfter != 2 {
-		t.Fatalf("round-trip skew: snap=%q failAfter=%d", *f.snapDir, *f.failAfter)
+	if *f.failAfter != 2 || fs.NArg() != 0 {
+		t.Fatalf("round-trip skew: failAfter=%d operands=%v", *f.failAfter, fs.Args())
 	}
 	for _, retired := range []string{"-dynamic", "-exp=fig7"} {
 		fs, _ := newWorkFlags(io.Discard)

@@ -8,7 +8,6 @@
 //	pimbench coord [flags]      dispatch jobs to a fault-tolerant worker fleet
 //	pimbench serve [flags]      HTTP daemon: cached results instantly, misses on a live fleet
 //	pimbench work [flags]       worker endpoint spawned by coord and serve (jobs carry their spec)
-//	pimbench snapshot [flags]   inspect / garbage-collect workload snapshots
 //	pimbench version [-v]       print build identity (module, Go, VCS revision)
 //
 // `run` and `work` accept -cpuprofile/-memprofile to capture pprof
@@ -57,7 +56,7 @@
 // against all in-flight work fleet-wide, executed once, and written
 // back (see README "Serving"):
 //
-//	pimbench serve -addr :8080 -cache-dir d -snapshot-dir s -workers 4
+//	pimbench serve -addr :8080 -cache-dir d -workers 4
 //	curl -d '{"experiment":"fig7","scale":"smoke"}' localhost:8080/v1/jobs
 //
 // Scales: smoke (CI, seconds), quick (minutes), medium (tens of
@@ -71,15 +70,6 @@
 // and a cache-stats summary is printed on stderr. -resume uses
 // .pimbench-cache unless -cache-dir names another directory; pass the
 // same directory on both runs.
-//
-// With -snapshot-dir, generated workloads (YCSB databases, TPC-H query
-// sections) are additionally memoized in a content-addressed snapshot
-// store: re-runs — and fleet workers sharing the directory — load each
-// database instead of regenerating it, so a warm run performs zero
-// workload generations. `pimbench coord -snapshot-dir d` pre-warms the
-// biggest databases and propagates the store to every worker.
-// `pimbench snapshot -snapshot-dir d -ls` lists the store; `-gc`
-// garbage-collects it.
 package main
 
 import (
@@ -120,12 +110,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return serveCmd(args[1:], stdout, stderr)
 		case "work":
 			return workCmd(args[1:], stdin, stdout, stderr)
-		case "snapshot":
-			return snapshotCmd(args[1:], stdout, stderr)
 		case "version":
 			return versionCmd(args[1:], stdout, stderr)
 		default:
-			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, coord, serve, work, snapshot, version)\n", args[0])
+			fmt.Fprintf(stderr, "pimbench: unknown subcommand %q (have run, plan, coord, serve, work, version)\n", args[0])
 			return 2
 		}
 	}
@@ -191,11 +179,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 				cache.Path(), cache.Len())
 		}
 	}
-	snapFooter, err := attachSnapshots(*f.snapDir, &opts, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
 
 	start := time.Now()
 	runErr := runExperiments(*f.exp, opts, *f.verbose, *f.csvDir, stdout, stderr)
@@ -204,7 +187,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if cache != nil {
 		fmt.Fprintf(stderr, "pimbench: cache: %s (%s)\n", cache.Stats(), cache.Path())
 	}
-	snapFooter()
 	if runErr != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", runErr)
 		return 1
@@ -218,28 +200,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "pimbench: %s at scale %s (parallel=%d) in %s\n",
 		*f.exp, *f.scale, *f.parallel, time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// attachSnapshots opens the workload snapshot store under dir (when
-// non-empty) and attaches it to opts. The returned footer prints the
-// snapshot accounting — store stats plus the workloads this run
-// actually generated, the number a snapshot-warm run must drive to
-// zero — and is never nil, so callers print it unconditionally next to
-// the cache footer.
-func attachSnapshots(dir string, opts *bulkpim.Options, stderr io.Writer) (footer func(), err error) {
-	if dir == "" {
-		return func() {}, nil
-	}
-	snap, err := bulkpim.OpenSnapshotStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	opts.Snapshots = snap
-	genBefore := bulkpim.WorkloadGenerations()
-	return func() {
-		fmt.Fprintf(stderr, "pimbench: snapshots: %s; %d workloads generated (%s)\n",
-			snap.Stats(), bulkpim.WorkloadGenerations()-genBefore, snap.Dir())
-	}, nil
 }
 
 // planCmd prints the deterministic job manifest — experiment, key,
@@ -350,11 +310,6 @@ func coordCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer cache.Close()
 	opts.Cache = cache
-	snapFooter, err := attachSnapshots(*f.snapDir, &opts, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
 
 	copts := bulkpim.CoordOptions{
 		WorkerCmd:  *f.fleet.workerCmd,
@@ -370,7 +325,6 @@ func coordCmd(args []string, stdout, stderr io.Writer) int {
 	sum, runErr := bulkpim.Coordinate(*f.exp, opts, copts, emit, stdout)
 	fmt.Fprintf(stderr, "pimbench: coord: %s\n", sum)
 	fmt.Fprintf(stderr, "pimbench: cache: %s (%s)\n", cache.Stats(), cache.Path())
-	snapFooter()
 	if runErr != nil {
 		fmt.Fprintf(stderr, "pimbench: %v\n", runErr)
 		return 1
@@ -408,11 +362,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer cache.Close()
 	opts.Cache = cache
-	snapFooter, err := attachSnapshots(*f.snapDir, &opts, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
 
 	sopts := bulkpim.ServerOptions{
 		Addr:       *f.addr,
@@ -451,7 +400,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 
 	serveErr := srv.Serve()
 	fmt.Fprintf(stderr, "pimbench: cache: %s (%s)\n", cache.Stats(), cache.Path())
-	snapFooter()
 	if serveErr != nil {
 		fmt.Fprintf(stderr, "pimbench: serve: %v\n", serveErr)
 		return 1
@@ -488,70 +436,10 @@ func workCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-	snapFooter, err := attachSnapshots(*f.snapDir, &opts, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
-	defer snapFooter()
 	if workErr := bulkpim.ServeWorker(opts, stdin, stdout, *f.failAfter); workErr != nil {
 		fmt.Fprintf(stderr, "pimbench: work: %v\n", workErr)
 		return 1
 	}
-	return 0
-}
-
-// snapshotCmd inspects and garbage-collects a workload snapshot store.
-// -ls (the default) lists id, size and workload identity per snapshot,
-// flagging files that fail verification; -gc removes snapshots older
-// than -older-than (0 = all) plus anything broken — corrupt files,
-// foreign store versions and orphaned temp files can never hit, so
-// they are always garbage.
-func snapshotCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("pimbench snapshot", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("snapshot-dir", "", "snapshot store directory (required)")
-	ls := fs.Bool("ls", false, "list snapshots (default action)")
-	gc := fs.Bool("gc", false, "garbage-collect the store")
-	olderThan := fs.Duration("older-than", 0, "with -gc, only remove snapshots older than this (0 removes every snapshot)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	if *dir == "" || fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "pimbench: usage: pimbench snapshot -snapshot-dir DIR [-ls | -gc [-older-than DUR]]")
-		return 2
-	}
-	snap, err := bulkpim.OpenSnapshotStore(*dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
-	if *gc {
-		removed, freed, err := snap.GC(*olderThan, time.Now())
-		if err != nil {
-			fmt.Fprintf(stderr, "pimbench: snapshot gc: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "removed %d files (%d bytes) from %s\n", removed, freed, snap.Dir())
-		return 0
-	}
-	_ = ls // listing is the default action
-	infos, err := snap.List()
-	if err != nil {
-		fmt.Fprintf(stderr, "pimbench: %v\n", err)
-		return 1
-	}
-	for _, in := range infos {
-		if in.Err != nil {
-			fmt.Fprintf(stdout, "%s\t%d\tBROKEN: %v\n", in.ID, in.Size, in.Err)
-			continue
-		}
-		fmt.Fprintf(stdout, "%s\t%d\t%s\n", in.ID, in.Size, in.Label)
-	}
-	fmt.Fprintf(stderr, "pimbench: %d snapshots in %s\n", len(infos), snap.Dir())
 	return 0
 }
 

@@ -113,71 +113,6 @@ func TestRunCacheWarm(t *testing.T) {
 	}
 }
 
-// TestRunSnapshotWarm runs the same experiment twice against one
-// snapshot store (no result cache, so every simulation recomputes):
-// the second run must load every workload — 100% snapshot hit rate,
-// zero generations — and still print byte-identical reports.
-func TestRunSnapshotWarm(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func() (string, string) {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-exp", "fig3", "-scale", "smoke", "-snapshot-dir", dir}, nil, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("exit code %d, stderr:\n%s", code, stderr.String())
-		}
-		return stdout.String(), stderr.String()
-	}
-	coldOut, coldErr := runOnce()
-	warmOut, warmErr := runOnce()
-	if coldOut != warmOut {
-		t.Fatalf("snapshot-warm report differs from cold:\ncold:\n%s\nwarm:\n%s", coldOut, warmOut)
-	}
-	if !strings.Contains(coldErr, "pimbench: snapshots:") || strings.Contains(coldErr, "; 0 workloads generated") {
-		t.Fatalf("cold run should report generations:\n%s", coldErr)
-	}
-	if !strings.Contains(warmErr, "(100.0% hit rate)") || !strings.Contains(warmErr, "; 0 workloads generated") {
-		t.Fatalf("warm run regenerated workloads:\n%s", warmErr)
-	}
-}
-
-// TestSnapshotSubcommand covers the inspection/GC surface: -ls lists
-// labeled snapshots, -gc empties the store, and a missing -snapshot-dir
-// is a usage error.
-func TestSnapshotSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	mustRun := func(args ...string) (string, string) {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run(args, nil, &stdout, &stderr); code != 0 {
-			t.Fatalf("pimbench %v: exit %d, stderr:\n%s", args, code, stderr.String())
-		}
-		return stdout.String(), stderr.String()
-	}
-	mustRun("-exp", "fig3", "-scale", "smoke", "-snapshot-dir", dir)
-
-	ls, lsErr := mustRun("snapshot", "-snapshot-dir", dir, "-ls")
-	if !strings.Contains(ls, "ycsb:") || strings.Contains(ls, "BROKEN") {
-		t.Fatalf("listing missing labeled snapshots:\n%s", ls)
-	}
-	if !strings.Contains(lsErr, "snapshots in") {
-		t.Fatalf("missing summary line:\n%s", lsErr)
-	}
-
-	gcOut, _ := mustRun("snapshot", "-snapshot-dir", dir, "-gc")
-	if !strings.Contains(gcOut, "removed ") {
-		t.Fatalf("gc summary missing:\n%s", gcOut)
-	}
-	ls, _ = mustRun("snapshot", "-snapshot-dir", dir)
-	if strings.TrimSpace(ls) != "" {
-		t.Fatalf("store not empty after full gc:\n%s", ls)
-	}
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"snapshot", "-ls"}, nil, &stdout, &stderr); code != 2 {
-		t.Fatalf("snapshot without -snapshot-dir: exit %d, want 2", code)
-	}
-}
-
 // syncBuffer serializes writes: with -v the coordinator forwards every
 // worker subprocess's stderr into the same writer from concurrent copy
 // goroutines (a real terminal's file descriptor handles that in the
@@ -197,46 +132,6 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
-}
-
-// TestCoordSnapshotPropagation: a coordinated run with -snapshot-dir
-// pre-warms the store and propagates the flag to its worker
-// subprocesses — their forwarded footers must report zero generations
-// (they loaded the pre-warmed database); afterwards a store-backed run
-// generates nothing either.
-func TestCoordSnapshotPropagation(t *testing.T) {
-	t.Setenv("PIMBENCH_EXEC", "1")
-	cacheDir, snapDir := t.TempDir(), t.TempDir()
-	var coordErr syncBuffer
-	var stdout bytes.Buffer
-	code := run([]string{"coord", "-workers", "2", "-exp", "fig3", "-scale", "smoke",
-		"-cache-dir", cacheDir, "-snapshot-dir", snapDir, "-v"}, nil, &stdout, &coordErr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, coordErr.String())
-	}
-	se := coordErr.String()
-	if !strings.Contains(se, "pre-warmed") {
-		t.Fatalf("coordinator did not pre-warm the snapshot store:\n%s", se)
-	}
-	if !strings.Contains(se, "0 failed, 0 retried, 0 workers lost") {
-		t.Fatalf("fleet run not clean:\n%s", se)
-	}
-	// Worker footers ride the forwarded stderr: at least one must show
-	// an attached store that served it fully (the propagation proof —
-	// without -snapshot-dir in workerArgv no worker prints a footer).
-	if !strings.Contains(se, "; 0 workloads generated ("+snapDir) {
-		t.Fatalf("no worker footer shows the propagated store serving it:\n%s", se)
-	}
-
-	stdout.Reset()
-	var warmErr bytes.Buffer
-	if code := run([]string{"-exp", "fig3", "-scale", "smoke", "-snapshot-dir", snapDir},
-		nil, &stdout, &warmErr); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, warmErr.String())
-	}
-	if !strings.Contains(warmErr.String(), "; 0 workloads generated") {
-		t.Fatalf("run after coordinated fleet regenerated workloads:\n%s", warmErr.String())
-	}
 }
 
 // TestRunResume: -resume without -cache-dir uses the default cache
@@ -276,13 +171,16 @@ func TestRunUnknownScale(t *testing.T) {
 }
 
 // TestCoordCrashInjection is the coordinator's acceptance contract end
-// to end, through real worker subprocesses and pipes: a 3-worker
-// coordinated smoke run with one worker crashing mid-run (the
-// -fail-after hook kills worker 1 after 2 served jobs, losing its 3rd
-// job in flight) must complete, retry the lost job on a survivor, print
-// a report byte-identical to a single-process cold run, and leave a
-// cache whose warm report pass is 100%-hit and byte-identical too, with
-// identical -csvdir files.
+// to end, through real worker subprocesses and pipes. A one-worker
+// coordinated smoke run whose only worker crashes mid-run (the
+// -fail-after hook kills worker 0 when its 3rd job arrives, losing that
+// job in flight) must complete: a replacement joins, the lost job is
+// retried on it, and the report is byte-identical to a single-process
+// cold run. A lone worker is handed every job, so the crash fires
+// however the scheduler would split the work across a larger fleet.
+// A separate 3-worker pass must print the same report, and the crashed
+// run's cache must serve a warm report pass that is 100%-hit and
+// byte-identical too, with identical -csvdir files.
 func TestCoordCrashInjection(t *testing.T) {
 	t.Setenv("PIMBENCH_EXEC", "1")
 	mustRun := func(args ...string) (string, string) {
@@ -298,8 +196,8 @@ func TestCoordCrashInjection(t *testing.T) {
 	single, _ := mustRun("-exp", "all", "-scale", "smoke", "-parallel", "4", "-csvdir", csvSingle)
 
 	dir := t.TempDir()
-	coordOut, coordErr := mustRun("coord", "-workers", "3", "-exp", "all", "-scale", "smoke",
-		"-cache-dir", dir, "-fail-worker", "1", "-fail-after", "2")
+	coordOut, coordErr := mustRun("coord", "-workers", "1", "-exp", "all", "-scale", "smoke",
+		"-cache-dir", dir, "-fail-worker", "0", "-fail-after", "2")
 	if coordOut != single {
 		t.Fatalf("coordinated report differs from single-process run:\nsingle %d bytes, coord %d bytes",
 			len(single), len(coordOut))
@@ -312,6 +210,16 @@ func TestCoordCrashInjection(t *testing.T) {
 	}
 	if !strings.Contains(coordErr, "ETA") {
 		t.Fatalf("missing live progress footer:\n%s", coordErr)
+	}
+
+	fleetOut, fleetErr := mustRun("coord", "-workers", "3", "-exp", "all", "-scale", "smoke",
+		"-cache-dir", t.TempDir())
+	if fleetOut != single {
+		t.Fatalf("3-worker coordinated report differs from single-process run:\nsingle %d bytes, coord %d bytes",
+			len(single), len(fleetOut))
+	}
+	if !strings.Contains(fleetErr, "0 failed") {
+		t.Fatalf("3-worker coordinated run failed jobs:\n%s", fleetErr)
 	}
 
 	warm, warmErr := mustRun("-exp", "all", "-scale", "smoke", "-cache-dir", dir, "-csvdir", csvCoord)

@@ -71,17 +71,15 @@ func (s CoordSummary) String() string {
 		s.Done, s.Distinct, s.Planned, s.Failed, s.Retried, s.WorkersLost, s.Cached, s.Stored)
 }
 
-// workArgs builds the work-subcommand argv of a fleet worker. Workers
-// plan per job spec, so only the shared resources they attach to (the
-// snapshot store directory) travel on the command line.
-// TestServeWorkArgsRoundTrip asserts the round-trip through the work
-// subcommand's flag set.
-func workArgs(opts Options) []string {
-	args := []string{"work"}
-	if opts.Snapshots != nil {
-		args = append(args, "-snapshot-dir", opts.Snapshots.Dir())
+// workArgs is the work-subcommand argv of a fleet worker. Workers plan
+// from each job's spec, so only the crash-injection hook (failAfter >
+// 0) travels on the command line. TestServeWorkArgsRoundTrip asserts
+// the round-trip through the work subcommand's flag set.
+func workArgs(failAfter int) []string {
+	if failAfter > 0 {
+		return []string{"work", "-fail-after", strconv.Itoa(failAfter)}
 	}
-	return args
+	return []string{"work"}
 }
 
 // workerArgv builds one worker's launch argv from the template. See
@@ -119,14 +117,13 @@ func workerArgv(tmpl string, workArgs []string) ([]string, error) {
 // worker failWorker is launched with `-fail-after failAfter`, the
 // crash-injection test hook; replacements get fresh ids and are never
 // injected.
-func procLauncher(opts Options, workerCmd string, stderr io.Writer, failWorker, failAfter int) func(id int) (coord.Worker, error) {
-	args := workArgs(opts)
+func procLauncher(workerCmd string, stderr io.Writer, failWorker, failAfter int) func(id int) (coord.Worker, error) {
 	return func(id int) (coord.Worker, error) {
-		a := args
-		if failAfter > 0 && id == failWorker {
-			a = append(append([]string(nil), args...), "-fail-after", strconv.Itoa(failAfter))
+		n := 0
+		if id == failWorker {
+			n = failAfter
 		}
-		argv, err := workerArgv(workerCmd, a)
+		argv, err := workerArgv(workerCmd, workArgs(n))
 		if err != nil {
 			return nil, err
 		}
@@ -495,20 +492,12 @@ func coordinate(name string, opts Options, copts CoordOptions, emit func(StreamE
 		return CoordSummary{}, errors.New("coordinated run needs Options.Cache: results stream into the shared result cache")
 	}
 	if launch == nil {
-		launch = procLauncher(opts, copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
+		launch = procLauncher(copts.WorkerCmd, copts.WorkerStderr, copts.FailWorker, copts.FailAfter)
 	}
 	x := executor{
 		spec:     coord.JobSpec{Exp: strings.ToLower(name), Scale: string(opts.Scale), Seed: opts.Seed},
 		progress: copts.Progress,
-		pool: func(misses []*fpGroup) coord.PoolOptions {
-			// Pre-warm the snapshot store before any worker launches:
-			// the biggest databases the missed jobs reference are
-			// published once by the coordinator, so the fleet — sharing
-			// the store's filesystem — loads them instead of racing to
-			// regenerate them per worker.
-			if n := prewarmPlanned(opts, plannedIdentities(misses)); n > 0 {
-				opts.log("coord: pre-warmed %d workload snapshot(s) into %s", n, opts.Snapshots.Dir())
-			}
+		pool: func([]*fpGroup) coord.PoolOptions {
 			return coord.PoolOptions{Launch: launch}
 		},
 	}

@@ -514,22 +514,18 @@ func TestWorkerArgv(t *testing.T) {
 
 // TestServeWorkArgsRoundTrip: the worker argv Coordinate and Server
 // launch must round-trip through the work subcommand's flag set —
-// every option propagated, nothing dropped, nothing the workers cannot
-// parse. This is the guard the -snapshot-dir propagation fix added: a
-// silently dropped flag would let workers regenerate every database
-// the store already holds. Experiment, scale and seed ride each job's
-// spec, never the command line.
+// nothing dropped, nothing the workers cannot parse. Experiment, scale
+// and seed ride each job's spec, never the command line, so a plain
+// worker gets the bare subcommand.
 func TestServeWorkArgsRoundTrip(t *testing.T) {
-	snap, err := OpenSnapshotStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	if args := workArgs(0); !reflect.DeepEqual(args, []string{"work"}) {
+		t.Fatalf("plain worker argv = %v", args)
 	}
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	snapDir := fs.String("snapshot-dir", "", "")
 	fs.Bool("v", false, "")
-	fs.Int("fail-after", 0, "")
-	args := workArgs(Options{Scale: ScaleMedium, Seed: 7, Snapshots: snap})
+	failAfter := fs.Int("fail-after", 0, "")
+	args := workArgs(2)
 	if len(args) == 0 || args[0] != "work" {
 		t.Fatalf("argv must start with the work subcommand: %v", args)
 	}
@@ -539,14 +535,8 @@ func TestServeWorkArgsRoundTrip(t *testing.T) {
 	if fs.NArg() != 0 {
 		t.Fatalf("argv %v leaves unparsed operands %v — a flag was dropped or misspelled", args, fs.Args())
 	}
-	if *snapDir != snap.Dir() {
-		t.Errorf("-snapshot-dir = %q, want %q", *snapDir, snap.Dir())
-	}
-
-	// Store-less runs omit the flag, keeping workers on their no-store
-	// default.
-	if args := workArgs(Options{}); !reflect.DeepEqual(args, []string{"work"}) {
-		t.Fatalf("store-less worker argv = %v", args)
+	if *failAfter != 2 {
+		t.Errorf("-fail-after = %d, want 2", *failAfter)
 	}
 }
 

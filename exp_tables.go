@@ -118,7 +118,7 @@ var ablationVariants = []ablationVariant{
 }
 
 func planAblation(opts Options) []SimJob {
-	lw := &lazyYCSB{p: opts.lastRecordsParams(), snap: opts.Snapshots}
+	lw := &lazyYCSB{p: opts.lastRecordsParams()}
 	extra := ycsbIdentity(lw.p)
 	specs := make([]SimJob, len(ablationVariants))
 	for i, v := range ablationVariants {
@@ -190,7 +190,7 @@ func ablationSpec() ExperimentSpec {
 var sbGeometries = []struct{ sets, ways int }{{1, 1}, {4, 1}, {16, 1}, {64, 1}, {64, 4}}
 
 func planSBSize(opts Options) []SimJob {
-	lw := &lazyYCSB{p: opts.lastRecordsParams(), snap: opts.Snapshots}
+	lw := &lazyYCSB{p: opts.lastRecordsParams()}
 	extra := ycsbIdentity(lw.p)
 	specs := make([]SimJob, len(sbGeometries))
 	for i, g := range sbGeometries {
@@ -262,7 +262,7 @@ func sbsizeSpec() ExperimentSpec {
 var multimodCounts = []int{1, 2, 4}
 
 func planMultiModule(opts Options) []SimJob {
-	lw := &lazyYCSB{p: opts.lastRecordsParams(), snap: opts.Snapshots}
+	lw := &lazyYCSB{p: opts.lastRecordsParams()}
 	extra := ycsbIdentity(lw.p)
 	specs := make([]SimJob, len(multimodCounts))
 	for i, n := range multimodCounts {

@@ -31,23 +31,22 @@ func tpchKey(query string, m Model) string {
 const tpchThreads = 4
 
 // lazyTPCH defers workload construction to the first executing job of
-// a query, mirroring lazyYCSB: planning touches no workload, a
-// fully-cached run constructs none, and with a snapshot store attached
-// construction is first tried as a content-addressed load. The
-// prepared workload is shared read-only by the query's model variants.
+// a query, mirroring lazyYCSB: planning touches no workload and a
+// fully-cached run constructs none. The prepared workload is shared
+// read-only by the query's model variants.
 type lazyTPCH struct {
 	q       tpch.QuerySpec
 	threads int
 	scale   float64
 	verify  bool
-	snap    *SnapshotStore
 	once    sync.Once
 	w       *tpch.Workload
 }
 
 func (l *lazyTPCH) workload() *tpch.Workload {
 	l.once.Do(func() {
-		l.w = generateTPCH(l.snap, l.q, l.threads, l.scale, l.verify)
+		genCount.Add(1)
+		l.w = tpch.NewWorkload(l.q, l.threads, l.scale, l.verify)
 	})
 	return l.w
 }
@@ -56,7 +55,7 @@ func (l *lazyTPCH) workload() *tpch.Workload {
 func planTPCH(opts Options, models []Model) []SimJob {
 	var specs []SimJob
 	for _, q := range tpch.Queries() {
-		lw := &lazyTPCH{q: q, threads: tpchThreads, scale: opts.tpchScale(), snap: opts.Snapshots}
+		lw := &lazyTPCH{q: q, threads: tpchThreads, scale: opts.tpchScale()}
 		extra := tpchIdentity(q, tpchThreads, opts.tpchScale(), false)
 		for _, m := range models {
 			m := m
@@ -80,7 +79,7 @@ func fig9YCSBKey(m Model) string { return fmt.Sprintf("fig9-ycsb/model=%s", m) }
 // planFig9YCSB enumerates the YCSB column of Fig. 9: the proposed
 // models on the sweep's largest workload.
 func planFig9YCSB(opts Options) []SimJob {
-	lw := &lazyYCSB{p: opts.lastRecordsParams(), snap: opts.Snapshots}
+	lw := &lazyYCSB{p: opts.lastRecordsParams()}
 	extra := ycsbIdentity(lw.p)
 	var specs []SimJob
 	for _, m := range ProposedModels() {

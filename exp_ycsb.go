@@ -87,21 +87,18 @@ func ycsbGrid(opts Options, prefix string, models []Model, modifyParams func(*yc
 // fully-cached run never generates one, and the sync.Once makes the
 // first concurrent use safe; afterwards the workload is frozen
 // (Precompute) and shared read-only by every model variant, so all
-// models measure the identical operation sequence. With a snapshot
-// store attached, generation is first tried as a content-addressed
-// load — so across processes sharing the store each database is
-// generated at most once suite-wide — and a generated database is
-// published back for everyone else.
+// models measure the identical operation sequence.
 type lazyYCSB struct {
 	p    ycsb.Params
-	snap *SnapshotStore
 	once sync.Once
 	w    *ycsb.Workload
 }
 
 func (l *lazyYCSB) workload() *ycsb.Workload {
 	l.once.Do(func() {
-		l.w = generateYCSB(l.snap, l.p)
+		genCount.Add(1)
+		l.w = ycsb.New(l.p)
+		l.w.Precompute()
 	})
 	return l.w
 }
@@ -112,7 +109,7 @@ func planYCSB(opts Options, prefix string, models []Model,
 	modifyParams func(*ycsb.Params), modify func(*Config)) []SimJob {
 	var specs []SimJob
 	for _, records := range opts.ycsbRecordCounts() {
-		lw := &lazyYCSB{p: opts.ycsbParams(records, modifyParams), snap: opts.Snapshots}
+		lw := &lazyYCSB{p: opts.ycsbParams(records, modifyParams)}
 		extra := ycsbIdentity(lw.p)
 		for _, m := range models {
 			m := m

@@ -79,13 +79,6 @@ type Options struct {
 	// and a run whose cache holds every planned point executes nothing
 	// (the report pass of a coordinated suite).
 	Cache *ResultCache
-	// Snapshots, when non-nil, is the content-addressed workload
-	// snapshot store: lazily generated workloads (YCSB databases, TPC-H
-	// query sections) are looked up by their identity before generating
-	// and published after, so repeated runs — and fleet workers sharing
-	// the store's filesystem — generate each database at most once
-	// suite-wide instead of once per process.
-	Snapshots *SnapshotStore
 }
 
 func (o Options) log(format string, args ...interface{}) {

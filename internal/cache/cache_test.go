@@ -186,7 +186,7 @@ func TestDirtyEvictionReachesMemory(t *testing.T) {
 // pimReq builds a PIM op request for the rig's scope s.
 func pimReq(s mem.ScopeID) *mem.Request {
 	return &mem.Request{Kind: mem.ReqPIMOp, Scope: s, Core: 0,
-		PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{Name: "nop"}}}
+		Prog: &mem.PIMProgram{Name: "nop"}}
 }
 
 func TestPIMOpScanFlushesScopeAndWritesBackFirst(t *testing.T) {
@@ -200,7 +200,7 @@ func TestPIMOpScanFlushesScopeAndWritesBackFirst(t *testing.T) {
 	// AFTER the writeback (egress FIFO + MC same-scope ordering).
 	var seen byte = 0xFF
 	req := pimReq(scope)
-	req.PIM.Program.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(base) }
+	req.Prog.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(base) }
 	r.llc.Receive(req)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestBaselinePIMOpDoesNotFlush(t *testing.T) {
 	r.storeVia(t, 0, line, 0, 0x21, 6)
 	var seen byte = 0xFF
 	req := pimReq(scope)
-	req.PIM.Program.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(mem.Addr(line)) }
+	req.Prog.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(mem.Addr(line)) }
 	r.llc.Receive(req)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestStaleMissBypassesCache(t *testing.T) {
 	// delivered after the GetS registers at the LLC but before the DRAM
 	// fill returns.
 	p := pimReq(scope)
-	p.PIM.Program.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base, 0x02) }
+	p.Prog.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base, 0x02) }
 	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestStaleExclusiveMissReplays(t *testing.T) {
 		stored = true
 	}})
 	p := pimReq(scope)
-	p.PIM.Program.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base+1, 0x0B) }
+	p.Prog.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base+1, 0x0B) }
 	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func TestScanWritebackOrderingProperty(t *testing.T) {
 		}
 		var mismatch int
 		req := pimReq(scope)
-		req.PIM.Program.Apply = func(b *mem.Backing, w uint64) {
+		req.Prog.Apply = func(b *mem.Backing, w uint64) {
 			for a, v := range want {
 				if b.ByteAt(a) != v {
 					mismatch++
@@ -132,8 +132,8 @@ func TestEgressOrderUnderPressure(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		req := pimReq(scope)
 		name := string(rune('a' + i))
-		req.PIM.Program.Name = name
-		req.PIM.Program.Apply = func(b *mem.Backing, w uint64) { order = append(order, name) }
+		req.Prog.Name = name
+		req.Prog.Apply = func(b *mem.Backing, w uint64) { order = append(order, name) }
 		r.llc.Receive(req)
 	}
 	if _, err := r.k.Run(); err != nil {

@@ -803,9 +803,8 @@ func (c *Core) buildPIMReq(in Instr) *pimEntry {
 	req := &mem.Request{
 		ID: c.reqID<<8 | uint64(c.ID), Kind: mem.ReqPIMOp,
 		Line: mem.LineOf(c.Scopes.ScopeBase(in.Scope)), Scope: in.Scope,
-		Core: c.ID, PIMEnabled: in.Scope != mem.NoScope,
+		Core: c.ID, PIMEnabled: in.Scope != mem.NoScope, Prog: in.Prog,
 	}
-	req.PIM = &mem.PIMCommand{Scope: in.Scope, Program: in.Prog}
 	var ev core.EventID
 	if c.hbOn() {
 		ev = c.HB.RecordOp(c.ID, core.OpRef{Class: core.OpPIM, Scope: in.Scope}, in.Label)

@@ -45,19 +45,13 @@ func (k ReqKind) String() string {
 	}
 }
 
-// PIMCommand is the payload of a ReqPIMOp: which program to run on which
-// scope. The host hardware only understands the scope (the "scope
-// abstraction", paper §III); Program is opaque to it and interpreted by the
-// PIM module.
-type PIMCommand struct {
-	Scope   ScopeID
-	Program *PIMProgram
-}
-
 // PIMProgram describes one bulk-bitwise PIM operation: a sequence of
 // row-parallel micro-operations executed inside the scope's crossbar
-// arrays. MicroOps drives the latency model; Apply, when non-nil, performs
-// the functional update on backing memory (functional mode).
+// arrays. The host hardware only understands the request's scope (the
+// "scope abstraction", paper §III); the program is opaque to it and
+// interpreted by the PIM module. MicroOps drives the latency model;
+// Apply, when non-nil, performs the functional update on backing memory
+// (functional mode).
 type PIMProgram struct {
 	// Name labels the op for traces and stats (e.g. "cmp_ge:key").
 	Name string
@@ -82,8 +76,8 @@ type Request struct {
 	Scope ScopeID // NoScope for non-PIM addresses
 	Core  int     // issuing core, for ACK routing and stats
 
-	// PIM carries the command for ReqPIMOp / ReqScopeFence.
-	PIM *PIMCommand
+	// Prog is the program a ReqPIMOp runs on Scope.
+	Prog *PIMProgram
 
 	// Data carries the line contents: store data on the way down,
 	// load fill on the way up, writeback payload. For partial-line stores

@@ -44,7 +44,7 @@ func benchStream() []*mem.Request {
 				Kind:  mem.ReqPIMOp,
 				Scope: sc,
 				Line:  mem.LineOf(mem.DefaultPIMBase + mem.Addr(uint64(sc)*mem.DefaultScopeSize)),
-				PIM:   &mem.PIMCommand{Scope: sc, Program: &mem.PIMProgram{MicroOps: 1}},
+				Prog:  &mem.PIMProgram{MicroOps: 1},
 			})
 		case i%5 == 0: // unscoped traffic on its own colliding pool
 			reqs = append(reqs, &mem.Request{

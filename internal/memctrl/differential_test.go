@@ -127,7 +127,7 @@ func runStream(t *testing.T, specs []streamSpec, ref bool, modules int, hook fun
 	build := func(s streamSpec, idx int) *mem.Request {
 		req := &mem.Request{Kind: s.kind, Line: s.line, Scope: s.scope}
 		if s.kind == mem.ReqPIMOp {
-			req.PIM = &mem.PIMCommand{Scope: s.scope, Program: &mem.PIMProgram{MicroOps: 1}}
+			req.Prog = &mem.PIMProgram{MicroOps: 1}
 		}
 		if s.kind == mem.ReqWriteback {
 			req.Data = make([]byte, mem.LineSize)

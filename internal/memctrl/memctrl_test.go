@@ -25,7 +25,7 @@ func load(line mem.LineAddr, scope mem.ScopeID) *mem.Request {
 
 func pimop(scope mem.ScopeID) *mem.Request {
 	return &mem.Request{Kind: mem.ReqPIMOp, Scope: scope,
-		PIM: &mem.PIMCommand{Scope: scope, Program: &mem.PIMProgram{}}}
+		Prog: &mem.PIMProgram{}}
 }
 
 func TestLoadReadsBacking(t *testing.T) {
@@ -149,7 +149,7 @@ func TestPIMWaitsForEarlierSameScopeWrite(t *testing.T) {
 	wb := &mem.Request{Kind: mem.ReqWriteback, Line: line, Scope: 2, Data: data}
 	var observed byte = 0xFF
 	p := pimop(2)
-	p.PIM.Program.Apply = func(bk *mem.Backing, w uint64) { observed = bk.ByteAt(mem.Addr(line)) }
+	p.Prog.Apply = func(bk *mem.Backing, w uint64) { observed = bk.ByteAt(mem.Addr(line)) }
 	c.Enqueue(wb)
 	c.Enqueue(p)
 	if _, err := k.Run(); err != nil {

@@ -47,7 +47,7 @@ func TestControllerOrderingProperty(t *testing.T) {
 			var req *mem.Request
 			if sp.Pim {
 				req = &mem.Request{Kind: mem.ReqPIMOp, Scope: scope,
-					PIM: &mem.PIMCommand{Scope: scope, Program: &mem.PIMProgram{}}}
+					Prog: &mem.PIMProgram{}}
 				i := i
 				req.OnDone = func(*mem.Request, any) { pimDone[i] = k.Now() }
 			} else {

@@ -179,13 +179,13 @@ func TestModuleExecutesAndAppliesFunctionally(t *testing.T) {
 	req := &mem.Request{
 		Kind:  mem.ReqPIMOp,
 		Scope: 3,
-		PIM: &mem.PIMCommand{Scope: 3, Program: &mem.PIMProgram{
+		Prog: &mem.PIMProgram{
 			Name: "t", MicroOps: 10,
 			Apply: func(bk *mem.Backing, w uint64) {
 				applied = true
 				bk.WriteWord(0, 99)
 			},
-		}},
+		},
 	}
 	var completed []mem.ScopeID
 	m.OnComplete = func(r *mem.Request) { completed = append(completed, r.Scope) }
@@ -225,7 +225,7 @@ func TestModuleSameScopeSerializesDifferentScopesParallel(t *testing.T) {
 	}
 	mk := func(s mem.ScopeID) *mem.Request {
 		return &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{MicroOps: 0}}}
+			Prog: &mem.PIMProgram{MicroOps: 0}}
 	}
 	// Two ops to scope 1, one to scope 2, all at t=0.
 	m.TryEnqueue(mk(1))
@@ -255,7 +255,7 @@ func TestModuleBoundedBufferBackpressure(t *testing.T) {
 	m.OnSpace = func() { spaces++ }
 	mk := func(s mem.ScopeID) *mem.Request {
 		return &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{}}}
+			Prog: &mem.PIMProgram{}}
 	}
 	// Scope 1 executes immediately (buffer drains); fill buffer with
 	// same-scope ops that must wait.
@@ -285,7 +285,7 @@ func TestModuleUnboundedBuffer(t *testing.T) {
 	m.BufferSize = 0 // unbounded (Fig. 11a)
 	for i := 0; i < 1000; i++ {
 		if !m.TryEnqueue(&mem.Request{Kind: mem.ReqPIMOp, Scope: 1,
-			PIM: &mem.PIMCommand{Scope: 1, Program: &mem.PIMProgram{}}}) {
+			Prog: &mem.PIMProgram{}}) {
 			t.Fatal("unbounded buffer rejected")
 		}
 	}
@@ -302,7 +302,7 @@ func TestModuleZeroLatency(t *testing.T) {
 	m := NewModule(k, mem.NewBacking())
 	m.ZeroLatency = true // Fig. 11b
 	m.TryEnqueue(&mem.Request{Kind: mem.ReqPIMOp, Scope: 1,
-		PIM: &mem.PIMCommand{Scope: 1, Program: &mem.PIMProgram{MicroOps: 1000}}})
+		Prog: &mem.PIMProgram{MicroOps: 1000}})
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestModuleArrivalStats(t *testing.T) {
 	m.FixedOpLatency = 1000 // keep everything buffered during enqueues
 	mk := func(s mem.ScopeID) *mem.Request {
 		return &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{}}}
+			Prog: &mem.PIMProgram{}}
 	}
 	m.TryEnqueue(mk(1)) // arrival sees empty buffer, 0 scopes; starts immediately
 	m.TryEnqueue(mk(1)) // buffer: [] -> sees 0 (first started); stays

@@ -187,8 +187,8 @@ func (m *Module) tryStart() {
 		m.executing++
 		if m.Tracer.Enabled(trace.CatPIM) {
 			name := ""
-			if req.PIM != nil && req.PIM.Program != nil {
-				name = req.PIM.Program.Name
+			if req.Prog != nil {
+				name = req.Prog.Name
 			}
 			m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, buffered)
 		}
@@ -205,15 +205,15 @@ func (m *Module) execLatency(req *mem.Request) sim.Tick {
 		return 0
 	}
 	micro := 0
-	if req.PIM != nil && req.PIM.Program != nil {
-		micro = req.PIM.Program.MicroOps
+	if req.Prog != nil {
+		micro = req.Prog.MicroOps
 	}
 	return m.FixedOpLatency + sim.Tick(micro)*m.CyclesPerMicroOp
 }
 
 func (m *Module) complete(req *mem.Request) {
-	if m.Functional && req.PIM != nil && req.PIM.Program != nil && req.PIM.Program.Apply != nil {
-		req.PIM.Program.Apply(m.Backing, req.Writer)
+	if m.Functional && req.Prog != nil && req.Prog.Apply != nil {
+		req.Prog.Apply(m.Backing, req.Writer)
 	}
 	if m.Tracer.Enabled(trace.CatPIM) {
 		m.Tracer.Emit(trace.CatPIM, "pim", "complete scope=%d", req.Scope)

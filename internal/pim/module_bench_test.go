@@ -38,7 +38,7 @@ func newModuleBenchRig(build buildModule) func() error {
 		rng ^= rng << 17
 		s := mem.ScopeID(rng % benchModuleScopes)
 		reqs[i] = &mem.Request{ID: uint64(i), Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{MicroOps: int(rng>>32) % 8}}}
+			Prog: &mem.PIMProgram{MicroOps: int(rng>>32) % 8}}
 	}
 	qi, pumping := 0, false
 	var m moduleUnderTest

@@ -135,7 +135,7 @@ func runDiff(t *testing.T, build buildModule, c diffCase, stream []diffOp) diffO
 		id := nextID
 		nextID++
 		return &mem.Request{ID: uint64(id), Kind: mem.ReqPIMOp, Scope: s,
-			PIM: &mem.PIMCommand{Scope: s, Program: &mem.PIMProgram{Name: strconv.Itoa(id), MicroOps: micro}}}
+			Prog: &mem.PIMProgram{Name: strconv.Itoa(id), MicroOps: micro}}
 	}
 	pump := func() {
 		for ph < len(pending) {

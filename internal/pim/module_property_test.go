@@ -38,7 +38,7 @@ func TestModulePerScopeFIFOProperty(t *testing.T) {
 			}
 			m.TryEnqueue(&mem.Request{
 				ID: uint64(i), Kind: mem.ReqPIMOp, Scope: mem.ScopeID(s % 5),
-				PIM: &mem.PIMCommand{Program: &mem.PIMProgram{MicroOps: micro}},
+				Prog: &mem.PIMProgram{MicroOps: micro},
 			})
 		}
 		if _, err := k.Run(); err != nil {
@@ -99,7 +99,7 @@ func TestModuleScopeExclusivityProperty(t *testing.T) {
 		for i < 200 {
 			s := mem.ScopeID(rng.Intn(6))
 			req := &mem.Request{Kind: mem.ReqPIMOp, Scope: s,
-				PIM: &mem.PIMCommand{Program: &mem.PIMProgram{MicroOps: rng.Intn(5)}}}
+				Prog: &mem.PIMProgram{MicroOps: rng.Intn(5)}}
 			// record start via a wrapper on enqueue time is not the start;
 			// instead track via the executing map after TryEnqueue.
 			m.TryEnqueue(req)

@@ -97,8 +97,8 @@ func (m *refModule) tryStart() {
 		freed = true
 		if m.Tracer.Enabled(trace.CatPIM) {
 			name := ""
-			if req.PIM != nil && req.PIM.Program != nil {
-				name = req.PIM.Program.Name
+			if req.Prog != nil {
+				name = req.Prog.Name
 			}
 			m.Tracer.Emit(trace.CatPIM, "pim", "start scope=%d op=%s buffered=%d", req.Scope, name, len(m.buffer))
 		}
@@ -115,8 +115,8 @@ func (m *refModule) execLatency(req *mem.Request) sim.Tick {
 		return 0
 	}
 	micro := 0
-	if req.PIM != nil && req.PIM.Program != nil {
-		micro = req.PIM.Program.MicroOps
+	if req.Prog != nil {
+		micro = req.Prog.MicroOps
 	}
 	return m.FixedOpLatency + sim.Tick(micro)*m.CyclesPerMicroOp
 }

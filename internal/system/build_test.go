@@ -17,6 +17,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("smallest geometry with %d cores rejected: %v", maxCores, err)
 	}
+	// The largest capped geometries validate (New is not called: they
+	// are still tens of megabytes).
+	largest := Default()
+	largest.Cores, largest.L1Sets, largest.L1Ways = maxCores, maxLines/maxCores, 1
+	largest.LLCSets, largest.LLCWays = maxLines/4, 4
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("geometry at the line cap rejected: %v", err)
+	}
 	unbounded := Default()
 	unbounded.PIMBufferSize = 0 // Fig. 11a
 	if err := unbounded.Validate(); err != nil {
@@ -40,6 +48,17 @@ func TestConfigValidate(t *testing.T) {
 		"LLCSets=3":  func(c *Config) { c.LLCSets = 3 },
 		"LLCSets=-8": func(c *Config) { c.LLCSets = -8 },
 		"LLCWays=-1": func(c *Config) { c.LLCWays = -1 },
+
+		// Geometries past the line cap: New would try to allocate
+		// gigabytes (2^28 LLC sets alone is ~200 GB of lines).
+		"LLCSets=2^28":         func(c *Config) { c.LLCSets = 1 << 28 },
+		"LLCSets=2^62":         func(c *Config) { c.LLCSets = 1 << 62 },
+		"LLCWays=2^40":         func(c *Config) { c.LLCWays = 1 << 40 },
+		"LLC=cap+1":            func(c *Config) { c.LLCSets, c.LLCWays = maxLines, 2 },
+		"L1Sets=cap":           func(c *Config) { c.L1Sets = maxLines },
+		"L1 cap over cores":    func(c *Config) { c.Cores, c.L1Sets, c.L1Ways = 64, maxLines/64, 2 },
+		"LLCScopeBufWays=2^40": func(c *Config) { c.LLCScopeBufWays = 1 << 40 },
+		"L1ScopeBufSets=cap":   func(c *Config) { c.L1ScopeBufSets = maxLines },
 
 		// Values that divide by zero, deadlock or silently misrun.
 		"Banks=0":           func(c *Config) { c.Banks = 0 },

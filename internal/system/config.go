@@ -146,35 +146,58 @@ func (c Config) Seconds(ticks sim.Tick) float64 {
 // are a 64-bit mask.
 const maxCores = 64
 
+// maxLines caps the entries of one cache level (or one scope-buffer
+// level), summed over its per-core copies: 2^20 lines is 64 MB of
+// 64-byte lines, 8x the paper's largest LLC (8 MB, 131 072 lines). An
+// uncapped power-of-two geometry from an override would have New
+// allocate tens of gigabytes, which the Go runtime cannot recover from.
+const maxLines = 1 << 20
+
+// capLines rejects a level of count sets x ways arrays holding more
+// than maxLines entries. sets, ways and count are positive.
+func capLines(name string, sets, ways, count int) error {
+	if sets > maxLines/count || ways > maxLines/(sets*count) {
+		return fmt.Errorf("system: %s geometry %dx%d on %d array(s) exceeds %d entries", name, sets, ways, count, maxLines)
+	}
+	return nil
+}
+
 // Validate reports a configuration the machine cannot be built from or
 // would misrun: a core count outside [1, maxCores]; an L1/LLC geometry
 // without power-of-two sets and at least one way; a scope buffer without
-// sets or ways; no banks, queue slots, memory-level parallelism, PIM
-// credits or PIM modules; a non-positive clock; a scope size other than
-// the one the PIM geometry tiles (2 MB); no scopes; or a PIM base that
-// is not scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
+// sets or ways; a cache or scope-buffer level over maxLines entries; no
+// banks, queue slots, memory-level parallelism, PIM credits or PIM
+// modules; a non-positive clock; a scope size other than the one the PIM
+// geometry tiles (2 MB); no scopes; or a PIM base that is not
+// scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
 // and so are zero latencies (an ideal L1 or DRAM).
 func (c Config) Validate() error {
 	if c.Cores < 1 || c.Cores > maxCores {
 		return fmt.Errorf("system: Cores = %d, want 1..%d", c.Cores, maxCores)
 	}
 	for _, g := range []struct {
-		name       string
-		sets, ways int
-	}{{"L1", c.L1Sets, c.L1Ways}, {"LLC", c.LLCSets, c.LLCWays}} {
+		name              string
+		sets, ways, count int
+	}{{"L1", c.L1Sets, c.L1Ways, c.Cores}, {"LLC", c.LLCSets, c.LLCWays, 1}} {
 		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
 			return fmt.Errorf("system: %sSets = %d, want a power of two", g.name, g.sets)
 		}
 		if g.ways < 1 {
 			return fmt.Errorf("system: %sWays = %d, want >= 1", g.name, g.ways)
 		}
+		if err := capLines(g.name, g.sets, g.ways, g.count); err != nil {
+			return err
+		}
 	}
 	for _, g := range []struct {
-		name       string
-		sets, ways int
-	}{{"L1ScopeBuf", c.L1ScopeBufSets, c.L1ScopeBufWays}, {"LLCScopeBuf", c.LLCScopeBufSets, c.LLCScopeBufWays}} {
+		name              string
+		sets, ways, count int
+	}{{"L1ScopeBuf", c.L1ScopeBufSets, c.L1ScopeBufWays, c.Cores}, {"LLCScopeBuf", c.LLCScopeBufSets, c.LLCScopeBufWays, 1}} {
 		if g.sets < 1 || g.ways < 1 {
 			return fmt.Errorf("system: %s geometry %dx%d, want >= 1 sets and ways", g.name, g.sets, g.ways)
+		}
+		if err := capLines(g.name, g.sets, g.ways, g.count); err != nil {
+			return err
 		}
 	}
 	for _, f := range []struct {

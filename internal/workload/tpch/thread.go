@@ -18,34 +18,17 @@ type Workload struct {
 	Verify  bool
 }
 
-// scaledScopes and scaledRuns derive a workload's scope and run counts
-// from the query spec and scale — shared by NewWorkload and the
-// snapshot verification in FromSnapshot, so the two cannot drift.
-func scaledScopes(q QuerySpec, nThreads int, scale float64) int {
-	scopes := int(float64(q.Scopes) * scale)
-	if scopes < nThreads {
-		scopes = nThreads
-	}
-	return scopes
-}
-
-func scaledRuns(q QuerySpec, scale float64) int {
-	runs := int(float64(q.Runs)*scale + 0.5)
-	if runs < 1 {
-		runs = 1
-	}
-	return runs
-}
-
 // NewWorkload prepares query q for nThreads workers. scale (0 < scale <= 1)
 // shrinks the scope count and run count for quick runs; 1.0 is paper scale.
 func NewWorkload(q QuerySpec, nThreads int, scale float64, verify bool) *Workload {
 	if scale <= 0 || scale > 1 {
 		panic("tpch: scale must be in (0,1]")
 	}
+	scopes := max(int(float64(q.Scopes)*scale), nThreads)
+	runs := max(int(float64(q.Runs)*scale+0.5), 1)
 	return &Workload{
-		Q: q, Layout: pimdb.DefaultLayout(), Scopes: scaledScopes(q, nThreads, scale),
-		Runs: scaledRuns(q, scale), Threads: nThreads, Verify: verify,
+		Q: q, Layout: pimdb.DefaultLayout(), Scopes: scopes,
+		Runs: runs, Threads: nThreads, Verify: verify,
 	}
 }
 

@@ -1,7 +1,7 @@
 package bulkpim
 
 // Tests for the plan/execute separation: planning must execute zero
-// simulation work, and manifests must be deterministic and coherent.
+// simulation work and generate no workload, and manifests must be deterministic and coherent.
 
 import (
 	"reflect"
@@ -33,6 +33,33 @@ func TestPlanExecutesNothing(t *testing.T) {
 	}
 	if got := execCount.Load() - before; got != 0 {
 		t.Fatalf("planning executed %d simulation jobs, want 0", got)
+	}
+}
+
+// TestPlanGeneratesNoWorkloads mirrors TestPlanExecutesNothing one
+// layer down: planning (and fingerprinting) the full-scale suite must
+// not generate a workload — generation is deferred into the job
+// closures.
+func TestPlanGeneratesNoWorkloads(t *testing.T) {
+	before := genCount.Load()
+	planned, err := planFor("all", Options{Scale: ScaleFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for _, p := range planned {
+		for _, j := range p.jobs {
+			jobs++
+			if j.FingerprintID() == "" {
+				t.Fatalf("%s: job without fingerprint", p.name)
+			}
+		}
+	}
+	if jobs == 0 {
+		t.Fatal("full-scale suite planned zero jobs")
+	}
+	if got := genCount.Load() - before; got != 0 {
+		t.Fatalf("planning generated %d workloads, want 0", got)
 	}
 }
 

@@ -152,6 +152,18 @@ func (s *ResultSet) Len() int { return len(s.byKey) }
 // simulation work.
 var execCount atomic.Int64
 
+// genCount counts workload generations, process-wide: the lazy
+// workloads (lazyYCSB, lazyTPCH) add one per database or query section
+// they build. Tests and callers read it through WorkloadGenerations as
+// before/after deltas.
+var genCount atomic.Int64
+
+// WorkloadGenerations returns the process-wide count of workload
+// generations. Read it before and after a run and subtract: planning
+// adds zero, and so does a run served entirely from the result cache,
+// which never touches a workload.
+func WorkloadGenerations() int64 { return genCount.Load() }
+
 // countExec wraps a planned job's Execute with the invocation counter.
 // Every spec's Plan routes its Execute closures through this.
 func countExec(f func(Config) (Result, error)) func(Config) (Result, error) {

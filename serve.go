@@ -191,7 +191,7 @@ func ServeWorker(opts Options, in io.Reader, out io.Writer, failAfter int) error
 }
 
 // ServerOptions configures the daemon around Options (which carries
-// the cache, snapshots, log and scale-independent knobs).
+// the cache, log and scale-independent knobs).
 type ServerOptions struct {
 	// Addr is the listen address; empty means 127.0.0.1:0 (ephemeral).
 	Addr string
@@ -247,7 +247,7 @@ func NewServer(opts Options, sopts ServerOptions) (*Server, error) {
 	}
 	launch := func(int) (coord.Worker, error) { return localWorker(s.pc.execute), nil }
 	if !sopts.Local {
-		launch = procLauncher(opts, sopts.WorkerCmd, sopts.WorkerStderr, sopts.FailWorker, sopts.FailAfter)
+		launch = procLauncher(sopts.WorkerCmd, sopts.WorkerStderr, sopts.FailWorker, sopts.FailAfter)
 	}
 	f := newFleet(coord.PoolOptions{
 		Launch:      launch,

@@ -77,6 +77,7 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"ScopeSize":64}`, // the PIM geometry does not tile it: panics in New
 		`{"ScopeCount":0}`, // no scopes
 		`{"ScopeCount":-1}`,
+		`{"LLCSets":268435456}`, // a power of two, but ~200 GB of lines: OOMs in New
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
@@ -136,6 +137,7 @@ func FuzzConfigOverride(f *testing.F) {
 	f.Add([]byte(`{"Core`))
 	f.Add([]byte(`null`))
 	f.Add([]byte("\xff\xfe{}"))
+	f.Add([]byte(`{"LLCSets":268435456}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mut, err := ParseConfigOverride(data)
 		if err != nil {
