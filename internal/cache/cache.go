@@ -12,12 +12,20 @@
 // pressure). One race the paper leaves implicit is handled explicitly:
 // a miss outstanding to a scope when a PIM op scans the LLC would install
 // a pre-PIM line after the flush; such fills are delivered bypass-cache
-// (loads) or replayed (stores). See DESIGN.md.
+// (loads) or replayed (stores), because the flush must be atomic with the
+// op and a load that missed before it legitimately returns pre-PIM data.
+//
+// The coherence hardware is one unit wherever it sits: the set-assoc
+// array owns its level's scope buffer and SBV, keeps the SBV in step with
+// its own installs and invalidations, and runs the scan-and-flush both
+// levels share, priced by one ScanCost.
 package cache
 
 import (
+	"fmt"
 	"unsafe"
 
+	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/sim"
 )
@@ -68,8 +76,6 @@ type Line struct {
 	State MESI
 	// Dirty marks LLC contents newer than memory (merged L1 writebacks).
 	Dirty bool
-	// PIMEnabled marks lines of PIM-enabled scopes (drives the SBV).
-	PIMEnabled bool
 	// owner is the E/M-holding core plus one; 0 means no owner.
 	owner uint8
 	valid bool
@@ -146,12 +152,15 @@ func (a *slotArena) bytes(h uint32) []byte {
 }
 
 // setAssoc is an N-way set-associative array with LRU replacement. Line
-// payloads live in its slot arena; Invalidate returns them.
+// payloads live in its slot arena; Invalidate returns them. sb and sbv are
+// the level's scope unit (§IV), each nil where the level lacks it.
 type setAssoc struct {
 	sets, ways int
 	lines      []Line
 	clock      uint64
 	slots      slotArena
+	sb         *core.ScopeBuffer
+	sbv        *core.SBV
 }
 
 func newSetAssoc(sets, ways int) setAssoc {
@@ -167,11 +176,27 @@ func newSetAssoc(sets, ways int) setAssoc {
 	return setAssoc{sets: sets, ways: ways, lines: lines}
 }
 
+// enableScope gives the array a scope buffer of sbSets x sbWays (none
+// when sbSets is 0) and, if sbv, a scope bit-vector.
+func (c *setAssoc) enableScope(sbSets, sbWays int, sbv bool) {
+	if sbSets > 0 {
+		c.sb = core.NewScopeBuffer(sbSets, sbWays)
+	}
+	if sbv {
+		c.sbv = core.NewSBV(c.sets)
+	}
+}
+
 // recycle hands the line array and the payload blocks to the free lists
-// and leaves c unusable: any lookup on its nil line slice panics.
+// and leaves c unusable: any lookup on its nil line slice panics. It
+// panics, too, if the SBV disagrees with the lines: every scan of the
+// run was priced on that vector.
 func (c *setAssoc) recycle() {
 	if c.lines == nil {
 		panic("cache: array released twice")
+	}
+	if err := c.checkSBV(); err != nil {
+		panic("cache: " + err.Error())
 	}
 	lineFree.Put(len(c.lines), len(c.lines)*int(unsafe.Sizeof(Line{})), c.lines)
 	c.lines = nil
@@ -224,14 +249,30 @@ func (c *setAssoc) Victim(l mem.LineAddr) *Line {
 	return victim
 }
 
-// Install places a line into slot v (which the caller has vacated).
-func (c *setAssoc) Install(v *Line, l mem.LineAddr, state MESI) {
+// Install places line l of scope into slot v (which the caller has
+// vacated). A line of a PIM scope raises its set's SBV bit and erases the
+// scope from the scope buffer, whose claim that no line of the scope is
+// cached no longer holds (§IV-A).
+func (c *setAssoc) Install(v *Line, l mem.LineAddr, state MESI, scope mem.ScopeID) {
 	c.clock++
-	*v = Line{Addr: l, State: state, used: c.clock, valid: true}
+	*v = Line{Addr: l, State: state, Scope: scope, used: c.clock, valid: true}
+	if scope == mem.NoScope {
+		return
+	}
+	if c.sbv != nil {
+		c.sbv.OnInsert(c.SetOf(l))
+	}
+	if c.sb != nil {
+		c.sb.Invalidate(scope)
+	}
 }
 
-// Invalidate clears a line slot and returns its payload slot.
+// Invalidate clears a line slot, returns its payload slot and drops a
+// PIM line from its set's SBV count.
 func (c *setAssoc) Invalidate(ln *Line) {
+	if ln.valid && ln.Scope != mem.NoScope && c.sbv != nil {
+		c.sbv.OnEvict(c.SetOf(ln.Addr))
+	}
 	if ln.data != 0 {
 		c.slots.release(ln.data)
 		ln.data = 0
@@ -275,6 +316,61 @@ func (c *setAssoc) SetData(ln *Line, src []byte) {
 
 // Valid reports whether the slot holds a line.
 func (ln *Line) Valid() bool { return ln != nil && ln.valid }
+
+// flushScope is the scan-and-flush of §IV at this array. A scope-buffer
+// hit means no line of the scope is cached: nothing is scanned. Otherwise
+// it checks every set the SBV marks (every set without an SBV), hands each
+// line of the scope to evict, which must invalidate it, and records the
+// scope in the scope buffer. It returns whether the buffer hit, the sets
+// checked and the lines flushed.
+func (c *setAssoc) flushScope(scope mem.ScopeID, evict func(*Line)) (hit bool, sets, flushed int) {
+	if c.sb != nil && c.sb.Lookup(scope) {
+		return true, 0, 0
+	}
+	for s := 0; s < c.sets; s++ {
+		if c.sbv != nil && !c.sbv.Test(s) {
+			continue
+		}
+		sets++
+		set := c.set(s)
+		for i := range set {
+			if set[i].valid && set[i].Scope == scope {
+				flushed++
+				evict(&set[i])
+			}
+		}
+	}
+	if c.sb != nil {
+		c.sb.Insert(scope)
+	}
+	return false, sets, flushed
+}
+
+// checkSBV reports the first set whose SBV bit disagrees with "the set
+// holds a valid line of a PIM scope". An array without an SBV passes.
+func (c *setAssoc) checkSBV() error {
+	for s := 0; c.sbv != nil && s < c.sets; s++ {
+		set, pim := c.set(s), false
+		for i := 0; i < len(set) && !pim; i++ {
+			pim = set[i].valid && set[i].Scope != mem.NoScope
+		}
+		if pim != c.sbv.Test(s) {
+			return fmt.Errorf("set %d: SBV bit %v, PIM line present %v", s, c.sbv.Test(s), pim)
+		}
+	}
+	return nil
+}
+
+// ScanCost prices a scan-and-flush at either cache level: PerSet cycles
+// per set checked plus PerLine per line flushed.
+type ScanCost struct{ PerSet, PerLine sim.Tick }
+
+// tableIIScan is the paper's scan cost (Table II), the caches' default.
+var tableIIScan = ScanCost{PerSet: 1, PerLine: 2}
+
+func (s ScanCost) of(sets, lines int) sim.Tick {
+	return s.PerSet*sim.Tick(sets) + s.PerLine*sim.Tick(lines)
+}
 
 // CountValid returns the number of valid lines (tests).
 func (c *setAssoc) CountValid() int {

@@ -37,13 +37,16 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	mc := memctrl.New(k, mod, b)
 	mc.Functional = true
 	llc := NewLLC(k, model, 16, 2, 18, scopes)
+	if model.FlushesLLCOnPIMOp() {
+		llc.EnableScope(64, 4, true)
+	}
 	rng := sim.NewRand(7)
 	l1s := make([]*L1, cores)
 	down := make([]*noc.Link, cores)
 	for i := range l1s {
 		l1s[i] = NewL1(k, i, 4, 2, 3)
 		if model.ScopeStructuresInAllCaches() {
-			l1s[i].EnableScopeStructures(16, 1)
+			l1s[i].EnableScope(16, 1, true)
 		}
 		up := noc.NewLink(k, "up", 8, 0, 1, rng.Fork())
 		l1s[i].Connect(llc, up)
@@ -396,9 +399,10 @@ func TestScopeFenceFlushesAllLevels(t *testing.T) {
 	r.storeVia(t, 0, line, 0, 0x31, 7)
 
 	// L1 scan first (as the fence passes the level), then LLC fence.
-	sets, flushed := r.l1s[0].ScanFlushScope(scope)
-	if flushed != 1 || sets == 0 {
-		t.Fatalf("L1 scan: sets=%d flushed=%d, want 1 flushed", sets, flushed)
+	// The SBV marks the one set holding the line: one set checked, one
+	// line flushed.
+	if cost, want := r.l1s[0].ScanFlushScope(scope), tableIIScan.PerSet+tableIIScan.PerLine; cost != want {
+		t.Fatalf("L1 scan cost %d, want %d (1 set checked, 1 line flushed)", cost, want)
 	}
 	done := false
 	fence := &mem.Request{Kind: mem.ReqScopeFence, Scope: scope, Core: 0, OnDone: func(*mem.Request, any) { done = true }}

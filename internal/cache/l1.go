@@ -1,15 +1,14 @@
 package cache
 
 import (
-	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/noc"
 	"bulkpim/internal/sim"
 	"bulkpim/internal/stats"
 )
 
-// L1 is a private first-level cache. Under the scope-relaxed model it also
-// carries a scope buffer and SBV so scope-fences can scan it (§V-E); PIM
+// L1 is a private first-level cache. Under the scope-relaxed model its
+// array also carries a scope unit so scope-fences can scan it (§V-E); PIM
 // ops pass through it unflushed on their way to the LLC.
 type L1 struct {
 	k      *sim.Kernel
@@ -17,6 +16,8 @@ type L1 struct {
 
 	arr        setAssoc
 	HitLatency sim.Tick
+	// Scan prices a scope-fence's scan-and-flush here.
+	Scan ScanCost
 
 	llc *LLC
 	up  *noc.Link // requests toward the LLC
@@ -26,10 +27,6 @@ type L1 struct {
 	// live in arr's slot arena.
 	Pool *mem.RequestPool
 
-	// SB/SBV are non-nil only for the scope-relaxed model.
-	SB  *core.ScopeBuffer
-	SBV *core.SBV
-
 	mshr     mem.LineTable[*l1Miss]
 	missFree []*l1Miss
 
@@ -38,9 +35,6 @@ type L1 struct {
 	// join lands on fresh state, without allocating per fill.
 	deliverW []FillWaiter
 	deliverX []ExclWaiter
-
-	// victims is ScanFlushScope's reusable per-set eviction list.
-	victims []*Line
 
 	// Hoisted event/link callbacks (built once in NewL1) so the miss and
 	// PIM-forward paths schedule without allocating closures.
@@ -67,6 +61,7 @@ func NewL1(k *sim.Kernel, coreID, sets, ways int, hitLatency sim.Tick) *L1 {
 		CoreID:     coreID,
 		arr:        newSetAssoc(sets, ways),
 		HitLatency: hitLatency,
+		Scan:       tableIIScan,
 		Pool:       mem.NewRequestPool(),
 	}
 	c.recvFn = func(x any) { c.llc.Receive(x.(*mem.Request)) }
@@ -84,11 +79,9 @@ func (c *L1) Connect(llc *LLC, up *noc.Link) {
 	c.up = up
 }
 
-// EnableScopeStructures attaches a scope buffer and SBV (scope-relaxed).
-func (c *L1) EnableScopeStructures(sbSets, sbWays int) {
-	c.SB = core.NewScopeBuffer(sbSets, sbWays)
-	c.SBV = core.NewSBV(c.arr.sets)
-}
+// EnableScope gives the cache a scope unit: a scope buffer of sbSets x
+// sbWays (none when sbSets is 0) and, if sbv, a scope bit-vector.
+func (c *L1) EnableScope(sbSets, sbWays int, sbv bool) { c.arr.enableScope(sbSets, sbWays, sbv) }
 
 func (c *L1) getMiss(excl bool) *l1Miss {
 	if n := len(c.missFree); n > 0 {
@@ -189,7 +182,7 @@ func (c *L1) ForwardPIM(req *mem.Request) {
 // noCache fills (scope flushed while the miss was outstanding) are handed
 // to waiters without installing. data is the sender's buffer and is only
 // read during the call.
-func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEnabled bool, scope mem.ScopeID, noCache bool) {
+func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, scope mem.ScopeID, noCache bool) {
 	e, _ := c.mshr.Get(l)
 	if e == nil {
 		// Unsolicited fill (possible after local stale handling); drop.
@@ -200,7 +193,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		e.stale = false
 	}
 	if !noCache {
-		c.install(l, state, data, writer, pimEnabled, scope)
+		c.install(l, state, data, writer, scope)
 	}
 	c.deliverW = append(c.deliverW[:0], e.waiters...)
 	for i := range e.waiters {
@@ -226,7 +219,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 		e.excl = true
 		r := c.Pool.Get()
 		r.Kind, r.Line, r.Scope, r.Core = mem.ReqLoad, l, scope, c.CoreID
-		r.Excl, r.PIMEnabled = true, pimEnabled
+		r.Excl = true
 		c.sendMiss(r)
 		return
 	}
@@ -234,7 +227,7 @@ func (c *L1) Fill(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEna
 	c.putMiss(e)
 }
 
-func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pimEnabled bool, scope mem.ScopeID) {
+func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, scope mem.ScopeID) {
 	if ln := c.arr.Peek(l); ln.Valid() {
 		// Upgrade in place (e.g. S -> E on a GetM fill).
 		ln.State = state
@@ -246,28 +239,15 @@ func (c *L1) install(l mem.LineAddr, state MESI, data []byte, writer uint64, pim
 	if v.Valid() {
 		c.evict(v)
 	}
-	c.arr.Install(v, l, state)
+	c.arr.Install(v, l, state, scope)
 	c.arr.SetData(v, data)
 	v.Writer = writer
-	v.PIMEnabled = pimEnabled
-	v.Scope = scope
-	if pimEnabled {
-		if c.SBV != nil {
-			c.SBV.OnInsert(c.arr.SetOf(l))
-		}
-		if c.SB != nil {
-			c.SB.Invalidate(scope)
-		}
-	}
 }
 
 func (c *L1) evict(v *Line) {
 	if v.State == Modified {
 		c.Writebacks.Inc()
 		c.llc.WritebackFromL1(c.CoreID, v.Addr, c.arr.Data(v), v.Writer)
-	}
-	if v.PIMEnabled && c.SBV != nil {
-		c.SBV.OnEvict(c.arr.SetOf(v.Addr))
 	}
 	c.arr.Invalidate(v)
 }
@@ -277,7 +257,7 @@ func (c *L1) evict(v *Line) {
 // payload. data is the line's payload, or nil when it has none (always on
 // a timing-only machine); it aliases this cache's slot, whose bytes
 // hold until the cache next hands out a slot, so the caller copies them
-// at once. Invalidation updates the SBV.
+// at once.
 func (c *L1) RecallLine(l mem.LineAddr, invalidate bool) (data []byte, writer uint64, dirty, present bool) {
 	ln := c.arr.Peek(l)
 	if !ln.Valid() {
@@ -287,9 +267,6 @@ func (c *L1) RecallLine(l mem.LineAddr, invalidate bool) (data []byte, writer ui
 	dirty = ln.State == Modified
 	writer = ln.Writer
 	if invalidate {
-		if ln.PIMEnabled && c.SBV != nil {
-			c.SBV.OnEvict(c.arr.SetOf(l))
-		}
 		c.arr.Invalidate(ln)
 	} else if ln.State == Modified || ln.State == Exclusive {
 		ln.State = Shared
@@ -298,36 +275,13 @@ func (c *L1) RecallLine(l mem.LineAddr, invalidate bool) (data []byte, writer ui
 }
 
 // ScanFlushScope scans this cache for lines of the scope, writing dirty
-// ones back to the LLC and invalidating all of them. It returns the cost
-// drivers (sets checked, lines flushed) and marks outstanding misses to
-// the scope stale. Used by scope-fences at every level (§V-E).
-func (c *L1) ScanFlushScope(scope mem.ScopeID) (setsScanned, flushed int) {
-	if c.SB != nil && c.SB.Lookup(scope) {
-		c.markStale(scope)
-		return 0, 0
-	}
-	for s := 0; s < c.arr.sets; s++ {
-		if c.SBV != nil && !c.SBV.Test(s) {
-			continue
-		}
-		setsScanned++
-		c.victims = c.victims[:0]
-		set := c.arr.set(s)
-		for i := range set {
-			if set[i].valid && set[i].Scope == scope && set[i].PIMEnabled {
-				c.victims = append(c.victims, &set[i])
-			}
-		}
-		for _, ln := range c.victims {
-			flushed++
-			c.evict(ln)
-		}
-	}
-	if c.SB != nil {
-		c.SB.Insert(scope)
-	}
+// ones back to the LLC and invalidating all of them, marks outstanding
+// misses to the scope stale, and returns the scan's cost. Scope-fences
+// run it at every level they pass (§V-E).
+func (c *L1) ScanFlushScope(scope mem.ScopeID) sim.Tick {
+	_, sets, flushed := c.arr.flushScope(scope, c.evict)
 	c.markStale(scope)
-	return setsScanned, flushed
+	return c.Scan.of(sets, flushed)
 }
 
 func (c *L1) markStale(scope mem.ScopeID) {

@@ -118,7 +118,7 @@ func TestSlotArenaReuse(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		l := mem.LineAddr(uint64(i) * mem.LineSize)
 		v := c.Victim(l)
-		c.Install(v, l, Shared)
+		c.Install(v, l, Shared, mem.NoScope)
 		src := make([]byte, mem.LineSize)
 		src[0] = byte(i + 1)
 		c.SetData(v, src)
@@ -157,7 +157,7 @@ func fillArray(c *setAssoc) {
 	for i := 0; i < c.sets*c.ways; i++ {
 		l := mem.LineAddr(uint64(i) * mem.LineSize)
 		v := c.Victim(l)
-		c.Install(v, l, Modified)
+		c.Install(v, l, Modified, mem.NoScope)
 		c.payload(v)[0] = 0xFF
 		v.Writer, v.Sharers, v.Dirty = 7, 3, true
 	}
@@ -193,7 +193,7 @@ func TestSetAssocRecycledIsEmpty(t *testing.T) {
 	}
 	l := mem.LineAddr(0)
 	v := d.Victim(l)
-	d.Install(v, l, Shared)
+	d.Install(v, l, Shared, mem.NoScope)
 	if p := d.payload(v); p[0] != 0 {
 		t.Fatalf("recycled block's slot not zeroed: payload[0] = %#x", p[0])
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/memctrl"
@@ -11,22 +13,18 @@ import (
 )
 
 // LLC is the shared, inclusive last-level cache with the MESI directory
-// and the paper's coherence hardware: the scope buffer and SBV (§IV). PIM
-// ops scan-and-flush their scope here before being forwarded to the memory
-// controller, which is what makes the flush atomic with the op.
+// and, under every PIM-flushing model, the paper's scope unit: the scope
+// buffer and SBV (§IV). PIM ops scan-and-flush their scope here before
+// being forwarded to the memory controller, which is what makes the flush
+// atomic with the op.
 type LLC struct {
 	k     *sim.Kernel
 	Model core.Model
 
 	arr        setAssoc
 	HitLatency sim.Tick
-	// ScanPerSet / ScanPerLine drive scan cost: cycles per checked set and
-	// per flushed line.
-	ScanPerSet  sim.Tick
-	ScanPerLine sim.Tick
-
-	SB     *core.ScopeBuffer
-	SBV    *core.SBV
+	// Scan prices scans-and-flushes and single-line flushes here.
+	Scan   ScanCost
 	Scopes *mem.ScopeMap
 
 	// Pool supplies requests and in-flight line buffers. NewLLC creates a
@@ -54,9 +52,6 @@ type LLC struct {
 	mshr     mem.LineTable[*llcMiss]
 	missFree []*llcMiss
 	fillFree []*fillMsg
-
-	// victims is scanFlush's reusable per-set eviction list.
-	victims []*Line
 
 	// Hoisted callbacks (built once in NewLLC) so the steady-state
 	// request path schedules and sends without allocating closures.
@@ -93,7 +88,7 @@ type llcMiss struct {
 	waiters []*mem.Request
 }
 
-// fillMsg is a pooled L1-fill message: grant/deliverFill stage one,
+// fillMsg is a pooled L1-fill message: grant/bypassFill stage one,
 // deliverFillMsg unpacks it at the core tile and releases it. data, when
 // non-nil, is a pooled line owned by the message.
 type fillMsg struct {
@@ -102,7 +97,6 @@ type fillMsg struct {
 	state   MESI
 	data    []byte
 	writer  uint64
-	pim     bool
 	scope   mem.ScopeID
 	noCache bool
 	coreID  int
@@ -112,7 +106,7 @@ type fillMsg struct {
 // L1 and recycle the message and its buffer.
 func deliverFillMsg(x any) {
 	m := x.(*fillMsg)
-	m.l.l1s[m.coreID].Fill(m.addr, m.state, m.data, m.writer, m.pim, m.scope, m.noCache)
+	m.l.l1s[m.coreID].Fill(m.addr, m.state, m.data, m.writer, m.scope, m.noCache)
 	if m.data != nil {
 		m.l.Pool.PutLine(m.data)
 		m.data = nil
@@ -123,18 +117,13 @@ func deliverFillMsg(x any) {
 // NewLLC builds the shared cache. Wire it with Connect before use.
 func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick, scopes *mem.ScopeMap) *LLC {
 	l := &LLC{
-		k:           k,
-		Model:       model,
-		arr:         newSetAssoc(sets, ways),
-		HitLatency:  hitLatency,
-		ScanPerSet:  1,
-		ScanPerLine: 2,
-		Scopes:      scopes,
-		Pool:        mem.NewRequestPool(),
-	}
-	if model.FlushesLLCOnPIMOp() {
-		l.SB = core.NewScopeBuffer(64, 4)
-		l.SBV = core.NewSBV(sets)
+		k:          k,
+		Model:      model,
+		arr:        newSetAssoc(sets, ways),
+		HitLatency: hitLatency,
+		Scan:       tableIIScan,
+		Scopes:     scopes,
+		Pool:       mem.NewRequestPool(),
 	}
 	l.wakeFn = func(any) {
 		l.wakeScheduled = false
@@ -166,20 +155,10 @@ func (l *LLC) Connect(l1s []*L1, down []*noc.Link, mc *memctrl.Controller, mcLin
 	mc.OnSpace = func() { l.pump() }
 }
 
-// SetScopeBufferGeometry overrides the default 64x4 scope buffer.
-func (l *LLC) SetScopeBufferGeometry(sets, ways int) {
-	if l.SB != nil {
-		l.SB = core.NewScopeBuffer(sets, ways)
-	}
-}
-
-// DisableScopeBuffer removes the scope buffer: every PIM op scans
-// (ablation of §IV-A).
-func (l *LLC) DisableScopeBuffer() { l.SB = nil }
-
-// DisableSBV removes the scope bit-vector: scans check every set
-// (ablation of §IV-B).
-func (l *LLC) DisableSBV() { l.SBV = nil }
+// EnableScope gives the cache a scope unit: a scope buffer of sbSets x
+// sbWays (none when sbSets is 0) and, if sbv, a scope bit-vector. Without
+// either, a PIM-flushing model still scans, checking every set.
+func (l *LLC) EnableScope(sbSets, sbWays int, sbv bool) { l.arr.enableScope(sbSets, sbWays, sbv) }
 
 func (l *LLC) getMiss() *llcMiss {
 	if n := len(l.missFree); n > 0 {
@@ -293,7 +272,11 @@ func (l *LLC) handle(req *mem.Request) sim.Tick {
 	case req.Kind == mem.ReqPIMOp:
 		return l.handlePIMOp(req)
 	case req.Kind == mem.ReqScopeFence:
-		return l.handleScopeFence(req)
+		// §V-E: a scope-fence scans-and-flushes like a PIM op but
+		// terminates here, acknowledging the issuing core.
+		cost := l.flushScope(req.Scope)
+		l.ackRequester(req)
+		return l.HitLatency + cost
 	case req.Kind == mem.ReqFlush:
 		return l.handleFlush(req)
 	case req.Kind == mem.ReqLoad:
@@ -321,16 +304,8 @@ func (l *LLC) handleMiss(req *mem.Request) sim.Tick {
 		l.Hits.Inc()
 		cost := l.HitLatency
 		if owner := ln.Owner(); owner >= 0 && owner != req.Core {
-			data, writer, dirty, present := l.l1s[owner].RecallLine(req.Line, req.Excl)
-			if present {
-				if dirty {
-					l.arr.SetData(ln, data)
-					ln.Writer = writer
-					ln.Dirty = true
-				}
-				if !req.Excl {
-					ln.Sharers |= 1 << uint(owner)
-				}
+			if l.recall(ln, owner, req.Excl) && !req.Excl {
+				ln.Sharers |= 1 << uint(owner)
 			}
 			ln.setOwner(-1)
 			cost += 8 // owner round trip
@@ -380,7 +355,7 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 			if w.Excl {
 				keep = append(keep, w)
 			} else {
-				l.deliverFill(w, Shared, fetch.Data, fetch.Writer, true)
+				l.bypassFill(w, fetch.Data, fetch.Writer)
 				l.Pool.Put(w)
 			}
 		}
@@ -408,20 +383,9 @@ func (l *LLC) fillArrived(fetch *mem.Request) sim.Tick {
 			l.evictVictim(v)
 		}
 	}
-	l.arr.Install(v, fetch.Line, Shared)
+	l.arr.Install(v, fetch.Line, Shared, l.Scopes.ScopeOf(fetch.Line.Addr()))
 	l.arr.SetData(v, fetch.Data)
 	v.Writer = fetch.Writer
-	scope := l.Scopes.ScopeOf(fetch.Line.Addr())
-	v.Scope = scope
-	v.PIMEnabled = scope != mem.NoScope
-	if v.PIMEnabled {
-		if l.SBV != nil {
-			l.SBV.OnInsert(l.arr.SetOf(fetch.Line))
-		}
-		if l.SB != nil {
-			l.SB.Invalidate(scope)
-		}
-	}
 	n := len(e.waiters)
 	for _, w := range e.waiters {
 		l.grant(v, w)
@@ -438,16 +402,8 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 	if req.Excl {
 		// Invalidate all other holders.
 		for i := range l.l1s {
-			if i == req.Core {
-				continue
-			}
-			if ln.Sharers&(1<<uint(i)) != 0 || ln.Owner() == i {
-				data, writer, dirty, present := l.l1s[i].RecallLine(ln.Addr, true)
-				if present && dirty {
-					l.arr.SetData(ln, data)
-					ln.Writer = writer
-					ln.Dirty = true
-				}
+			if i != req.Core && (ln.Sharers&(1<<uint(i)) != 0 || ln.Owner() == i) {
+				l.recall(ln, i, true)
 			}
 		}
 		ln.Sharers = 0
@@ -466,43 +422,47 @@ func (l *LLC) grant(ln *Line, req *mem.Request) {
 		m.data = l.Pool.CloneLine(data)
 	}
 	m.writer = ln.Writer
-	m.pim, m.scope = ln.PIMEnabled, ln.Scope
+	m.scope = ln.Scope
 	m.coreID = req.Core
 	l.down[m.coreID].SendCtx(deliverFillMsg, m)
 }
 
-// deliverFill sends a bypass (no-cache) fill for a stale miss.
-func (l *LLC) deliverFill(req *mem.Request, state MESI, data []byte, writer uint64, noCache bool) {
+// bypassFill hands a stale miss's waiter its data without caching it.
+func (l *LLC) bypassFill(req *mem.Request, data []byte, writer uint64) {
 	m := l.getFill()
-	m.addr, m.state = req.Line, state
+	m.addr, m.state = req.Line, Shared
 	if data != nil {
 		m.data = l.Pool.CloneLine(data)
 	}
-	m.writer = writer
-	m.pim, m.scope = req.Scope != mem.NoScope, req.Scope
-	m.noCache = noCache
+	m.writer, m.scope = writer, req.Scope
+	m.noCache = true
 	m.coreID = req.Core
 	l.down[m.coreID].SendCtx(deliverFillMsg, m)
 }
 
+// recall takes coreID's copy of ln back from its L1, invalidating it or
+// downgrading it to Shared, and merges dirty data into ln. It reports
+// whether the L1 held the line.
+func (l *LLC) recall(ln *Line, coreID int, invalidate bool) bool {
+	data, writer, dirty, present := l.l1s[coreID].RecallLine(ln.Addr, invalidate)
+	if dirty {
+		l.arr.SetData(ln, data)
+		ln.Writer = writer
+		ln.Dirty = true
+	}
+	return present
+}
+
 // evictVictim enforces inclusivity: recall every L1 copy, write back dirty
-// data, clear SBV.
+// data, invalidate.
 func (l *LLC) evictVictim(v *Line) {
 	for i := range l.l1s {
 		if v.Sharers&(1<<uint(i)) != 0 || v.Owner() == i {
-			data, writer, dirty, present := l.l1s[i].RecallLine(v.Addr, true)
-			if present && dirty {
-				l.arr.SetData(v, data)
-				v.Writer = writer
-				v.Dirty = true
-			}
+			l.recall(v, i, true)
 		}
 	}
 	if v.Dirty {
 		l.writebackToMemory(v)
-	}
-	if v.PIMEnabled && l.SBV != nil {
-		l.SBV.OnEvict(l.arr.SetOf(v.Addr))
 	}
 	l.arr.Invalidate(v)
 }
@@ -543,7 +503,7 @@ func (l *LLC) handleFlush(req *mem.Request) sim.Tick {
 	ln := l.arr.Peek(req.Line)
 	if ln.Valid() {
 		l.evictVictim(ln) // recalls L1 copies, writes back if dirty
-		cost += l.ScanPerLine
+		cost += l.Scan.PerLine
 	}
 	l.ackRequester(req)
 	return cost
@@ -569,71 +529,31 @@ func (l *LLC) handlePIMOp(req *mem.Request) sim.Tick {
 		l.egressPush(req)
 		return 1
 	}
-	l.markStaleMisses(req.Scope)
-	if l.SB != nil && l.SB.Lookup(req.Scope) {
-		l.SBHitRate.Hit()
-		l.ScanLatency.Observe(0)
-		l.egressPush(req)
-		return l.HitLatency
-	}
-	l.SBHitRate.Miss()
-	cost := l.scanFlush(req.Scope)
+	cost := l.flushScope(req.Scope)
 	l.ScanLatency.Observe(float64(cost))
-	if l.SB != nil {
-		l.SB.Insert(req.Scope)
-	}
 	l.egressPush(req)
 	return l.HitLatency + cost
 }
 
-// handleScopeFence scans-and-flushes like a PIM op but terminates here,
-// acknowledging the issuing core (§V-E).
-func (l *LLC) handleScopeFence(req *mem.Request) sim.Tick {
-	cost := sim.Tick(0)
-	l.markStaleMisses(req.Scope)
-	if l.SB != nil && l.SB.Lookup(req.Scope) {
+// flushScope is the LLC's scan-and-flush for a PIM op or scope-fence: it
+// marks outstanding misses to the scope stale, then, unless the scope
+// buffer hits, flushes every line of the scope (recalling L1 copies
+// first). It returns the scan's cost, 0 on a scope-buffer hit.
+func (l *LLC) flushScope(scope mem.ScopeID) sim.Tick {
+	l.markStaleMisses(scope)
+	hit, sets, flushed := l.arr.flushScope(scope, l.evictVictim)
+	if hit {
 		l.SBHitRate.Hit()
-	} else {
-		if l.SB != nil {
-			l.SBHitRate.Miss()
-		}
-		cost = l.scanFlush(req.Scope)
-		if l.SB != nil {
-			l.SB.Insert(req.Scope)
-		}
+		return 0
 	}
-	l.ackRequester(req)
-	return l.HitLatency + cost
-}
-
-// scanFlush walks the sets the SBV marks, flushing every line of the scope
-// (recalling L1 copies first), and returns the scan cost.
-func (l *LLC) scanFlush(scope mem.ScopeID) sim.Tick {
+	l.SBHitRate.Miss()
 	l.Scans.Inc()
-	scanned, flushed := 0, 0
-	for s := 0; s < l.arr.sets; s++ {
-		if l.SBV != nil && !l.SBV.Test(s) {
-			continue
-		}
-		scanned++
-		l.victims = l.victims[:0]
-		set := l.arr.set(s)
-		for i := range set {
-			if set[i].valid && set[i].Scope == scope {
-				l.victims = append(l.victims, &set[i])
-			}
-		}
-		for _, ln := range l.victims {
-			flushed++
-			l.evictVictim(ln)
-		}
-	}
 	l.LinesFlushed.Add(uint64(flushed))
-	l.SkipRatio.Observe(1 - float64(scanned)/float64(l.arr.sets))
+	l.SkipRatio.Observe(1 - float64(sets)/float64(l.arr.sets))
 	if l.Tracer.Enabled(trace.CatCache) {
-		l.Tracer.Emit(trace.CatCache, "llc", "scan scope=%d sets=%d flushed=%d", scope, scanned, flushed)
+		l.Tracer.Emit(trace.CatCache, "llc", "scan scope=%d sets=%d flushed=%d", scope, sets, flushed)
 	}
-	return l.ScanPerSet*sim.Tick(scanned) + l.ScanPerLine*sim.Tick(flushed)
+	return l.Scan.of(sets, flushed)
 }
 
 // markStaleMisses flags outstanding misses of the scope so their fills do
@@ -701,6 +621,21 @@ func (l *LLC) CheckInclusive() (mem.LineAddr, bool) {
 		}
 	}
 	return 0, false
+}
+
+// CheckSBV verifies, for the LLC and every L1 with a scope bit-vector,
+// that each set's bit equals "the set holds a valid line of a PIM scope"
+// (property tests).
+func (l *LLC) CheckSBV() error {
+	if err := l.arr.checkSBV(); err != nil {
+		return fmt.Errorf("llc: %w", err)
+	}
+	for _, l1 := range l.l1s {
+		if err := l1.arr.checkSBV(); err != nil {
+			return fmt.Errorf("l1 %d: %w", l1.CoreID, err)
+		}
+	}
+	return nil
 }
 
 // CheckSWMR verifies the single-writer/multiple-reader invariant across

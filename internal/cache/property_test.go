@@ -9,15 +9,22 @@ import (
 )
 
 // Randomized mixes of loads, stores, PIM scans, flushes and fences must
-// preserve the coherence invariants and every array's payload-slot
-// accounting at every step, and never lose data that reached its
-// visibility point.
+// preserve the coherence invariants, the SBV of every array that has one
+// and every array's payload-slot accounting at every step, and never lose
+// data that reached its visibility point. The atomic rig has a scope unit
+// at the LLC only; the scope-relaxed rig has one at every level.
 func TestCoherenceInvariantsWithPIMScans(t *testing.T) {
-	r := newRig(t, core.Atomic, 3)
+	for _, model := range []core.Model{core.Atomic, core.ScopeRelaxed} {
+		t.Run(model.String(), func(t *testing.T) { randomPIMMix(t, model) })
+	}
+}
+
+func randomPIMMix(t *testing.T, model core.Model) {
+	r := newRig(t, model, 3)
 	rng := sim.NewRand(777)
 	scopeOf := func(s int) mem.ScopeID { return mem.ScopeID(s % 4) }
 	for step := 0; step < 500; step++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1: // PIM op with scan
 			r.llc.Receive(pimReq(scopeOf(rng.Intn(4))))
 			if _, err := r.k.Run(); err != nil {
@@ -35,6 +42,13 @@ func TestCoherenceInvariantsWithPIMScans(t *testing.T) {
 			scope := scopeOf(rng.Intn(4))
 			line := mem.LineOf(r.scopes.ScopeBase(scope) + mem.Addr(rng.Intn(64)*mem.LineSize))
 			r.storeVia(t, rng.Intn(3), line, rng.Intn(mem.LineSize), byte(step), uint64(step+1))
+		case 6: // scope-fence: scan the issuing L1, then the LLC
+			scope, coreID := scopeOf(rng.Intn(4)), rng.Intn(3)
+			r.l1s[coreID].ScanFlushScope(scope)
+			r.llc.Receive(&mem.Request{Kind: mem.ReqScopeFence, Scope: scope, Core: coreID})
+			if _, err := r.k.Run(); err != nil {
+				t.Fatal(err)
+			}
 		default: // load
 			scope := scopeOf(rng.Intn(4))
 			line := mem.LineOf(r.scopes.ScopeBase(scope) + mem.Addr(rng.Intn(64)*mem.LineSize))
@@ -45,6 +59,9 @@ func TestCoherenceInvariantsWithPIMScans(t *testing.T) {
 		}
 		if addr, bad := r.llc.CheckInclusive(); bad {
 			t.Fatalf("step %d: inclusivity violated at %#x", step, uint64(addr))
+		}
+		if err := r.llc.CheckSBV(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		if err := r.checkSlots(); err != nil {
 			t.Fatalf("step %d: payload slots: %v", step, err)

@@ -91,9 +91,8 @@ type Core struct {
 	flushTok       uint64
 
 	// Store buffer (TSO FIFO; PIM ops ride it under the store model).
-	sb        []sbEntry
-	sbWaiting bool
-	draining  bool
+	sb       []sbEntry
+	draining bool
 
 	// burstFree recycles burst trackers.
 	burstFree []*burstState
@@ -363,7 +362,6 @@ func (c *Core) newReq(kind mem.ReqKind, line mem.LineAddr, scope mem.ScopeID) *m
 	r.ID = c.reqID<<8 | uint64(c.ID)
 	r.Kind, r.Line, r.Scope = kind, line, scope
 	r.Core = c.ID
-	r.PIMEnabled = scope != mem.NoScope
 	return r
 }
 
@@ -371,7 +369,6 @@ func (c *Core) newReq(kind mem.ReqKind, line mem.LineAddr, scope mem.ScopeID) *m
 
 func (c *Core) execStore(in Instr) {
 	if len(c.sb) >= c.StoreBufferCap {
-		c.sbWaiting = true
 		c.park(in)
 		return
 	}
@@ -423,7 +420,7 @@ func exclFillDone(ctx any) {
 // held head holds everything behind it).
 func (c *Core) drainStep() {
 	if len(c.sb) == 0 {
-		c.drainProgressed()
+		c.wake()
 		return
 	}
 	e := &c.sb[0]
@@ -481,16 +478,9 @@ func (c *Core) popStore() {
 	n := copy(c.sb, c.sb[1:])
 	c.sb[n] = sbEntry{}
 	c.sb = c.sb[:n]
-	c.drainProgressed()
+	c.wake()
 	c.tryLaunchScopePIM(scope)
 	c.kickDrain()
-}
-
-func (c *Core) drainProgressed() {
-	if c.sbWaiting && len(c.sb) < c.StoreBufferCap {
-		c.sbWaiting = false
-	}
-	c.wake()
 }
 
 // sbForward searches the store buffer for the newest store covering the
@@ -803,7 +793,7 @@ func (c *Core) buildPIMReq(in Instr) *pimEntry {
 	req := &mem.Request{
 		ID: c.reqID<<8 | uint64(c.ID), Kind: mem.ReqPIMOp,
 		Line: mem.LineOf(c.Scopes.ScopeBase(in.Scope)), Scope: in.Scope,
-		Core: c.ID, PIMEnabled: in.Scope != mem.NoScope, Prog: in.Prog,
+		Core: c.ID, Prog: in.Prog,
 	}
 	var ev core.EventID
 	if c.hbOn() {
@@ -837,7 +827,6 @@ func (c *Core) execPIM(in Instr) {
 	case core.Store:
 		// Fig. 6b: commit immediately; the op rides the FIFO entry point.
 		if len(c.sb) >= c.StoreBufferCap {
-			c.sbWaiting = true
 			c.park(in)
 			return
 		}
@@ -949,7 +938,7 @@ func (c *Core) OnPIMAck(req *mem.Request) {
 			c.sb[n] = sbEntry{}
 			c.sb = c.sb[:n]
 		}
-		c.drainProgressed()
+		c.wake()
 		c.kickDrain()
 	case core.Scope:
 		c.pimUnacked[req.Scope]--
@@ -1035,8 +1024,7 @@ func (c *Core) execScopeFence(in Instr) {
 		c.HB.RecordOp(c.ID, core.OpRef{Class: core.OpFenceScope, Scope: in.Scope}, in.Label)
 	}
 	// §V-E: the fence scans every cache level on its path.
-	sets, flushed := c.L1.ScanFlushScope(in.Scope)
-	cost := sim.Tick(sets) + 2*sim.Tick(flushed)
+	cost := c.L1.ScanFlushScope(in.Scope)
 	c.fencePending[in.Scope]++
 	req := c.newReq(mem.ReqScopeFence, mem.LineOf(c.Scopes.ScopeBase(in.Scope)), in.Scope)
 	req.OnDone = c.fenceDoneFn
@@ -1057,8 +1045,8 @@ func (c *Core) DebugState() string {
 	case stWaiting:
 		state = "waiting"
 	}
-	return fmt.Sprintf("core%d done=%v state=%s last=%d sb=%d outLoads=%d credits=%d unacked=%v queues=%d draining=%v sbWaiting=%v l1mshr=%d",
-		c.ID, c.done, state, c.lastInstr, len(c.sb), c.outLoads, c.pimCreditUse, c.pimUnacked, len(c.pimQueues), c.draining, c.sbWaiting, c.L1.MSHRLen())
+	return fmt.Sprintf("core%d done=%v state=%s last=%d sb=%d outLoads=%d credits=%d unacked=%v queues=%d draining=%v l1mshr=%d",
+		c.ID, c.done, state, c.lastInstr, len(c.sb), c.outLoads, c.pimCreditUse, c.pimUnacked, len(c.pimQueues), c.draining, c.L1.MSHRLen())
 }
 
 func max64(a, b uint64) uint64 {

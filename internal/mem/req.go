@@ -93,10 +93,6 @@ type Request struct {
 	// Uncacheable requests bypass all caches (Fig. 3 baseline).
 	Uncacheable bool
 
-	// PIMEnabled marks requests whose page belongs to a PIM-enabled scope;
-	// caches use it to maintain the SBV (paper §IV-B).
-	PIMEnabled bool
-
 	// OnDone, Ctx and Arg form the closure-free completion scheme: the
 	// completing component calls Complete, which invokes OnDone(r, Ctx)
 	// exactly once. There is no double-completion guard — every path that

@@ -1,15 +1,7 @@
 // Package stats collects the measurements the paper's evaluation reports:
 // counters (event counts), means sampled over a run (PIM buffer occupancy on
-// arrival, LLC scan latency, SBV skip ratio), and small histograms. A
-// Registry groups the stats of one simulated system so a run can be
-// summarized and compared across consistency models.
+// arrival, LLC scan latency, SBV skip ratio), and small histograms.
 package stats
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -108,79 +100,3 @@ func (h *Histogram) Count() uint64 { return h.mean.Count() }
 
 // Bucket returns the count of bucket i (len(Bounds)+1 buckets).
 func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// Registry is a named collection of stats for one simulated system.
-type Registry struct {
-	counters map[string]*Counter
-	means    map[string]*Mean
-	ratios   map[string]*Ratio
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		means:    make(map[string]*Mean),
-		ratios:   make(map[string]*Ratio),
-	}
-}
-
-// Counter returns (creating on demand) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Mean returns (creating on demand) the named mean.
-func (r *Registry) Mean(name string) *Mean {
-	m := r.means[name]
-	if m == nil {
-		m = &Mean{}
-		r.means[name] = m
-	}
-	return m
-}
-
-// Ratio returns (creating on demand) the named ratio.
-func (r *Registry) Ratio(name string) *Ratio {
-	x := r.ratios[name]
-	if x == nil {
-		x = &Ratio{}
-		r.ratios[name] = x
-	}
-	return x
-}
-
-// Snapshot returns all values as a flat map (counters as float64).
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64, len(r.counters)+len(r.means)+len(r.ratios))
-	for k, c := range r.counters {
-		out[k] = float64(c.Value())
-	}
-	for k, m := range r.means {
-		out[k] = m.Value()
-	}
-	for k, x := range r.ratios {
-		out[k] = x.Value()
-	}
-	return out
-}
-
-// String renders the registry sorted by name, for debugging and reports.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-40s %12.4f\n", k, snap[k])
-	}
-	return b.String()
-}

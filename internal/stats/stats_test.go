@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCounter(t *testing.T) {
 	var c Counter
@@ -60,23 +57,5 @@ func TestHistogram(t *testing.T) {
 	want := (5.0 + 50 + 500) / 3
 	if h.Mean() != want {
 		t.Fatalf("mean = %g, want %g", h.Mean(), want)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Inc()
-	r.Mean("b").Observe(2.5)
-	r.Ratio("c").Hit()
-	if r.Counter("a").Value() != 1 {
-		t.Fatal("counter not shared by name")
-	}
-	snap := r.Snapshot()
-	if snap["a"] != 1 || snap["b"] != 2.5 || snap["c"] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	s := r.String()
-	if !strings.Contains(s, "a") || !strings.Contains(s, "b") {
-		t.Fatal("String missing entries")
 	}
 }

@@ -85,16 +85,20 @@ func New(cfg Config) *System {
 	mc.BankBusy = cfg.BankBusy
 	mc.SendACK = nil // wired below
 
+	// Which level carries which coherence hardware (Table I): every
+	// PIM-flushing model puts a scope unit at the LLC, less what the §VII
+	// ablations strip; scope-relaxed adds a whole one to each L1 (§V-E).
+	// One scan cost prices both levels.
+	scan := cache.ScanCost{PerSet: cfg.ScanPerSet, PerLine: cfg.ScanPerLine}
 	llc := cache.NewLLC(k, cfg.Model, cfg.LLCSets, cfg.LLCWays, cfg.LLCHitLatency, scopes)
 	llc.Pool = pool
-	llc.ScanPerSet = cfg.ScanPerSet
-	llc.ScanPerLine = cfg.ScanPerLine
-	llc.SetScopeBufferGeometry(cfg.LLCScopeBufSets, cfg.LLCScopeBufWays)
-	if cfg.NoScopeBuffer {
-		llc.DisableScopeBuffer()
-	}
-	if cfg.NoSBV {
-		llc.DisableSBV()
+	llc.Scan = scan
+	if cfg.Model.FlushesLLCOnPIMOp() {
+		sbSets := cfg.LLCScopeBufSets
+		if cfg.NoScopeBuffer {
+			sbSets = 0
+		}
+		llc.EnableScope(sbSets, cfg.LLCScopeBufWays, !cfg.NoSBV)
 	}
 
 	s := &System{
@@ -123,8 +127,9 @@ func New(cfg Config) *System {
 	for i := 0; i < cfg.Cores; i++ {
 		l1s[i] = cache.NewL1(k, i, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLatency)
 		l1s[i].Pool = pool
+		l1s[i].Scan = scan
 		if cfg.Model.ScopeStructuresInAllCaches() {
-			l1s[i].EnableScopeStructures(cfg.L1ScopeBufSets, cfg.L1ScopeBufWays)
+			l1s[i].EnableScope(cfg.L1ScopeBufSets, cfg.L1ScopeBufWays, true)
 		}
 		up := noc.NewLink(k, fmt.Sprintf("up%d", i), cfg.CoreLLCLatency, cfg.CoreLLCJitter, 1, rng.Fork())
 		l1s[i].Connect(llc, up)

@@ -4,13 +4,14 @@
 // single relation is involved — followed by reading the results. Queries
 // 9, 13 and 18 have no PIM section and are not evaluated, as in the paper.
 //
-// TPC-H data requires dbgen; per the substitution policy (DESIGN.md) the
-// relations are synthetic: field values are deterministic pseudo-random
-// integers over per-column domains, and each query's predicate structure
-// (number of terms, compared widths, conjunction/disjunction shape)
-// follows the TPC-H specification's WHERE clauses. Run-time behaviour
-// depends on scope counts (Table IV, used verbatim), PIM ops per scope, op
-// lengths, and result-read volume/pattern — all preserved.
+// TPC-H data requires dbgen, an external tool this dependency-free module
+// does not run, so the relations are synthetic: field values are
+// deterministic pseudo-random integers over per-column domains, and each
+// query's predicate structure (number of terms, compared widths,
+// conjunction/disjunction shape) follows the TPC-H specification's WHERE
+// clauses. Run-time behaviour depends on scope counts (Table IV, used
+// verbatim), PIM ops per scope, op lengths, and result-read
+// volume/pattern — all preserved — not on the field values.
 package tpch
 
 import (
