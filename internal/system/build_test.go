@@ -14,9 +14,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	ok := Default()
 	ok.Cores, ok.L1Sets, ok.L1Ways, ok.LLCSets, ok.LLCWays = maxCores, 1, 1, 1, 1
+	ok.PIMModules = maxModules
 	if err := ok.Validate(); err != nil {
-		t.Fatalf("smallest geometry with %d cores rejected: %v", maxCores, err)
+		t.Fatalf("smallest geometry with %d cores and %d modules rejected: %v", maxCores, maxModules, err)
 	}
+	New(ok).Release()
 	// The largest capped geometries validate (New is not called: they
 	// are still tens of megabytes).
 	largest := Default()
@@ -67,6 +69,10 @@ func TestConfigValidate(t *testing.T) {
 		"MLP=0":             func(c *Config) { c.MLP = 0 },
 		"PIMCredits=0":      func(c *Config) { c.PIMCredits = 0 },
 		"PIMModules=0":      func(c *Config) { c.PIMModules = 0 },
+		"PIMModules=65":     func(c *Config) { c.PIMModules = maxModules + 1 },
+		"PIMModules=1e5":    func(c *Config) { c.PIMModules = 100000 }, // ~37 MB of modules in New
+		"Model=99":          func(c *Config) { c.Model = 99 },          // a flushing model run down the baseline path
+		"TraceCategories":   func(c *Config) { c.TraceCategories = "bogus" },
 		"ClockGHz=0":        func(c *Config) { c.ClockGHz = 0 },
 		"ScopeSize=0":       func(c *Config) { c.ScopeSize = 0 },
 		"ScopeSize=3MB":     func(c *Config) { c.ScopeSize = 3 << 20 },

@@ -8,11 +8,13 @@ package system
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/pim"
 	"bulkpim/internal/sim"
+	"bulkpim/internal/trace"
 )
 
 // Config captures the architecture and system configuration (paper
@@ -53,7 +55,7 @@ type Config struct {
 	BankBusy    sim.Tick
 
 	// PIM module (spec as in [25]).
-	// PIMModules attaches N modules, scopes distributed round-robin
+	// PIMModules attaches N (1..64) modules, scopes distributed round-robin
 	// (extension; the paper evaluates 1).
 	PIMModules          int
 	PIMBufferSize       int // 0 = unbounded (Fig. 11a)
@@ -146,6 +148,10 @@ func (c Config) Seconds(ticks sim.Tick) float64 {
 // are a 64-bit mask.
 const maxCores = 64
 
+// maxModules caps PIMModules at the core bound: New builds every module
+// up front, a few hundred bytes each before any run.
+const maxModules = maxCores
+
 // maxLines caps the entries of one cache level (or one scope-buffer
 // level), summed over its per-core copies: 2^20 lines is 64 MB of
 // 64-byte lines, 8x the paper's largest LLC (8 MB, 131 072 lines). An
@@ -163,15 +169,23 @@ func capLines(name string, sets, ways, count int) error {
 }
 
 // Validate reports a configuration the machine cannot be built from or
-// would misrun: a core count outside [1, maxCores]; an L1/LLC geometry
-// without power-of-two sets and at least one way; a scope buffer without
-// sets or ways; a cache or scope-buffer level over maxLines entries; no
-// banks, queue slots, memory-level parallelism, PIM credits or PIM
-// modules; a non-positive clock; a scope size other than the one the PIM
-// geometry tiles (2 MB); no scopes; or a PIM base that is not
-// scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
+// would misrun: a model that is none of the seven run modes; a trace
+// category list that trace.ParseCategories refuses; a core count
+// outside [1, maxCores]; an L1/LLC geometry without power-of-two sets
+// and at least one way; a scope buffer without sets or ways; a cache or
+// scope-buffer level over maxLines entries; no banks, queue slots,
+// memory-level parallelism, PIM credits or PIM modules; more than
+// maxModules PIM modules; a non-positive clock; a scope size other than
+// the one the PIM geometry tiles (2 MB); no scopes; or a PIM base that
+// is not scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
 // and so are zero latencies (an ideal L1 or DRAM).
 func (c Config) Validate() error {
+	if !slices.Contains(core.AllVariants(), c.Model) {
+		return fmt.Errorf("system: Model = %v, want one of %v", c.Model, core.AllVariants())
+	}
+	if _, err := trace.ParseCategories(c.TraceCategories); err != nil {
+		return fmt.Errorf("system: TraceCategories: %w", err)
+	}
 	if c.Cores < 1 || c.Cores > maxCores {
 		return fmt.Errorf("system: Cores = %d, want 1..%d", c.Cores, maxCores)
 	}
@@ -207,6 +221,9 @@ func (c Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("system: %s = %d, want >= 1", f.name, f.v)
 		}
+	}
+	if c.PIMModules > maxModules {
+		return fmt.Errorf("system: PIMModules = %d, want <= %d", c.PIMModules, maxModules)
 	}
 	if !(c.ClockGHz > 0) {
 		return fmt.Errorf("system: ClockGHz = %v, want > 0", c.ClockGHz)

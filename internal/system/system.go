@@ -106,10 +106,7 @@ func New(cfg Config) *System {
 		LLC: llc, MC: mc, PIM: module, PIMs: modules,
 	}
 	if cfg.TraceCategories != "" {
-		mask, err := trace.ParseCategories(cfg.TraceCategories)
-		if err != nil {
-			panic(err)
-		}
+		mask, _ := trace.ParseCategories(cfg.TraceCategories) // checked by Validate
 		s.Tracer = trace.New(k.Now, cfg.TraceWriter, mask, 4096)
 		llc.Tracer = s.Tracer
 		mc.Tracer = s.Tracer
@@ -219,6 +216,18 @@ func (s *System) Run(threads []cpu.Thread) (Result, error) {
 	res, err := s.run(threads)
 	if err != nil {
 		s.failed = true
+	}
+	return res, err
+}
+
+// RunOnce builds a machine for cfg, runs the threads that threads makes
+// for it, and releases the machine after a clean run. It is the one
+// place a run decides whether its buffers go back.
+func RunOnce(cfg Config, threads func(*System) []cpu.Thread) (Result, error) {
+	s := New(cfg)
+	res, err := s.Run(threads(s))
+	if err == nil {
+		s.Release()
 	}
 	return res, err
 }

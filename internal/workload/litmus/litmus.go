@@ -11,6 +11,10 @@
 // "cyclic ordering without a well-defined happen-before relation"). Under
 // the four proposed models the scan-and-flush is atomic with the PIM op,
 // so the outcome is impossible at every adversary timing.
+//
+// Every shape runs on one harness: a writer program and one
+// poll-then-read reader (Fig. 1 adds the adversary) on a machine that
+// system.RunOnce builds, runs and releases.
 package litmus
 
 import (
@@ -43,135 +47,179 @@ func (o Outcome) String() string {
 		o.Model, o.AdversaryDelay, o.Completed, o.StaleRead, o.Cycle != nil)
 }
 
+// Observed is what a shape's reader saw.
+type Observed struct {
+	// Completed: the polled byte reached the writer's value.
+	Completed bool
+	// Stale: the read that followed returned an older value, so the
+	// ordering the shape tests was broken.
+	Stale bool
+}
+
 const (
-	initVal  = 0
 	storeVal = 1 // A0 / B0
 	pimVal   = 2 // A1 / B1
 )
 
+// config is the machine every shape runs on: Table II with two scopes
+// and cores cores, executing PIM programs on real bytes.
+func config(model core.Model, cores int, seed uint64) system.Config {
+	cfg := system.Default()
+	cfg.Model = model
+	cfg.Cores = cores
+	cfg.ScopeCount = 2
+	cfg.Functional = true
+	cfg.Seed = seed
+	return cfg
+}
+
+// mark is a PIM program of microOps micro-ops that writes pimVal at each
+// of addrs and stamps their lines with the op as writer; with hb set it
+// also records those writes for the happens-before check.
+func mark(name string, microOps int, hb *core.Recorder, addrs ...mem.Addr) *mem.PIMProgram {
+	return &mem.PIMProgram{Name: name, MicroOps: microOps, Apply: func(bk *mem.Backing, w uint64) {
+		for _, a := range addrs {
+			bk.SetByte(a, pimVal)
+			bk.SetWriter(mem.LineOf(a), w)
+			if hb != nil {
+				hb.RecordWrite(w, mem.LineOf(a))
+			}
+		}
+	}}
+}
+
+// evictionSet is a burst over LLCWays+1 lines outside the PIM region
+// that share line's LLC set, and so its (smaller, power-of-two) L1 set:
+// issued between polls, it evicts line so the next poll refetches. The
+// lines sit at multiples first, first+1, … of the LLC set stride; first
+// skips the multiples that would alias line itself.
+func evictionSet(cfg system.Config, line mem.LineAddr, first int) []cpu.BurstRange {
+	stride := uint64(cfg.LLCSets) * mem.LineSize
+	off := uint64(line) % stride
+	set := make([]cpu.BurstRange, cfg.LLCWays+1)
+	for k := range set {
+		set[k] = cpu.BurstRange{Start: mem.Addr(uint64(first+k)*stride + off), Bytes: 8}
+	}
+	return set
+}
+
+// The reader's steps, in order.
+const (
+	stepPoll = iota
+	stepBetween
+	stepRead
+	stepDone
+)
+
+// reader is every shape's checker thread; see pollThenRead.
+type reader struct {
+	Observed
+	poll, between, read cpu.Instr
+	maxPolls, polls     int
+	step                int
+	got                 byte // what the read returned
+}
+
+// pollThenRead builds a reader that loads poll until its byte reads want,
+// issuing between after each poll, and then loads read once; the shape
+// is Stale if that byte is not want either. It gives up, leaving
+// Completed false, after maxPolls polls that did not see want. A poll's
+// data arrives while later steps issue: the poll that sees want makes
+// the read the next step, whichever step was due.
+func pollThenRead(poll cpu.Instr, want byte, between cpu.Instr, maxPolls int, read cpu.Instr) *reader {
+	r := &reader{poll: poll, between: between, read: read, maxPolls: maxPolls}
+	r.poll.OnData = func(_ mem.LineAddr, d []byte) {
+		if d[int(poll.Addr)%mem.LineSize] == want {
+			r.step = stepRead
+		}
+	}
+	r.read.OnData = func(_ mem.LineAddr, d []byte) {
+		r.got = d[int(read.Addr)%mem.LineSize]
+		if r.got != want {
+			r.Stale = true
+		}
+	}
+	return r
+}
+
+// Next implements cpu.Thread.
+func (r *reader) Next() (cpu.Instr, bool) {
+	switch r.step {
+	case stepPoll:
+		r.step = stepBetween
+		return r.poll, true
+	case stepBetween:
+		if r.polls++; r.polls > r.maxPolls {
+			return cpu.Instr{}, false
+		}
+		r.step = stepPoll
+		return r.between, true
+	case stepRead:
+		r.step = stepDone
+		r.Completed = true
+		return r.read, true
+	}
+	return cpu.Instr{}, false
+}
+
 // RunFig1 executes the scenario under model with the adversary's load of A
 // issued after adversaryDelay cycles.
 func RunFig1(model core.Model, adversaryDelay sim.Tick) (Outcome, error) {
-	cfg := system.Default()
-	cfg.Model = model
-	cfg.Cores = 3
-	cfg.ScopeCount = 2
-	cfg.Functional = true
+	cfg := config(model, 3, system.Default().Seed)
 	cfg.TrackHB = true
 	cfg.LLCWays = 4 // keep conflict-eviction sets small
-	s := system.New(cfg)
+	var hb *core.Recorder
+	var checker *reader
+	_, err := system.RunOnce(cfg, func(s *system.System) []cpu.Thread {
+		hb = s.HB
+		scope := mem.ScopeID(0)
+		addrA := s.Scopes.ScopeBase(scope) + 0x1000
+		addrB := addrA + 0x1000
+		lineA, lineB := mem.LineOf(addrA), mem.LineOf(addrB)
 
-	scope := mem.ScopeID(0)
-	base := s.Scopes.ScopeBase(scope)
-	addrA := base + 0x1000
-	addrB := base + 0x2000
-	lineA, lineB := mem.LineOf(addrA), mem.LineOf(addrB)
+		// Writer thread: Fig. 1's code.
+		writer := []cpu.Instr{
+			{Kind: cpu.InstrStore, Addr: addrA, Data: []byte{storeVal}, Label: "W(A)=A0"},
+			{Kind: cpu.InstrFenceFull},
+			{Kind: cpu.InstrStore, Addr: addrB, Data: []byte{storeVal}, Label: "W(B)=B0"},
+			{Kind: cpu.InstrFenceFull},
+		}
+		if model == core.SWFlush {
+			writer = append(writer,
+				cpu.Instr{Kind: cpu.InstrFlush, Lines: []mem.LineAddr{lineA, lineB}},
+				cpu.Instr{Kind: cpu.InstrFenceFull},
+			)
+		}
+		if model.NeedsScopeFence() {
+			writer = append(writer, cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
+		}
+		writer = append(writer, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: scope,
+			Prog: mark("write_A1_B1", 64, hb, addrA, addrB), Label: "PIMop"})
 
-	hb := s.HB
-	prog := &mem.PIMProgram{
-		Name:     "write_A1_B1",
-		MicroOps: 64,
-		Apply: func(bk *mem.Backing, w uint64) {
-			bk.SetByte(addrA, pimVal)
-			bk.SetWriter(lineA, w)
-			bk.SetByte(addrB, pimVal)
-			bk.SetWriter(lineB, w)
-			hb.RecordWrite(w, lineA)
-			hb.RecordWrite(w, lineB)
-		},
+		// Adversary: a timed prefetch of A.
+		adversary := []cpu.Instr{
+			{Kind: cpu.InstrCompute, Cycles: adversaryDelay},
+			{Kind: cpu.InstrLoad, Addr: addrA, Label: "prefetch(A)"},
+		}
+
+		// Checker: poll B, evicting it between polls so each poll
+		// refetches, then read A.
+		checker = pollThenRead(
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: addrB, Label: "R(B)"}, pimVal,
+			cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: evictionSet(cfg, lineB, 0)}, 400,
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: addrA, Label: "R(A)"})
+		return []cpu.Thread{&cpu.SliceThread{Instrs: writer}, &cpu.SliceThread{Instrs: adversary}, checker}
+	})
+	out := Outcome{Model: model, AdversaryDelay: adversaryDelay,
+		Completed: checker.Completed, StaleRead: checker.Stale, ValueA: checker.got}
+	if out.Completed {
+		out.ValueB = pimVal
 	}
-
-	// Writer thread: Fig. 1's code.
-	var wInstrs []cpu.Instr
-	wInstrs = append(wInstrs,
-		cpu.Instr{Kind: cpu.InstrStore, Addr: addrA, Data: []byte{storeVal}, Label: "W(A)=A0"},
-		cpu.Instr{Kind: cpu.InstrFenceFull},
-		cpu.Instr{Kind: cpu.InstrStore, Addr: addrB, Data: []byte{storeVal}, Label: "W(B)=B0"},
-		cpu.Instr{Kind: cpu.InstrFenceFull},
-	)
-	if model == core.SWFlush {
-		wInstrs = append(wInstrs,
-			cpu.Instr{Kind: cpu.InstrFlush, Lines: []mem.LineAddr{lineA, lineB}},
-			cpu.Instr{Kind: cpu.InstrFenceFull},
-		)
-	}
-	if model.NeedsScopeFence() {
-		wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
-	}
-	wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: scope, Prog: prog, Label: "PIMop"})
-	writer := &cpu.SliceThread{Instrs: wInstrs}
-
-	// Adversary: a timed prefetch of A.
-	adversary := &cpu.SliceThread{Instrs: []cpu.Instr{
-		{Kind: cpu.InstrCompute, Cycles: adversaryDelay},
-		{Kind: cpu.InstrLoad, Addr: addrA, Label: "prefetch(A)"},
-	}}
-
-	out := Outcome{Model: model, AdversaryDelay: adversaryDelay}
-	checker := newChecker(s, scope, addrA, addrB, &out)
-
-	if _, err := s.Run([]cpu.Thread{writer, adversary, checker}); err != nil {
+	if err != nil {
 		return out, err
 	}
 	out.Cycle = hb.FindCycle()
 	return out, nil
-}
-
-// newChecker builds the polling thread: read B until it returns the PIM
-// value (evicting B between polls so each read refetches), then read A.
-func newChecker(s *system.System, scope mem.ScopeID, addrA, addrB mem.Addr, out *Outcome) cpu.Thread {
-	lineB := mem.LineOf(addrB)
-	offB := int(addrB - lineB.Addr())
-	offA := int(addrA - mem.LineOf(addrA).Addr())
-
-	// Conflict lines: same LLC set as B, outside the PIM region. The LLC
-	// set stride is LLCSets lines; multiples also share the (smaller,
-	// power-of-two) L1 set.
-	stride := uint64(s.Cfg.LLCSets) * mem.LineSize
-	setOff := uint64(lineB) % stride
-	var evict []cpu.BurstRange
-	for k := 0; k < s.Cfg.LLCWays+1; k++ {
-		evict = append(evict, cpu.BurstRange{
-			Start: mem.Addr(uint64(k)*stride + setOff), Bytes: 8})
-	}
-
-	const maxPolls = 400
-	state := 0 // 0: poll B, 1: evict, 2: read A, 3: done
-	polls := 0
-	var sawB byte
-	return cpu.FuncThread(func() (cpu.Instr, bool) {
-		switch state {
-		case 0:
-			state = 1
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: addrB, Label: "R(B)",
-				OnData: func(_ mem.LineAddr, d []byte) {
-					sawB = d[offB]
-					if sawB == pimVal {
-						state = 2
-					}
-				}}, true
-		case 1:
-			polls++
-			if polls > maxPolls {
-				return cpu.Instr{}, false // give up: Completed stays false
-			}
-			state = 0
-			return cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: evict}, true
-		case 2:
-			state = 3
-			out.Completed = true
-			out.ValueB = sawB
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: addrA, Label: "R(A)",
-				OnData: func(_ mem.LineAddr, d []byte) {
-					out.ValueA = d[offA]
-					if out.ValueA != pimVal {
-						out.StaleRead = true
-					}
-				}}, true
-		default:
-			return cpu.Instr{}, false
-		}
-	})
 }
 
 // SweepFig1 runs the scenario across adversary timings and returns every

@@ -1,10 +1,14 @@
 package litmus
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"bulkpim/internal/cache"
 	"bulkpim/internal/core"
 	"bulkpim/internal/sim"
+	"bulkpim/internal/system"
 )
 
 // The SW-Flush baseline must exhibit the Fig. 1 violation for some
@@ -71,5 +75,29 @@ func TestFig1NaiveBroken(t *testing.T) {
 	}
 	if !broken {
 		t.Error("naive baseline behaved correctly in Fig. 1; expected breakage")
+	}
+}
+
+// A litmus run releases its machine, so the next run is built from its
+// buffers: after fresh free lists and one Fig. 1 run, a second run
+// allocates less than the one fresh LLC line array (2048 sets x 4 ways
+// of cache.Line) that an unreleased machine would leave it to allocate.
+// Scope-relaxed puts a scope unit in every L1 too, so each release also
+// checks the L1s' SBVs against their lines.
+func TestFig1ReusesReleasedMachine(t *testing.T) {
+	sim.DropFreeLists()
+	if _, err := RunFig1(core.ScopeRelaxed, 0); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := RunFig1(core.ScopeRelaxed, 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fresh := uint64(system.Default().LLCSets * 4 * int(unsafe.Sizeof(cache.Line{})))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= fresh {
+		t.Fatalf("second Fig. 1 run allocated %d B, want < %d B (a fresh LLC line array)", got, fresh)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // behaviour — the base the paper's models "extend without violating"
 // (§III). Store-buffering's relaxed outcome must be observable (TSO allows
 // it); message-passing's must not (TSO forbids store-store / load-load
-// reordering).
+// reordering). Neither issues a PIM op, so the model is immaterial.
 
 // SBOutcome is one store-buffering run: two threads each store to their
 // own flag and read the other's.
@@ -19,25 +19,15 @@ type SBOutcome struct {
 	// BothZero: both threads read the other's pre-store value — forbidden
 	// under SC, allowed under TSO.
 	BothZero bool
-	// WithFences: run had mfences between the store and load.
-	WithFences bool
 }
 
 // RunStoreBuffering executes the SB shape once with the given seed.
 func RunStoreBuffering(fences bool, seed uint64) (SBOutcome, error) {
-	cfg := system.Default()
-	cfg.Model = core.Atomic // irrelevant: no PIM ops
-	cfg.Cores = 2
-	cfg.ScopeCount = 2
-	cfg.Functional = true
-	cfg.Seed = seed
-	s := system.New(cfg)
-
 	addrX := mem.Addr(0x2000)
 	addrY := mem.Addr(0x6000)
 	var r0, r1 byte = 0xFF, 0xFF
 
-	mk := func(mine, other mem.Addr, out *byte) *cpu.SliceThread {
+	mk := func(mine, other mem.Addr, out *byte) cpu.Thread {
 		instrs := []cpu.Instr{
 			{Kind: cpu.InstrStore, Addr: mine, Data: []byte{1}},
 		}
@@ -50,10 +40,11 @@ func RunStoreBuffering(fences bool, seed uint64) (SBOutcome, error) {
 		})
 		return &cpu.SliceThread{Instrs: instrs}
 	}
-	if _, err := s.Run([]cpu.Thread{mk(addrX, addrY, &r0), mk(addrY, addrX, &r1)}); err != nil {
+	threads := []cpu.Thread{mk(addrX, addrY, &r0), mk(addrY, addrX, &r1)}
+	if _, err := system.RunOnce(config(core.Atomic, 2, seed), func(*system.System) []cpu.Thread { return threads }); err != nil {
 		return SBOutcome{}, err
 	}
-	return SBOutcome{BothZero: r0 == 0 && r1 == 0, WithFences: fences}, nil
+	return SBOutcome{BothZero: r0 == 0 && r1 == 0}, nil
 }
 
 // SweepStoreBuffering runs SB across seeds and reports how often the
@@ -71,70 +62,22 @@ func SweepStoreBuffering(fences bool, seeds int) (bothZero int, err error) {
 	return bothZero, nil
 }
 
-// MPPlainOutcome is a plain (store/store vs load/load) message-passing
-// run.
-type MPPlainOutcome struct {
-	Completed bool
-	// Violation: the reader observed the flag but stale data — forbidden
-	// under TSO.
-	Violation bool
-}
-
 // RunMPPlain executes plain MP: T0 stores data then flag; T1 spins on
 // flag then reads data. Under TSO the outcome flag=new/data=old is
-// forbidden.
-func RunMPPlain(seed uint64) (MPPlainOutcome, error) {
-	cfg := system.Default()
-	cfg.Model = core.Atomic
-	cfg.Cores = 2
-	cfg.ScopeCount = 2
-	cfg.Functional = true
-	cfg.Seed = seed
-	s := system.New(cfg)
-
+// forbidden, so Stale must never be set.
+func RunMPPlain(seed uint64) (Observed, error) {
 	data := mem.Addr(0x2000)
 	flag := mem.Addr(0x6000)
-
 	writer := &cpu.SliceThread{Instrs: []cpu.Instr{
-		{Kind: cpu.InstrStore, Addr: data, Data: []byte{1}},
-		{Kind: cpu.InstrStore, Addr: flag, Data: []byte{1}},
+		{Kind: cpu.InstrStore, Addr: data, Data: []byte{storeVal}},
+		{Kind: cpu.InstrStore, Addr: flag, Data: []byte{storeVal}},
 	}}
-
-	out := MPPlainOutcome{}
-	state := 0
-	polls := 0
-	reader := cpu.FuncThread(func() (cpu.Instr, bool) {
-		switch state {
-		case 0:
-			state = 1
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: flag,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					if d[int(flag)%mem.LineSize] == 1 {
-						state = 2
-					}
-				}}, true
-		case 1:
-			polls++
-			if polls > 500 {
-				return cpu.Instr{}, false
-			}
-			state = 0
-			return cpu.Instr{Kind: cpu.InstrCompute, Cycles: 30}, true
-		case 2:
-			state = 3
-			out.Completed = true
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: data,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					if d[int(data)%mem.LineSize] != 1 {
-						out.Violation = true
-					}
-				}}, true
-		default:
-			return cpu.Instr{}, false
-		}
+	r := pollThenRead(
+		cpu.Instr{Kind: cpu.InstrLoad, Addr: flag}, storeVal,
+		cpu.Instr{Kind: cpu.InstrCompute, Cycles: 30}, 500,
+		cpu.Instr{Kind: cpu.InstrLoad, Addr: data})
+	_, err := system.RunOnce(config(core.Atomic, 2, seed), func(*system.System) []cpu.Thread {
+		return []cpu.Thread{writer, r}
 	})
-	if _, err := s.Run([]cpu.Thread{writer, reader}); err != nil {
-		return out, err
-	}
-	return out, nil
+	return r.Observed, err
 }

@@ -38,7 +38,7 @@ func TestMPPlainNeverViolates(t *testing.T) {
 		if o.Completed {
 			completed++
 		}
-		if o.Violation {
+		if o.Stale {
 			t.Fatalf("seed %d: TSO MP violation (flag new, data old)", seed)
 		}
 	}

@@ -12,188 +12,75 @@ import (
 // fence of [21]. Together with Fig. 1 they exercise every ordering rule of
 // Table I observably.
 
-// MPOutcome reports a message-passing run: thread 0 performs a PIM op on
+// RunMessagePassing executes the MP shape: thread 0 performs a PIM op on
 // scope S (the "data") and then sets a flag with a plain store; thread 1
-// spins on the flag and reads the PIM op's output.
-type MPOutcome struct {
-	Model     core.Model
-	Completed bool
-	// StaleData: the flag was observed but the PIM output was not — the
-	// PIM op reordered after the flag store.
-	StaleData bool
-}
-
-// RunMessagePassing executes the MP shape. Under the atomic model the
-// PIM-op -> store order is guaranteed, so StaleData must never occur.
-// Under scope/scope-relaxed the reorder IS allowed unless software adds
-// the dedicated fences — run with fence=true to restore the guarantee.
-func RunMessagePassing(model core.Model, fence bool) (MPOutcome, error) {
-	cfg := system.Default()
-	cfg.Model = model
-	cfg.Cores = 2
-	cfg.ScopeCount = 2
-	cfg.Functional = true
-	s := system.New(cfg)
-
-	scope := mem.ScopeID(0)
-	data := s.Scopes.ScopeBase(scope) + 0x1000
+// spins on the flag and reads the PIM op's output. Stale means the flag
+// was observed but the PIM output was not: the PIM op reordered after the
+// flag store. Under the atomic model the PIM-op -> store order is
+// guaranteed, so Stale must never occur. Under scope/scope-relaxed the
+// reorder IS allowed unless software adds the dedicated fences — run with
+// fence=true to restore the guarantee.
+func RunMessagePassing(model core.Model, fence bool) (Observed, error) {
+	cfg := config(model, 2, system.Default().Seed)
 	flag := mem.Addr(0x4000) // non-PIM memory
-
-	prog := &mem.PIMProgram{
-		Name: "produce", MicroOps: 32,
-		Apply: func(bk *mem.Backing, w uint64) {
-			bk.SetByte(data, pimVal)
-			bk.SetWriter(mem.LineOf(data), w)
-		},
-	}
-
-	var wInstrs []cpu.Instr
-	wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: scope, Prog: prog, Label: "PIM(data)"})
-	if fence {
-		if model.NeedsScopeFence() {
-			wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
-		}
-		if model.NeedsPIMFence() {
-			wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrFencePIM})
-		}
-		wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrFenceFull})
-	}
-	wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrStore, Addr: flag, Data: []byte{1}, Label: "W(flag)"})
-	writer := &cpu.SliceThread{Instrs: wInstrs}
-
-	out := MPOutcome{Model: model}
-	// Reader: spin on flag (with same-line refetches forced by eviction),
-	// then read data.
-	lineFlag := mem.LineOf(flag)
-	stride := uint64(cfg.LLCSets) * mem.LineSize
-	setOff := uint64(lineFlag) % stride
-	var evict []cpu.BurstRange
-	for k := 0; k < cfg.LLCWays+1; k++ {
-		evict = append(evict, cpu.BurstRange{Start: mem.Addr(uint64(k+1)*stride + setOff), Bytes: 8})
-	}
-	state := 0
-	polls := 0
-	var flagSeen byte
-	reader := cpu.FuncThread(func() (cpu.Instr, bool) {
-		switch state {
-		case 0:
-			state = 1
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: flag,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					flagSeen = d[int(flag)%mem.LineSize]
-					if flagSeen == 1 {
-						state = 2
-					}
-				}}, true
-		case 1:
-			polls++
-			if polls > 400 {
-				return cpu.Instr{}, false
+	var r *reader
+	_, err := system.RunOnce(cfg, func(s *system.System) []cpu.Thread {
+		scope := mem.ScopeID(0)
+		data := s.Scopes.ScopeBase(scope) + 0x1000
+		writer := []cpu.Instr{{Kind: cpu.InstrPIMOp, Scope: scope, Prog: mark("produce", 32, nil, data), Label: "PIM(data)"}}
+		if fence {
+			if model.NeedsScopeFence() {
+				writer = append(writer, cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
 			}
-			state = 0
-			return cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: evict}, true
-		case 2:
-			state = 3
-			out.Completed = true
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: data,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					if d[int(data)%mem.LineSize] != pimVal {
-						out.StaleData = true
-					}
-				}}, true
-		default:
-			return cpu.Instr{}, false
+			if model.NeedsPIMFence() {
+				writer = append(writer, cpu.Instr{Kind: cpu.InstrFencePIM})
+			}
+			writer = append(writer, cpu.Instr{Kind: cpu.InstrFenceFull})
 		}
+		writer = append(writer, cpu.Instr{Kind: cpu.InstrStore, Addr: flag, Data: []byte{pimVal}, Label: "W(flag)"})
+		// The reader evicts the flag between polls so each poll refetches.
+		r = pollThenRead(
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: flag}, pimVal,
+			cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: evictionSet(cfg, mem.LineOf(flag), 1)}, 400,
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: data})
+		return []cpu.Thread{&cpu.SliceThread{Instrs: writer}, r}
 	})
-
-	if _, err := s.Run([]cpu.Thread{writer, reader}); err != nil {
-		return out, err
-	}
-	return out, nil
+	return r.Observed, err
 }
 
-// CrossScopeOutcome reports the PIM-PIM cross-scope ordering shape:
-// thread 0 issues PIM(S0) then PIM(S1); thread 1 polls S1's output and
-// then reads S0's. If S0's output is missing after S1's appeared, the two
-// PIM ops reordered.
-type CrossScopeOutcome struct {
-	Model     core.Model
-	Fence     bool
-	Completed bool
-	Reordered bool
-}
-
-// RunCrossScopePIM executes the shape, optionally with the dedicated PIM
-// fence between the two ops. The scope model allows the reorder without
-// the fence (Table I) and must forbid it with the fence; the atomic and
-// store models forbid it always.
-func RunCrossScopePIM(model core.Model, fence bool, jitterSeed uint64) (CrossScopeOutcome, error) {
-	cfg := system.Default()
-	cfg.Model = model
-	cfg.Cores = 2
-	cfg.ScopeCount = 2
-	cfg.Functional = true
-	cfg.Seed = jitterSeed
+// RunCrossScopePIM executes the PIM-PIM cross-scope ordering shape:
+// thread 0 issues PIM(S0) then PIM(S1), optionally with the dedicated PIM
+// fence between them; thread 1 polls S1's output and then reads S0's.
+// Stale means S0's output was missing after S1's appeared: the two PIM
+// ops reordered. The scope model allows the reorder without the fence
+// (Table I) and must forbid it with the fence; the atomic and store
+// models forbid it always.
+//
+// The reader needs no eviction between polls: the proposed models'
+// scan-and-flush invalidates the polled line when PIM(S1) passes the
+// LLC, so a later poll refetches post-PIM data (stale in-flight fills
+// bypass the cache).
+func RunCrossScopePIM(model core.Model, fence bool, jitterSeed uint64) (Observed, error) {
+	cfg := config(model, 2, jitterSeed)
 	// Aggressive network jitter makes the reorder observable when allowed.
 	cfg.CoreLLCJitter = 64
-	s := system.New(cfg)
-
-	s0, s1 := mem.ScopeID(0), mem.ScopeID(1)
-	out0 := s.Scopes.ScopeBase(s0) + 0x1000
-	out1 := s.Scopes.ScopeBase(s1) + 0x1000
-
-	mkProg := func(addr mem.Addr) *mem.PIMProgram {
-		return &mem.PIMProgram{Name: "mark", MicroOps: 8,
-			Apply: func(bk *mem.Backing, w uint64) {
-				bk.SetByte(addr, pimVal)
-				bk.SetWriter(mem.LineOf(addr), w)
-			}}
-	}
-	var wInstrs []cpu.Instr
-	wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s0, Prog: mkProg(out0), Label: "PIM(S0)"})
-	if fence {
-		wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrFencePIM})
-	}
-	wInstrs = append(wInstrs, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s1, Prog: mkProg(out1), Label: "PIM(S1)"})
-	writer := &cpu.SliceThread{Instrs: wInstrs}
-
-	out := CrossScopeOutcome{Model: model, Fence: fence}
-	state := 0
-	polls := 0
-	reader := cpu.FuncThread(func() (cpu.Instr, bool) {
-		switch state {
-		case 0: // poll S1's output (uncached each time: it misses until written)
-			state = 1
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: out1,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					if d[int(out1)%mem.LineSize] == pimVal {
-						state = 2
-					}
-				}}, true
-		case 1:
-			polls++
-			if polls > 400 {
-				return cpu.Instr{}, false
-			}
-			state = 0
-			return cpu.Instr{Kind: cpu.InstrCompute, Cycles: 200}, true
-		case 2:
-			state = 3
-			out.Completed = true
-			return cpu.Instr{Kind: cpu.InstrLoad, Addr: out0,
-				OnData: func(_ mem.LineAddr, d []byte) {
-					if d[int(out0)%mem.LineSize] != pimVal {
-						out.Reordered = true
-					}
-				}}, true
-		default:
-			return cpu.Instr{}, false
+	var r *reader
+	_, err := system.RunOnce(cfg, func(s *system.System) []cpu.Thread {
+		s0, s1 := mem.ScopeID(0), mem.ScopeID(1)
+		out0 := s.Scopes.ScopeBase(s0) + 0x1000
+		out1 := s.Scopes.ScopeBase(s1) + 0x1000
+		writer := []cpu.Instr{{Kind: cpu.InstrPIMOp, Scope: s0, Prog: mark("mark", 8, nil, out0), Label: "PIM(S0)"}}
+		if fence {
+			writer = append(writer, cpu.Instr{Kind: cpu.InstrFencePIM})
 		}
+		writer = append(writer, cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s1, Prog: mark("mark", 8, nil, out1), Label: "PIM(S1)"})
+		r = pollThenRead(
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: out1}, pimVal,
+			cpu.Instr{Kind: cpu.InstrCompute, Cycles: 200}, 400,
+			cpu.Instr{Kind: cpu.InstrLoad, Addr: out0})
+		return []cpu.Thread{&cpu.SliceThread{Instrs: writer}, r}
 	})
-	if _, err := s.Run([]cpu.Thread{writer, reader}); err != nil {
-		return out, err
-	}
-	return out, nil
+	return r.Observed, err
 }
 
 // SweepCrossScope tries several jitter seeds; returns true if any run
@@ -207,14 +94,9 @@ func SweepCrossScope(model core.Model, fence bool, seeds int) (observed bool, co
 		if o.Completed {
 			completed++
 		}
-		if o.Reordered {
+		if o.Stale {
 			observed = true
 		}
 	}
 	return observed, completed, nil
 }
-
-// Polling note: the S1 poll relies on the proposed models' scan-and-flush
-// invalidating the polled line when PIM(S1) passes the LLC, so a later
-// poll refetches post-PIM data (stale in-flight fills bypass the cache).
-// The eviction trick Fig. 1 needs is therefore unnecessary here.

@@ -18,7 +18,7 @@ func TestMPStrictModelsSafe(t *testing.T) {
 		if !o.Completed {
 			t.Fatalf("%v: reader never saw the flag", m)
 		}
-		if o.StaleData {
+		if o.Stale {
 			t.Errorf("%v: PIM op reordered after the flag store", m)
 		}
 	}
@@ -35,7 +35,7 @@ func TestMPWithFencesAllModelsSafe(t *testing.T) {
 		if !o.Completed {
 			t.Fatalf("%v: reader never saw the flag", m)
 		}
-		if o.StaleData {
+		if o.Stale {
 			t.Errorf("%v: stale data despite fences", m)
 		}
 	}

@@ -70,19 +70,15 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 	return out
 }
 
-// Run executes the query workload on a fresh system built from cfg, and
-// releases the machine's buffers for the next one after a clean run.
+// Run executes the query workload on a system built from cfg, through
+// system.RunOnce.
 func Run(w *Workload, cfg system.Config) (system.Result, error) {
-	cfg = w.SystemConfig(cfg)
-	s := system.New(cfg)
-	if cfg.Functional {
-		w.InitBacking(s.Backing, s.Scopes)
-	}
-	res, err := s.Run(w.BuildThreads(s))
-	if err == nil {
-		s.Release()
-	}
-	return res, err
+	return system.RunOnce(w.SystemConfig(cfg), func(s *system.System) []cpu.Thread {
+		if s.Cfg.Functional {
+			w.InitBacking(s.Backing, s.Scopes)
+		}
+		return w.BuildThreads(s)
+	})
 }
 
 type thread struct {

@@ -3,6 +3,7 @@ package ycsb
 import (
 	"fmt"
 
+	"bulkpim/internal/cpu"
 	"bulkpim/internal/mem"
 	"bulkpim/internal/pimdb"
 	"bulkpim/internal/sim"
@@ -191,19 +192,14 @@ func (w *Workload) InitBacking(bk *mem.Backing, scopes *mem.ScopeMap) {
 }
 
 // Run builds a system for cfg, initializes the database when functional,
-// executes the workload, and releases the machine's buffers for the next
-// one after a clean run.
+// and executes the workload through system.RunOnce.
 func Run(w *Workload, cfg system.Config) (system.Result, error) {
-	cfg = w.SystemConfig(cfg)
-	s := system.New(cfg)
-	if cfg.Functional {
-		w.InitBacking(s.Backing, s.Scopes)
-	}
-	res, err := s.Run(w.Threads(s))
-	if err == nil {
-		s.Release()
-	}
-	return res, err
+	return system.RunOnce(w.SystemConfig(cfg), func(s *system.System) []cpu.Thread {
+		if s.Cfg.Functional {
+			w.InitBacking(s.Backing, s.Scopes)
+		}
+		return w.Threads(s)
+	})
 }
 
 // Precompute materializes every scan op's lazily-built match cache.

@@ -77,7 +77,10 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"ScopeSize":64}`, // the PIM geometry does not tile it: panics in New
 		`{"ScopeCount":0}`, // no scopes
 		`{"ScopeCount":-1}`,
-		`{"LLCSets":268435456}`, // a power of two, but ~200 GB of lines: OOMs in New
+		`{"LLCSets":268435456}`,       // a power of two, but ~200 GB of lines: OOMs in New
+		`{"PIMModules":100000}`,       // ~37 MB of modules in New; 1e9 exhausts memory
+		`{"Model":99}`,                // no such model: runs down the baseline path
+		`{"TraceCategories":"bogus"}`, // panics in New
 	} {
 		if _, err := ParseConfigOverride([]byte(bad)); err == nil {
 			t.Errorf("ParseConfigOverride(%q) accepted", bad)
@@ -138,6 +141,9 @@ func FuzzConfigOverride(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte("\xff\xfe{}"))
 	f.Add([]byte(`{"LLCSets":268435456}`))
+	f.Add([]byte(`{"PIMModules":100000}`))
+	f.Add([]byte(`{"Model":99}`))
+	f.Add([]byte(`{"TraceCategories":"bogus"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mut, err := ParseConfigOverride(data)
 		if err != nil {
@@ -150,7 +156,8 @@ func FuzzConfigOverride(f *testing.F) {
 			return // empty/null override
 		}
 		cfg := DefaultConfig()
-		mut(&cfg) // an accepted override must apply without panicking
+		mut(&cfg)                // an accepted override must apply without panicking
+		NewSystem(cfg).Release() // and build a machine
 	})
 }
 
