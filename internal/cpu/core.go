@@ -24,11 +24,11 @@ import (
 // callback (load fills, ACK of an atomic PIM op, barriers). Spurious wakes
 // never advance the stream: they only re-evaluate parked instructions.
 //
-// The steady-state memory path is allocation-free: requests come from Pool,
-// completions are package-level functions carried on the request
-// (OnDone/Ctx/Arg), per-burst trackers and store data buffers are recycled,
-// and every recurring event callback is hoisted and scheduled via the
-// kernel's (fn, ctx) form.
+// The steady-state memory path is allocation-free: requests, PIM ops'
+// included, come from Pool, completions are package-level functions
+// carried on the request (OnDone/Ctx/Arg), per-burst trackers and store
+// data buffers are recycled, and every recurring event callback is
+// hoisted and scheduled via the kernel's (fn, ctx) form.
 type Core struct {
 	k  *sim.Kernel
 	ID int
@@ -98,7 +98,7 @@ type Core struct {
 	burstFree []*burstState
 
 	// Scope-model per-scope PIM queues (non-FIFO entry point, §V-D).
-	pimQueues map[mem.ScopeID][]*pimEntry
+	pimQueues map[mem.ScopeID][]pimEntry
 
 	// Tracking.
 	outLoads     int
@@ -159,12 +159,15 @@ type sbEntry struct {
 	data   []byte
 	scope  mem.ScopeID
 	writer core.EventID
-	// pim marks a PIM op travelling through the FIFO entry point (store
-	// model).
-	pim      *pimEntry
+	// pim, when its req is set, is a PIM op travelling through the FIFO
+	// entry point (store model).
+	pim      pimEntry
 	issued   bool // pim/uncached store sent, waiting completion
 	uncached bool
 }
+
+// isPIM reports whether the entry is a PIM op rather than a store.
+func (e *sbEntry) isPIM() bool { return e.pim.req != nil }
 
 type pimEntry struct {
 	seq uint64 // program-order stamp (opSeq)
@@ -185,7 +188,7 @@ func NewCore(k *sim.Kernel, id int, model core.Model) *Core {
 		StoreBufferCap: 32,
 		PIMCredits:     48,
 		Pool:           mem.NewRequestPool(),
-		pimQueues:      make(map[mem.ScopeID][]*pimEntry),
+		pimQueues:      make(map[mem.ScopeID][]pimEntry),
 		pimUnacked:     make(map[mem.ScopeID]int),
 		fencePending:   make(map[mem.ScopeID]int),
 	}
@@ -427,7 +430,7 @@ func (c *Core) drainStep() {
 	if e.issued {
 		return // completion resumes the drain
 	}
-	if e.pim != nil {
+	if e.isPIM() {
 		// Store-model PIM op at the entry point head (Fig. 6b): send and
 		// hold everything behind it until the ACK.
 		e.issued = true
@@ -491,7 +494,7 @@ func (c *Core) sbForward(a mem.Addr, size int) ([]byte, core.EventID, bool) {
 	off := int(a - line.Addr())
 	for i := len(c.sb) - 1; i >= 0; i-- {
 		e := &c.sb[i]
-		if e.pim != nil || e.line != line {
+		if e.isPIM() || e.line != line {
 			continue
 		}
 		if off >= e.off && off+size <= e.off+e.size {
@@ -508,7 +511,7 @@ func (c *Core) sbForward(a mem.Addr, size int) ([]byte, core.EventID, bool) {
 // when forwarding cannot satisfy them).
 func (c *Core) sbHasLine(line mem.LineAddr) bool {
 	for i := range c.sb {
-		if c.sb[i].pim == nil && c.sb[i].line == line {
+		if !c.sb[i].isPIM() && c.sb[i].line == line {
 			return true
 		}
 	}
@@ -537,7 +540,7 @@ func (c *Core) loadGated(scope mem.ScopeID) bool {
 func (c *Core) pimPendingTo(scope mem.ScopeID) int {
 	n := c.pimUnacked[scope]
 	for i := range c.sb {
-		if c.sb[i].pim != nil && c.sb[i].scope == scope {
+		if c.sb[i].isPIM() && c.sb[i].scope == scope {
 			n++
 		}
 	}
@@ -548,7 +551,7 @@ func (c *Core) pimPendingTo(scope mem.ScopeID) int {
 func (c *Core) totalPIMPending() int {
 	n := c.pimCreditUse
 	for i := range c.sb {
-		if c.sb[i].pim != nil && !c.sb[i].issued {
+		if c.sb[i].isPIM() && !c.sb[i].issued {
 			n++
 		}
 	}
@@ -784,24 +787,41 @@ func (c *Core) retryBurst(bs *burstState, after sim.Tick) {
 
 // ---- PIM ops ----
 
-// buildPIMReq constructs a PIM-op request. PIM requests are deliberately
-// NOT pooled: the ACK path compares request identity (see OnPIMAck) and
-// the request outlives its controller-side completion until the module
-// finishes, so recycling would alias in-flight ops.
-func (c *Core) buildPIMReq(in Instr) *pimEntry {
-	c.reqID++
-	req := &mem.Request{
-		ID: c.reqID<<8 | uint64(c.ID), Kind: mem.ReqPIMOp,
-		Line: mem.LineOf(c.Scopes.ScopeBase(in.Scope)), Scope: in.Scope,
-		Core: c.ID, Prog: in.Prog,
-	}
+// buildPIMReq constructs a PIM-op request from the pool. A PIM request
+// has two ends, in either order: its ACK reaching the core (OnPIMAck) and
+// the module completing it (the controller's Complete calls pimDone). It
+// goes back to the pool at the later one (retirePIM), so the pointer is
+// live, and unique among in-flight ops, at both ends: OnPIMAck's
+// store-buffer match and the controller's completion match compare it.
+func (c *Core) buildPIMReq(in Instr) pimEntry {
+	req := c.newReq(mem.ReqPIMOp, mem.LineOf(c.Scopes.ScopeBase(in.Scope)), in.Scope)
+	req.Prog = in.Prog
+	req.OnDone, req.Ctx = pimDone, c
 	var ev core.EventID
 	if c.hbOn() {
 		ev = c.HB.RecordOp(c.ID, core.OpRef{Class: core.OpPIM, Scope: in.Scope}, in.Label)
 	}
 	req.Writer = uint64(ev)
 	c.opSeq++
-	return &pimEntry{seq: c.opSeq, req: req, ev: ev}
+	return pimEntry{seq: c.opSeq, req: req, ev: ev}
+}
+
+// The two ends of a PIM request, as bits of its Arg.
+const (
+	pimAcked    uint64 = 1 << iota // OnPIMAck ran
+	pimExecuted                    // the module completed the op
+)
+
+// pimDone is a PIM request's completion: the module finished the op.
+func pimDone(r *mem.Request, ctx any) { ctx.(*Core).retirePIM(r, pimExecuted) }
+
+// retirePIM records one end of a PIM request and releases the request
+// once both ends have passed.
+func (c *Core) retirePIM(req *mem.Request, end uint64) {
+	req.Arg |= end
+	if req.Arg == pimAcked|pimExecuted {
+		c.Pool.Put(req)
+	}
 }
 
 func (c *Core) execPIM(in Instr) {
@@ -876,7 +896,7 @@ func (c *Core) sbHasScopeStoreBefore(scope mem.ScopeID, seq uint64) bool {
 		if c.sb[i].seq >= seq {
 			break // the store buffer is in program order
 		}
-		if c.sb[i].pim == nil && c.sb[i].scope == scope {
+		if !c.sb[i].isPIM() && c.sb[i].scope == scope {
 			return true
 		}
 	}
@@ -933,7 +953,7 @@ func (c *Core) OnPIMAck(req *mem.Request) {
 		c.resume(c.ackToken, 0) // the stalled PIM instruction completes
 	case core.Store:
 		// The FIFO head was this PIM op; retire it and resume the drain.
-		if len(c.sb) > 0 && c.sb[0].pim != nil && c.sb[0].pim.req == req {
+		if len(c.sb) > 0 && c.sb[0].pim.req == req {
 			n := copy(c.sb, c.sb[1:])
 			c.sb[n] = sbEntry{}
 			c.sb = c.sb[:n]
@@ -955,6 +975,7 @@ func (c *Core) OnPIMAck(req *mem.Request) {
 		c.pimFenceWait = false
 		c.wake()
 	}
+	c.retirePIM(req, pimAcked)
 }
 
 // ---- flushes and fences ----

@@ -75,7 +75,8 @@ type Instr struct {
 
 // Thread produces the instruction stream of one hardware thread. Next is
 // called once per issued instruction; returning ok=false retires the
-// thread.
+// thread. The core is done with an instruction's Burst and Lines before
+// it calls Next again, so a Thread may reuse their backing arrays.
 type Thread interface {
 	Next() (Instr, bool)
 }

@@ -67,8 +67,8 @@ type PIMProgram struct {
 // Request is one memory-subsystem transaction. Requests are created by
 // cores (or by caches, for writebacks) and flow core -> L1 -> LLC -> memory
 // controller; OnDone is invoked when the component that completes the
-// request has finished (data returned, write ordered, PIM op accepted by
-// the MC...).
+// request has finished (data returned, write ordered, PIM op executed by
+// its module...).
 type Request struct {
 	ID    uint64
 	Kind  ReqKind
@@ -111,6 +111,13 @@ type Request struct {
 	// (the issuer's completion code releases it once no stage needs it).
 	// After release the pointer must not be touched; Data is returned to
 	// the line pool iff DataPooled is set.
+	//
+	// A PIM op's request has two ends, which may come in either order:
+	// the controller's ACK reaching the issuing core, and the module
+	// completing the op (the controller then calls Complete). The core
+	// marks each end in Arg and releases the request at the later one,
+	// so the pointer stays live, and unique among in-flight ops, at both
+	// ends, where the store buffer and the controller match on it.
 	OnDone func(r *Request, ctx any)
 	Ctx    any
 	Arg    uint64

@@ -108,9 +108,14 @@ type Controller struct {
 	// the reference conflict scan.
 	onPass func()
 
-	// outstanding per-scope PIM ops, in acceptance order, from
-	// acceptance until PIM-module completion.
-	pimBySeq map[mem.ScopeID][]pimRef
+	// The outstanding PIM ops, from acceptance until PIM-module
+	// completion: one FIFO per scope, in acceptance order. pimFIFOs is
+	// indexed by slot(scope); the nodes come from the pimRefs slab, with
+	// pimFree the head of its free list (-1 when empty), so admitting
+	// and completing ops allocates nothing at steady state.
+	pimFIFOs []pimFIFO
+	pimRefs  []pimRef
+	pimFree  int32
 
 	// entryFree recycles retired entries; finishFn and schedFn are the
 	// once-built event callbacks (ctx = *entry / nil), so steady-state
@@ -133,11 +138,17 @@ type Controller struct {
 
 // pimRef identifies one outstanding PIM op: its acceptance sequence
 // number (what younger same-scope memops wait on) and the request itself
-// (what pimCompleted matches completions against).
+// (what pimCompleted matches completions against). next links the
+// scope's next younger op (or, when free, the slab's free list).
 type pimRef struct {
-	seq uint64
-	req *mem.Request
+	seq  uint64
+	req  *mem.Request
+	next int32
 }
+
+// pimFIFO is one scope's outstanding PIM ops, as pimRefs indices (-1
+// when empty).
+type pimFIFO struct{ head, tail int32 }
 
 type entryState uint8
 
@@ -174,7 +185,7 @@ func New(k *sim.Kernel, module *pim.Module, backing *mem.Backing) *Controller {
 		Backing:     backing,
 		Pool:        mem.NewRequestPool(),
 		scopeTail:   make(map[mem.ScopeID]*entry),
-		pimBySeq:    make(map[mem.ScopeID][]pimRef),
+		pimFree:     -1,
 	}
 	c.bankFree = make([]sim.Tick, c.Banks)
 	c.finishFn = func(ctx any) { c.finishDRAM(ctx.(*entry)) }
@@ -232,7 +243,7 @@ func (c *Controller) Enqueue(req *mem.Request) bool {
 	e := c.getEntry(req, c.seq)
 	c.link(e)
 	if req.Kind == mem.ReqPIMOp {
-		c.pimBySeq[req.Scope] = append(c.pimBySeq[req.Scope], pimRef{seq: e.seq, req: req})
+		c.pushPIM(req, e.seq)
 	}
 	c.markReady(e)
 	if req.Kind == mem.ReqPIMOp && c.SendACK != nil {
@@ -313,7 +324,7 @@ func (c *Controller) unlink(e *entry) {
 
 	// A new line head may be a newly-unblocked memop; a new scope head
 	// may be a newly-unblocked PIM op. (Memops do not depend on the
-	// scope chain — their PIM dependence goes through pimBySeq — so a
+	// scope chain — their PIM dependence goes through pimFIFOs — so a
 	// memop scope successor needs no promotion here.)
 	if wasLineHead && lineSucc != nil {
 		c.markReady(lineSucc)
@@ -334,17 +345,51 @@ func (c *Controller) conflictFree(e *entry) bool {
 	}
 	// Loads/stores/writebacks wait for (a) earlier same-line accesses:
 	// the entry must be its line chain's oldest; (b) earlier same-scope
-	// PIM ops not yet completed by the PIM module: pimBySeq is in
+	// PIM ops not yet completed by the PIM module: a scope's FIFO is in
 	// acceptance order, so the head check covers the whole list.
 	if e.linePrev != nil {
 		return false
 	}
 	if e.req.Scope != mem.NoScope {
-		if refs := c.pimBySeq[e.req.Scope]; len(refs) > 0 && refs[0].seq < e.seq {
+		if h := c.pimHead(e.req.Scope); h >= 0 && c.pimRefs[h].seq < e.seq {
 			return false
 		}
 	}
 	return true
+}
+
+// slot maps a scope to its index in pimFIFOs; NoScope (-1) gets slot 0.
+func slot(s mem.ScopeID) int { return int(s) + 1 }
+
+// pimHead returns the pimRefs index of scope s's oldest outstanding PIM
+// op, or -1.
+func (c *Controller) pimHead(s mem.ScopeID) int32 {
+	if i := slot(s); i < len(c.pimFIFOs) {
+		return c.pimFIFOs[i].head
+	}
+	return -1
+}
+
+// pushPIM appends an accepted PIM op to its scope's FIFO.
+func (c *Controller) pushPIM(req *mem.Request, seq uint64) {
+	n := c.pimFree
+	if n >= 0 {
+		c.pimFree = c.pimRefs[n].next
+	} else {
+		n = int32(len(c.pimRefs))
+		c.pimRefs = append(c.pimRefs, pimRef{})
+	}
+	c.pimRefs[n] = pimRef{seq: seq, req: req, next: -1}
+	for len(c.pimFIFOs) <= slot(req.Scope) {
+		c.pimFIFOs = append(c.pimFIFOs, pimFIFO{head: -1, tail: -1})
+	}
+	f := &c.pimFIFOs[slot(req.Scope)]
+	if f.tail >= 0 {
+		c.pimRefs[f.tail].next = n
+	} else {
+		f.head = n
+	}
+	f.tail = n
 }
 
 // markReady promotes a waiting, conflict-free entry onto the ready heap.
@@ -484,32 +529,34 @@ func (c *Controller) finishDRAM(e *entry) {
 // from a foreign module implementation) clears exactly the op that
 // finished, leaving younger memops gated on the ops still outstanding.
 func (c *Controller) pimCompleted(req *mem.Request) {
-	refs := c.pimBySeq[req.Scope]
-	idx := -1
-	for i, r := range refs {
-		if r.req == req {
-			idx = i
-			break
-		}
+	prev, n, outstanding := int32(-1), c.pimHead(req.Scope), 0
+	for ; n >= 0 && c.pimRefs[n].req != req; n = c.pimRefs[n].next {
+		prev = n
+		outstanding++
 	}
-	if idx < 0 {
+	if n < 0 {
 		panic(fmt.Sprintf("memctrl: PIM completion for unknown request %v (scope %d has %d outstanding)",
-			req, req.Scope, len(refs)))
+			req, req.Scope, outstanding))
 	}
-	headCleared := idx == 0
-	refs = append(refs[:idx], refs[idx+1:]...)
-	if len(refs) == 0 {
-		delete(c.pimBySeq, req.Scope)
+	f := &c.pimFIFOs[slot(req.Scope)]
+	next := c.pimRefs[n].next
+	if prev >= 0 {
+		c.pimRefs[prev].next = next
 	} else {
-		c.pimBySeq[req.Scope] = refs
+		f.head = next
 	}
-	if headCleared && !c.refSched {
+	if f.tail == n {
+		f.tail = prev
+	}
+	c.pimRefs[n] = pimRef{next: c.pimFree}
+	c.pimFree = n
+	if prev < 0 && !c.refSched {
 		// The oldest outstanding PIM seq moved up: memops accepted
 		// before the new head are no longer PIM-gated. They live on the
 		// scope chain in seq order, so walk it up to the new head.
 		var stop uint64
-		if len(refs) > 0 {
-			stop = refs[0].seq
+		if f.head >= 0 {
+			stop = c.pimRefs[f.head].seq
 		}
 		for en := c.scopeHead(req.Scope); en != nil && (stop == 0 || en.seq < stop); en = en.scopeNext {
 			c.markReady(en)

@@ -33,8 +33,8 @@ func (c *Controller) earlierConflictRef(e *entry) bool {
 	// Loads/stores/writebacks wait for (a) earlier same-scope PIM ops not
 	// yet completed by the PIM module, (b) earlier same-line accesses.
 	if e.req.Scope != mem.NoScope {
-		for _, r := range c.pimBySeq[e.req.Scope] {
-			if r.seq < e.seq {
+		for i := c.pimHead(e.req.Scope); i >= 0; i = c.pimRefs[i].next {
+			if c.pimRefs[i].seq < e.seq {
 				return true
 			}
 		}

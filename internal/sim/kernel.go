@@ -81,7 +81,12 @@ type Kernel struct {
 	wheel      [wheelSize][]fifoEntry // per-tick buckets, horizon wheelSize
 	occ        [wheelSize / 64]uint64 // occupancy bitmap over buckets
 	wheelCount int
-	bufs       *wheelBufs // where Release hands the buckets on; nil once released
+	// seed is the array every bucket starts in (see NewKernel). A bucket
+	// that outgrows its share moves out and leaves its entries behind
+	// uncleared, so Release clears the seed.
+	seed []fifoEntry
+	// released marks a kernel handed to kernelFree (see Release).
+	released bool
 
 	arena []event  // index-stable pooled storage for far-future events
 	free  []uint32 // recycled arena slots
@@ -102,69 +107,64 @@ type Kernel struct {
 	fired      uint64
 }
 
-// wheelBufs is what a released kernel hands the next one: its bucket
-// slices, grown to what its run needed, and the seed array every bucket
-// starts in (see NewKernel). The kernel works on its own copy of the
-// slices, so the wheel stays inline in Kernel on the scheduling path.
-type wheelBufs struct {
-	buckets [wheelSize][]fifoEntry
-	// A bucket that outgrows its share of seed moves out and leaves its
-	// entries behind uncleared, so Release clears the seed.
-	seed []fifoEntry
-}
+// kernelBytes is a kernel's size with its seed, the free list's measure
+// of it.
+const kernelBytes = int(unsafe.Sizeof(Kernel{})) + wheelSize*bucketSeedCap*int(unsafe.Sizeof(fifoEntry{}))
 
-// wheelBufsBytes is a wheelBufs' size with its seed, the free list's
-// measure of it.
-const wheelBufsBytes = int(unsafe.Sizeof(wheelBufs{})) + wheelSize*bucketSeedCap*int(unsafe.Sizeof(fifoEntry{}))
-
-// wheelFree holds released kernels' buckets. A released kernel was
-// drained, so every bucket is empty and every bucket slot was cleared as
-// it fired; Release clears what growing buckets left in the seed.
-var wheelFree = NewFreeList[*wheelBufs]()
+// kernelFree holds released kernels, wheel and all: the wheel stays
+// inline in Kernel on the scheduling path, so the struct itself is what
+// a machine hands on. A released kernel was drained, so every bucket is
+// empty and every slot was cleared as it fired; Release clears what
+// growing buckets left in the seed.
+var kernelFree = NewFreeList[*Kernel]()
 
 // ErrEventLimit is returned by Run when Kernel.EventLimit is exceeded.
 var ErrEventLimit = fmt.Errorf("sim: event limit exceeded")
 
-// NewKernel returns an empty kernel at time zero. It reuses a released
-// kernel's buckets when some are free.
+// NewKernel returns an empty kernel at time zero: a released kernel, with
+// the buckets its run grew, when one is free.
 func NewKernel() *Kernel {
+	if k, ok := kernelFree.Get(0); ok {
+		if n := k.Pending(); n != 0 {
+			panic(fmt.Sprintf("sim: %d events scheduled on a released kernel", n))
+		}
+		k.released = false
+		return k
+	}
 	k := &Kernel{
 		arena: make([]event, 0, 64),
 		heap:  make([]uint32, 0, 64),
 		fifo:  make([]fifoEntry, 0, 64),
+		// Seed every bucket with capacity from one contiguous backing
+		// array so a bucket's first events don't each pay a small
+		// allocation; a bucket that outgrows its seed capacity
+		// reallocates once and keeps the larger array across wheel
+		// rotations.
+		seed: make([]fifoEntry, wheelSize*bucketSeedCap),
 	}
-	if b, ok := wheelFree.Get(0); ok {
-		k.wheel, k.bufs = b.buckets, b
-		clear(b.buckets[:]) // the kernel's copy is the live one
-		return k
-	}
-	// Seed every bucket with capacity from one contiguous backing array so
-	// a bucket's first events don't each pay a small allocation; a bucket
-	// that outgrows its seed capacity reallocates once and keeps the larger
-	// array across wheel rotations.
-	k.bufs = &wheelBufs{seed: make([]fifoEntry, wheelSize*bucketSeedCap)}
 	for i := range k.wheel {
-		k.wheel[i] = k.bufs.seed[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
+		k.wheel[i] = k.seed[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
 	}
 	return k
 }
 
-// Release hands the kernel's buckets to the next NewKernel and leaves k
-// holding none of them: running k again panics. k must be drained; a
-// kernel that still holds events panics here instead.
+// Release resets k to time zero and hands it to the next NewKernel: the
+// caller must drop k, and running or releasing it before a NewKernel
+// takes it panics. k must be drained; a kernel that still holds events
+// panics here instead.
 func (k *Kernel) Release() {
-	if k.bufs == nil {
+	if k.released {
 		panic("sim: Release of a released kernel")
 	}
 	if n := k.Pending(); n != 0 {
 		panic(fmt.Sprintf("sim: Release of a kernel with %d pending events", n))
 	}
 	// Entries left in the seed would keep this machine alive for as
-	// long as the buckets are reused.
-	clear(k.bufs.seed)
-	k.bufs.buckets = k.wheel
-	wheelFree.Put(0, wheelBufsBytes, k.bufs)
-	*k = Kernel{now: k.now, fired: k.fired}
+	// long as the kernel is reused.
+	clear(k.seed)
+	k.now, k.seq, k.fired, k.EventLimit = 0, 0, 0, 0
+	k.released = true
+	kernelFree.Put(0, kernelBytes, k)
 }
 
 // bucketSeedCap is the initial per-bucket capacity carved from the
@@ -271,7 +271,7 @@ func (k *Kernel) bucketTick(b uint32) Tick {
 // Run executes events until the queue drains or the event limit is hit.
 // It returns the time of the last executed event.
 func (k *Kernel) Run() (Tick, error) {
-	if k.bufs == nil {
+	if k.released {
 		panic("sim: Run of a released kernel")
 	}
 	for {

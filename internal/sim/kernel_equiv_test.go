@@ -366,10 +366,10 @@ func TestKernelEquivalenceRunAgain(t *testing.T) {
 		k := NewKernel()
 		for pass, name := range []string{"fresh", "recycled"} {
 			if pass == 1 {
-				bufs := k.bufs
+				released := k
 				k.Release()
-				if k = NewKernel(); k.bufs != bufs {
-					t.Fatalf("seed %d: the new kernel did not get the released buckets", seed)
+				if k = NewKernel(); k != released {
+					t.Fatalf("seed %d: NewKernel did not reuse the released kernel", seed)
 				}
 			}
 			got, gotClocks := trace(kernelSched{t, k})

@@ -128,9 +128,10 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
-// A released kernel's buckets go to the next NewKernel, grown buckets
-// included, and the new kernel starts at time zero with nothing pending.
-// The released kernel keeps none of them and panics when run.
+// A released kernel goes to the next NewKernel whole, grown buckets
+// included, and comes back at time zero with nothing pending. Until then
+// it panics when run or released again, and its seed holds no entry that
+// would keep the last machine alive.
 func TestKernelRelease(t *testing.T) {
 	DropFreeLists()
 	k := NewKernel()
@@ -148,16 +149,10 @@ func TestKernelRelease(t *testing.T) {
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	bufs := k.bufs
 	k.Release()
-	for i, e := range bufs.seed {
+	for i, e := range k.seed {
 		if e.fn != nil || e.ctx != nil {
 			t.Fatalf("released seed slot %d still holds an entry", i)
-		}
-	}
-	for i := range k.wheel {
-		if k.wheel[i] != nil {
-			t.Fatalf("released kernel still holds bucket %d", i)
 		}
 	}
 	for name, use := range map[string]func(){
@@ -174,8 +169,8 @@ func TestKernelRelease(t *testing.T) {
 		}()
 	}
 	k2 := NewKernel()
-	if k2.bufs != bufs || cap(k2.wheel[b]) < 8 {
-		t.Fatalf("NewKernel did not reuse the released buckets (bucket %d has cap %d)", b, cap(k2.wheel[b]))
+	if k2 != k || cap(k2.wheel[b]) < 8 {
+		t.Fatalf("NewKernel did not reuse the released kernel (bucket %d has cap %d)", b, cap(k2.wheel[b]))
 	}
 	if k2.Now() != 0 || k2.Fired() != 0 || k2.Pending() != 0 {
 		t.Fatalf("recycled kernel at now %d, fired %d, pending %d; want 0, 0, 0",
@@ -190,6 +185,21 @@ func TestKernelRelease(t *testing.T) {
 	if len(got) != 2 || got[0] != 5 || got[1] != 2000 {
 		t.Fatalf("recycled kernel fired at %v, want [5 2000]", got)
 	}
+}
+
+// An event scheduled on a released kernel would fire on the next
+// machine's; NewKernel refuses such a kernel.
+func TestNewKernelRefusesScheduledReleasedKernel(t *testing.T) {
+	DropFreeLists()
+	k := NewKernel()
+	k.Release()
+	k.ScheduleCtx(3, callFn, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("NewKernel handed out a released kernel holding an event")
+		}
+	}()
+	NewKernel()
 }
 
 // A kernel that still holds events, as after a failed Run, refuses
@@ -215,8 +225,8 @@ func TestKernelReleasePending(t *testing.T) {
 		}()
 		k.Release()
 	}()
-	if n := len(wheelFree.classes[0]); n != 0 {
-		t.Fatalf("free list holds %d wheels after a refused Release, want 0", n)
+	if n := len(kernelFree.classes[0]); n != 0 {
+		t.Fatalf("free list holds %d kernels after a refused Release, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"bulkpim/internal/cache"
 	"bulkpim/internal/core"
@@ -37,6 +38,9 @@ type System struct {
 	Tracer     *trace.Tracer
 	Violations stats.Counter
 
+	// pool is the request pool every component shares.
+	pool *mem.RequestPool
+
 	// failed marks a machine whose Run returned an error; released one
 	// whose buffers went back (see Release).
 	failed, released bool
@@ -52,8 +56,12 @@ func New(cfg Config) *System {
 	rng := sim.NewRand(cfg.Seed)
 	// One request/line-buffer pool shared by every component, so requests
 	// recycled at one tile are reused by the next (NoPooling reverts every
-	// Get/Put to plain allocation for baseline measurements).
-	pool := mem.NewRequestPool()
+	// Get/Put to plain allocation for baseline measurements). A released
+	// machine's pool comes with the arena its run grew.
+	pool, ok := poolFree.Get(0)
+	if !ok {
+		pool = mem.NewRequestPool()
+	}
 	pool.Disabled = cfg.NoPooling
 	backing := mem.NewBacking()
 	backing.TrackWriters = cfg.Functional || cfg.TrackHB
@@ -103,7 +111,7 @@ func New(cfg Config) *System {
 
 	s := &System{
 		Cfg: cfg, K: k, Backing: backing, Scopes: scopes, Geom: geom,
-		LLC: llc, MC: mc, PIM: module, PIMs: modules,
+		LLC: llc, MC: mc, PIM: module, PIMs: modules, pool: pool,
 	}
 	if cfg.TraceCategories != "" {
 		mask, _ := trace.ParseCategories(cfg.TraceCategories) // checked by Validate
@@ -184,13 +192,21 @@ type Result struct {
 	Stats       map[string]float64
 }
 
+// poolFree holds released machines' request pools, each with the
+// requests and line buffers its run grew.
+var poolFree = sim.NewFreeList[*mem.RequestPool]()
+
 // Release hands the machine's large buffers to the free lists the next
-// New draws from: the L1 and LLC line arrays, their payload blocks and
-// the event kernel's wheel buckets. It leaves s unusable: a second
-// Release, a Run, and a cache lookup or a run of the kernel on s panic.
-// A machine whose Run returned an error, or whose kernel still holds
-// events, gives nothing back. Calling Release is optional; a machine
-// never released goes to the garbage collector whole.
+// New draws from: the L1 and LLC line arrays, their payload blocks, the
+// request pool and the event kernel, which s.K stops naming. It leaves s
+// unusable: a second Release, a Run, and a cache lookup or a run of the
+// kernel on s panic. A machine whose Run returned an error, or whose
+// kernel still holds events, gives nothing back. Calling Release is
+// optional; a machine never released goes to the garbage collector
+// whole.
+//
+// Release checks what it hands on: every pooled request must have come
+// back to the pool, and every scope bit-vector must match its lines.
 func (s *System) Release() {
 	if s.released {
 		panic("system: Release of a released System")
@@ -199,11 +215,18 @@ func (s *System) Release() {
 	if s.failed || s.K.Pending() != 0 {
 		return
 	}
+	p := s.pool
+	if p.Gets != p.Puts {
+		panic(fmt.Sprintf("system: %d of %d pooled requests never went back to the pool", p.Gets-p.Puts, p.Gets))
+	}
 	for _, l1 := range s.L1s {
 		l1.Release()
 	}
 	s.LLC.Release()
+	p.Gets, p.Puts = 0, 0
+	poolFree.Put(0, p.FreeRequests()*int(unsafe.Sizeof(mem.Request{}))+p.FreeLines()*mem.LineSize, p)
 	s.K.Release()
+	s.K = nil
 }
 
 // Run executes one thread per core (len(threads) <= cores) and returns

@@ -52,18 +52,12 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 	bar := cpu.NewBarrier(w.Threads)
 	out := make([]cpu.Thread, w.Threads)
 	for t := 0; t < w.Threads; t++ {
-		th := &thread{w: w, sys: sys, id: t, bar: bar}
-		for s := 0; s < w.Scopes; s++ {
-			if s%w.Threads == t {
-				th.owned = append(th.owned, mem.ScopeID(s))
-			}
-		}
-		// A run emits at most a flush, the query's ops, a fence and a
-		// burst per owned scope, then the barrier; size the buffer once.
-		th.pending = make([]cpu.Instr, 0, len(th.owned)*(w.Q.OpsPerScope()+3)+1)
-		if sys.Cfg.Model == core.SWFlush {
-			th.touched = make(map[mem.ScopeID][]mem.LineAddr)
-			th.touchedSet = make(map[mem.LineAddr]bool)
+		th := &thread{w: w, sys: sys, bar: bar, id: t,
+			owned: (w.Scopes + w.Threads - 1 - t) / w.Threads}
+		if !sys.Cfg.Functional {
+			// Timing-only programs carry no Apply closure, so one
+			// compilation serves every scope of every run.
+			th.progs = w.Q.Compile(w.Layout, 0, false)
 		}
 		out[t] = th
 	}
@@ -81,111 +75,117 @@ func Run(w *Workload, cfg system.Config) (system.Result, error) {
 	})
 }
 
+// thread is one worker. Every run has the same shape, so the thread
+// computes each instruction from its position (run, step) instead of
+// buffering a run. A run is, in order:
+//   - SW-Flush only, in every run after the first: a flush per owned
+//     scope of the lines the previous run read there;
+//   - the PIM section: the query's op sequence, per owned scope;
+//   - the read phase, per owned scope: a scope-fence where the model
+//     needs one, then a burst over the scope's result;
+//   - the barrier.
 type thread struct {
-	w     *Workload
-	sys   *system.System
-	id    int
-	owned []mem.ScopeID
-	bar   *cpu.Barrier
+	w   *Workload
+	sys *system.System
+	bar *cpu.Barrier
+	// The thread owns scopes id, id+Threads, id+2*Threads, ...: owned
+	// of them.
+	id, owned int
 
-	run     int
-	pending []cpu.Instr
-	pos     int
+	// progs is the op sequence of the scope being issued: compiled once
+	// on a timing-only machine, per scope and run on a functional one.
+	progs []*mem.PIMProgram
 
-	touched    map[mem.ScopeID][]mem.LineAddr
-	touchedSet map[mem.LineAddr]bool
+	run, step int
+
+	// burst and lines carry the payload of the instruction last
+	// returned; the core is done with it before it calls Next again.
+	burst [1]cpu.BurstRange
+	lines []mem.LineAddr
 }
 
 // Next implements cpu.Thread.
 func (th *thread) Next() (cpu.Instr, bool) {
-	for th.pos >= len(th.pending) {
-		if th.run >= th.w.Runs {
-			return cpu.Instr{}, false
+	for th.run < th.w.Runs {
+		if in, ok := th.instr(th.step); ok {
+			th.step++
+			return in, true
 		}
-		th.pending = th.pending[:0]
-		th.pos = 0
-		th.emitRun()
-		th.run++
+		th.run, th.step = th.run+1, 0
 	}
-	in := th.pending[th.pos]
-	th.pos++
-	return in, true
+	return cpu.Instr{}, false
 }
 
-func (th *thread) emit(in cpu.Instr) { th.pending = append(th.pending, in) }
+// scope returns the thread's i-th owned scope.
+func (th *thread) scope(i int) mem.ScopeID { return mem.ScopeID(th.id + i*th.w.Threads) }
 
-func (th *thread) touch(scope mem.ScopeID, line mem.LineAddr) {
-	if th.touched == nil || th.touchedSet[line] {
-		return
+// instr returns instruction step of the current run, or false past the
+// run's end.
+func (th *thread) instr(step int) (cpu.Instr, bool) {
+	w, n, model := th.w, th.owned, th.sys.Cfg.Model
+	if model == core.SWFlush && th.run > 0 {
+		if step < n {
+			return th.flushInstr(th.scope(step)), true
+		}
+		step -= n
 	}
-	th.touchedSet[line] = true
-	th.touched[scope] = append(th.touched[scope], line)
+	ops := w.Q.OpsPerScope()
+	if step < n*ops {
+		s := th.scope(step / ops)
+		if th.sys.Cfg.Functional && step%ops == 0 {
+			th.progs = w.Q.Compile(w.Layout, th.sys.Scopes.ScopeBase(s), true)
+		}
+		p := th.progs[step%ops]
+		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name}, true
+	}
+	step -= n * ops
+	per := 1
+	if model.NeedsScopeFence() {
+		per = 2
+	}
+	switch {
+	case step < n*per && per == 2 && step%per == 0:
+		return cpu.Instr{Kind: cpu.InstrScopeFence, Scope: th.scope(step / per)}, true
+	case step < n*per:
+		return th.readInstr(th.scope(step / per)), true
+	case step == n*per:
+		return cpu.Instr{Kind: cpu.InstrBarrier, Barrier: th.bar}, true
+	}
+	return cpu.Instr{}, false
 }
 
-func (th *thread) emitRun() {
-	w := th.w
-	model := th.sys.Cfg.Model
-	functional := th.sys.Cfg.Functional
+// readRegion is what the read phase reads in scope: "only the PIM
+// computation result is read, resulting in a regular read pattern"
+// (§VI-B). Filter sections read the match bit-vectors; full-query
+// sections read only the aggregate line.
+func (th *thread) readRegion(scope mem.ScopeID) (mem.Addr, int) {
+	base := th.sys.Scopes.ScopeBase(scope)
+	if th.w.Q.Full {
+		return th.w.Layout.AggLine(base).Addr(), mem.LineSize
+	}
+	return th.w.Layout.ResultRegion(base)
+}
 
-	// SW-Flush software coherence before re-running the PIM section.
-	if th.touched != nil {
-		for _, s := range th.owned {
-			if lines := th.touched[s]; len(lines) > 0 {
-				th.emit(cpu.Instr{Kind: cpu.InstrFlush, Lines: lines})
-				for _, l := range lines {
-					delete(th.touchedSet, l)
-				}
-				th.touched[s] = nil
-			}
-		}
+// readInstr is the read phase's burst for scope.
+func (th *thread) readInstr(scope mem.ScopeID) cpu.Instr {
+	start, bytes := th.readRegion(scope)
+	th.burst[0] = cpu.BurstRange{Start: start, Bytes: bytes}
+	in := cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: th.burst[:]}
+	if th.w.Verify && !th.w.Q.Full {
+		in.OnData = th.resultVerifier(scope, start)
 	}
+	return in
+}
 
-	// PIM section: the query's op sequence, duplicated per scope.
-	var shared []*mem.PIMProgram
-	if !functional {
-		shared = w.Q.Compile(w.Layout, 0, false)
+// flushInstr is SW-Flush's software coherence for scope: it flushes the
+// lines of its read region, which the previous run cached.
+func (th *thread) flushInstr(scope mem.ScopeID) cpu.Instr {
+	start, bytes := th.readRegion(scope)
+	th.lines = th.lines[:0]
+	for l := mem.LineOf(start); l < mem.LineOf(start+mem.Addr(bytes)); l += mem.LineSize {
+		th.lines = append(th.lines, l)
 	}
-	for _, s := range th.owned {
-		progs := shared
-		if functional {
-			progs = w.Q.Compile(w.Layout, th.sys.Scopes.ScopeBase(s), true)
-		}
-		for _, p := range progs {
-			th.emit(cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name})
-		}
-	}
-
-	// Read phase: "only the PIM computation result is read, resulting in
-	// a regular read pattern" (§VI-B). Filter sections read the match
-	// bit-vectors; full-query sections read only the aggregates.
-	for _, s := range th.owned {
-		scope := s
-		base := th.sys.Scopes.ScopeBase(scope)
-		if model.NeedsScopeFence() {
-			th.emit(cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
-		}
-		var burst cpu.Instr
-		if w.Q.Full {
-			agg := w.Layout.AggLine(base)
-			burst = cpu.Instr{Kind: cpu.InstrLoadBurst,
-				Burst: []cpu.BurstRange{{Start: agg.Addr(), Bytes: mem.LineSize}}}
-			th.touch(scope, agg)
-		} else {
-			start, bytes := w.Layout.ResultRegion(base)
-			burst = cpu.Instr{Kind: cpu.InstrLoadBurst,
-				Burst: []cpu.BurstRange{{Start: start, Bytes: bytes}}}
-			if w.Verify {
-				burst.OnData = th.resultVerifier(scope, start)
-			}
-			if th.touched != nil {
-				for l := mem.LineOf(start); l < mem.LineOf(start+mem.Addr(bytes)); l += mem.LineSize {
-					th.touch(scope, l)
-				}
-			}
-		}
-		th.emit(burst)
-	}
-	th.emit(cpu.Instr{Kind: cpu.InstrBarrier, Barrier: th.bar})
+	return cpu.Instr{Kind: cpu.InstrFlush, Lines: th.lines}
 }
 
 func (th *thread) resultVerifier(scope mem.ScopeID, resStart mem.Addr) func(mem.LineAddr, []byte) {

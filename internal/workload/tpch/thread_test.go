@@ -1,10 +1,13 @@
 package tpch
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"bulkpim/internal/core"
 	"bulkpim/internal/cpu"
+	"bulkpim/internal/mem"
 	"bulkpim/internal/system"
 )
 
@@ -95,25 +98,231 @@ func TestScaledWorkloadBounds(t *testing.T) {
 	NewWorkload(q, 4, 1.5, false)
 }
 
-// TestPendingSizedOnce pins the instruction buffer's up-front capacity as
-// an upper bound on one run: no model (SW-Flush adds flushes, the scope
-// models fences) and neither query shape makes it grow.
-func TestPendingSizedOnce(t *testing.T) {
-	for _, name := range []string{"q6", "q12"} {
-		q, _ := QueryByName(name)
-		for _, m := range core.AllVariants() {
-			w := NewWorkload(q, 2, 1.0, false)
-			w.Scopes, w.Runs = 6, 3
-			cfg := w.SystemConfig(system.Default())
-			cfg.Model = m
-			for _, thr := range w.BuildThreads(system.New(cfg)) {
-				th := thr.(*thread)
-				want := cap(th.pending)
-				drain(t, th, 100000)
-				if got := cap(th.pending); got != want {
-					t.Errorf("%s/%v: pending grew from cap %d to %d", name, m, want, got)
+// refThread is the buffered thread the cursor replaced, kept as the
+// specification of a run's instruction stream: it builds each run into a
+// buffer and tracks SW-Flush's cached lines in maps.
+type refThread struct {
+	w     *Workload
+	sys   *system.System
+	owned []mem.ScopeID
+	bar   *cpu.Barrier
+
+	run     int
+	pending []cpu.Instr
+	pos     int
+
+	touched    map[mem.ScopeID][]mem.LineAddr
+	touchedSet map[mem.LineAddr]bool
+}
+
+func newRefThreads(w *Workload, sys *system.System) []*refThread {
+	bar := cpu.NewBarrier(w.Threads)
+	out := make([]*refThread, w.Threads)
+	for t := range out {
+		th := &refThread{w: w, sys: sys, bar: bar}
+		for s := 0; s < w.Scopes; s++ {
+			if s%w.Threads == t {
+				th.owned = append(th.owned, mem.ScopeID(s))
+			}
+		}
+		if sys.Cfg.Model == core.SWFlush {
+			th.touched = make(map[mem.ScopeID][]mem.LineAddr)
+			th.touchedSet = make(map[mem.LineAddr]bool)
+		}
+		out[t] = th
+	}
+	return out
+}
+
+func (th *refThread) Next() (cpu.Instr, bool) {
+	for th.pos >= len(th.pending) {
+		if th.run >= th.w.Runs {
+			return cpu.Instr{}, false
+		}
+		th.pending = th.pending[:0]
+		th.pos = 0
+		th.emitRun()
+		th.run++
+	}
+	in := th.pending[th.pos]
+	th.pos++
+	return in, true
+}
+
+func (th *refThread) emit(in cpu.Instr) { th.pending = append(th.pending, in) }
+
+func (th *refThread) touch(scope mem.ScopeID, line mem.LineAddr) {
+	if th.touched == nil || th.touchedSet[line] {
+		return
+	}
+	th.touchedSet[line] = true
+	th.touched[scope] = append(th.touched[scope], line)
+}
+
+func (th *refThread) emitRun() {
+	w := th.w
+	functional := th.sys.Cfg.Functional
+	if th.touched != nil {
+		for _, s := range th.owned {
+			if lines := th.touched[s]; len(lines) > 0 {
+				th.emit(cpu.Instr{Kind: cpu.InstrFlush, Lines: lines})
+				for _, l := range lines {
+					delete(th.touchedSet, l)
+				}
+				th.touched[s] = nil
+			}
+		}
+	}
+	var shared []*mem.PIMProgram
+	if !functional {
+		shared = w.Q.Compile(w.Layout, 0, false)
+	}
+	for _, s := range th.owned {
+		progs := shared
+		if functional {
+			progs = w.Q.Compile(w.Layout, th.sys.Scopes.ScopeBase(s), true)
+		}
+		for _, p := range progs {
+			th.emit(cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name})
+		}
+	}
+	for _, scope := range th.owned {
+		base := th.sys.Scopes.ScopeBase(scope)
+		if th.sys.Cfg.Model.NeedsScopeFence() {
+			th.emit(cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
+		}
+		var burst cpu.Instr
+		if w.Q.Full {
+			agg := w.Layout.AggLine(base)
+			burst = cpu.Instr{Kind: cpu.InstrLoadBurst,
+				Burst: []cpu.BurstRange{{Start: agg.Addr(), Bytes: mem.LineSize}}}
+			th.touch(scope, agg)
+		} else {
+			start, bytes := w.Layout.ResultRegion(base)
+			burst = cpu.Instr{Kind: cpu.InstrLoadBurst,
+				Burst: []cpu.BurstRange{{Start: start, Bytes: bytes}}}
+			if w.Verify {
+				burst.OnData = func(mem.LineAddr, []byte) {}
+			}
+			if th.touched != nil {
+				for l := mem.LineOf(start); l < mem.LineOf(start+mem.Addr(bytes)); l += mem.LineSize {
+					th.touch(scope, l)
 				}
 			}
 		}
+		th.emit(burst)
+	}
+	th.emit(cpu.Instr{Kind: cpu.InstrBarrier, Barrier: th.bar})
+}
+
+// streamed is one instruction as a thread returned it, with its Burst
+// and Lines contents copied at Next, before the thread may reuse them.
+type streamed struct {
+	in     cpu.Instr
+	burst  []cpu.BurstRange
+	lines  []mem.LineAddr
+	verify bool
+}
+
+func stream(t *testing.T, th cpu.Thread) []streamed {
+	t.Helper()
+	var out []streamed
+	for i := 0; ; i++ {
+		if i > 1_000_000 {
+			t.Fatal("thread did not terminate")
+		}
+		in, ok := th.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, streamed{in: in,
+			burst:  append([]cpu.BurstRange(nil), in.Burst...),
+			lines:  append([]mem.LineAddr(nil), in.Lines...),
+			verify: in.OnData != nil})
+	}
+}
+
+// sameInstr compares two streamed instructions field by field. Programs
+// compare by name and length, since a functional thread compiles fresh
+// ones; barriers by presence, since each set of threads has its own.
+func sameInstr(a, b streamed) bool {
+	x, y := a.in, b.in
+	if x.Kind != y.Kind || x.Scope != y.Scope || x.Label != y.Label || (x.Barrier == nil) != (y.Barrier == nil) ||
+		x.Addr != y.Addr || x.Size != y.Size || x.Cycles != y.Cycles || len(x.Data) != 0 || len(y.Data) != 0 ||
+		a.verify != b.verify || !slices.Equal(a.burst, b.burst) || !slices.Equal(a.lines, b.lines) {
+		return false
+	}
+	if (x.Prog == nil) != (y.Prog == nil) {
+		return false
+	}
+	return x.Prog == nil || x.Prog.Name == y.Prog.Name && x.Prog.MicroOps == y.Prog.MicroOps &&
+		(x.Prog.Apply == nil) == (y.Prog.Apply == nil)
+}
+
+// TestCursorMatchesBufferedThread pins the cursor thread's instruction
+// stream to refThread's, for every run mode, a full and a filter query,
+// with and without payloads.
+func TestCursorMatchesBufferedThread(t *testing.T) {
+	for _, name := range []string{"q6", "q12"} {
+		q, _ := QueryByName(name)
+		for _, m := range core.AllVariants() {
+			for _, functional := range []bool{false, true} {
+				w := NewWorkload(q, 2, 1.0, functional)
+				w.Scopes, w.Runs = 6, 3
+				cfg := w.SystemConfig(system.Default())
+				cfg.Model = m
+				sys := system.New(cfg)
+				refs := newRefThreads(w, sys)
+				var bar *cpu.Barrier
+				for i, th := range w.BuildThreads(sys) {
+					got, want := stream(t, th), stream(t, refs[i])
+					for _, g := range got {
+						if bar == nil {
+							bar = g.in.Barrier
+						}
+						if g.in.Barrier != nil && g.in.Barrier != bar {
+							t.Fatalf("%s/%v: threads do not share one barrier", name, m)
+						}
+					}
+					if len(got) != len(want) {
+						t.Errorf("%s/%v/functional=%v thread %d: %d instructions, want %d",
+							name, m, functional, i, len(got), len(want))
+						continue
+					}
+					for j := range got {
+						if !sameInstr(got[j], want[j]) {
+							t.Errorf("%s/%v/functional=%v thread %d instr %d: got %+v, want %+v",
+								name, m, functional, i, j, got[j], want[j])
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A TPC-H point on a released machine allocates little: the threads
+// emit from a cursor, PIM requests come from the machine's pool, and the
+// kernel, the pool and the cache arrays come back from the free lists.
+func TestRunAllocBound(t *testing.T) {
+	const maxBytes = 256 << 10
+	q, _ := QueryByName("q3")
+	w := NewWorkload(q, 4, 0.1, false)
+	cfg := system.Default()
+	cfg.Model = core.SWFlush
+	if _, err := Run(w, cfg); err != nil { // leaves a released machine
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Run(w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+		t.Fatalf("tpch.Run(q3, SW-Flush, scale 0.1) on a released machine allocated %.0f KB, want <= %.0f KB",
+			float64(got)/(1<<10), float64(maxBytes)/(1<<10))
 	}
 }

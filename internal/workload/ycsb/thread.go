@@ -149,7 +149,10 @@ func (th *thread) emitScan(op *opSpec) {
 		matches := w.matchesInScope(op, scope)
 		if len(matches) > 0 {
 			var ranges []cpu.BurstRange
-			expect := make(map[mem.LineAddr][]byte, len(matches))
+			var expect map[mem.LineAddr][]byte // read only when verifying
+			if th.w.P.Verify {
+				expect = make(map[mem.LineAddr][]byte, len(matches))
+			}
 			for _, m := range matches {
 				line := w.Layout.RecordLine(base, m.pos)
 				off := w.Layout.FieldByteOff(op.field)
