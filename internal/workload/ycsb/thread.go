@@ -16,174 +16,177 @@ import (
 func (w *Workload) Threads(sys *system.System) []cpu.Thread {
 	bar := cpu.NewBarrier(w.P.Threads)
 	threads := make([]cpu.Thread, w.P.Threads)
-	for t := 0; t < w.P.Threads; t++ {
-		th := &thread{w: w, sys: sys, id: t, bar: bar}
-		for s := 0; s < w.Scopes; s++ {
-			if s%w.P.Threads == t {
-				th.owned = append(th.owned, mem.ScopeID(s))
-			}
-		}
-		if sys.Cfg.Model == core.SWFlush {
-			th.touched = make(map[mem.ScopeID][]mem.LineAddr)
-			th.touchedSet = make(map[mem.LineAddr]bool)
-		}
-		threads[t] = th
+	for t := range threads {
+		threads[t] = &thread{w: w, sys: sys, bar: bar, id: t,
+			owned: (w.Scopes + w.P.Threads - 1 - t) / w.P.Threads}
 	}
 	return threads
 }
 
+// readSlots is the read phase's steps per owned scope: a scope-fence,
+// the result burst and the record burst. A fence the model does not
+// need, and a record burst with no match in the scope, are skipped.
+const readSlots = 3
+
+// thread is one worker. It computes each instruction of an op from its
+// position (op, step) instead of buffering the op. A scan is, in order:
+//   - SW-Flush only, after the thread's first scan: a flush per owned
+//     scope of the lines the previous scan read there;
+//   - the PIM section: the scan's op sequence, per owned scope;
+//   - the read phase: readSlots steps per owned scope;
+//   - the barrier.
+//
+// An insert is the designated thread's store of the record and, under
+// SW-Flush, a flush of its line; then the barrier.
 type thread struct {
-	w     *Workload
-	sys   *system.System
-	id    int
-	owned []mem.ScopeID
-	bar   *cpu.Barrier
+	w   *Workload
+	sys *system.System
+	bar *cpu.Barrier
+	// The thread owns scopes id, id+Threads, id+2*Threads, ...: owned
+	// of them.
+	id, owned int
 
-	opIdx   int
-	pending []cpu.Instr
-	pos     int
+	op, step int
+	// prev is the thread's previous scan. Every scan flushes every owned
+	// scope, so under SW-Flush the lines cached in a scope since its last
+	// flush are exactly what prev read there.
+	prev *opSpec
 
-	// SW-Flush baseline: lines this thread cached from each scope since
-	// its last flush (the software's explicit coherence bookkeeping).
-	touched    map[mem.ScopeID][]mem.LineAddr
-	touchedSet map[mem.LineAddr]bool
+	// progs is a functional run's op sequence for the scope being
+	// issued; timing-only runs issue the scan's shared programs.
+	progs []*mem.PIMProgram
+
+	// burst and lines carry the payload of the instruction last
+	// returned; the core is done with it before it calls Next again.
+	burst []cpu.BurstRange
+	lines []mem.LineAddr
 }
 
 // Next implements cpu.Thread.
 func (th *thread) Next() (cpu.Instr, bool) {
-	for th.pos >= len(th.pending) {
-		if th.opIdx >= len(th.w.ops) {
-			return cpu.Instr{}, false
+	for th.op < len(th.w.ops) {
+		op := th.w.ops[th.op]
+		for n := th.steps(op); th.step < n; {
+			step := th.step
+			th.step++
+			if step == n-1 {
+				return cpu.Instr{Kind: cpu.InstrBarrier, Barrier: th.bar}, true
+			}
+			if in, ok := th.instr(op, step); ok {
+				return in, true
+			}
 		}
-		th.pending = th.pending[:0]
-		th.pos = 0
-		th.emitOp(th.w.ops[th.opIdx])
-		th.opIdx++
+		if op.kind == opScan {
+			th.prev = op
+		}
+		th.op, th.step = th.op+1, 0
 	}
-	in := th.pending[th.pos]
-	th.pos++
-	return in, true
+	return cpu.Instr{}, false
 }
 
-func (th *thread) emit(in cpu.Instr) { th.pending = append(th.pending, in) }
+// scope returns the thread's i-th owned scope.
+func (th *thread) scope(i int) mem.ScopeID { return mem.ScopeID(th.id + i*th.w.P.Threads) }
 
-func (th *thread) touch(scope mem.ScopeID, line mem.LineAddr) {
-	if th.touched == nil || th.touchedSet[line] {
-		return
+// flushes is the number of SW-Flush flushes that open the next scan.
+func (th *thread) flushes() int {
+	if th.sys.Cfg.Model == core.SWFlush && th.prev != nil {
+		return th.owned
 	}
-	th.touchedSet[line] = true
-	th.touched[scope] = append(th.touched[scope], line)
+	return 0
 }
 
-func (th *thread) emitOp(op *opSpec) {
-	switch op.kind {
-	case opScan:
-		th.emitScan(op)
-	case opInsert:
-		th.emitInsert(op)
+// steps is the length of op's step sequence, skipped steps included;
+// its last step is the barrier.
+func (th *thread) steps(op *opSpec) int {
+	if op.kind == opInsert {
+		return 3
 	}
-	th.emit(cpu.Instr{Kind: cpu.InstrBarrier, Barrier: th.bar})
+	return th.flushes() + th.owned*(len(op.progs)+readSlots) + 1
 }
 
-func (th *thread) emitScan(op *opSpec) {
+// instr returns step of op before its barrier, or false for a skipped
+// step.
+func (th *thread) instr(op *opSpec, step int) (cpu.Instr, bool) {
+	if op.kind == opInsert {
+		return th.insertInstr(op, step)
+	}
+	n, f, ops := th.owned, th.flushes(), len(op.progs)
+	if step < f {
+		return th.flushInstr(th.scope(step)), true
+	}
+	step -= f
+	if step < n*ops {
+		s := th.scope(step / ops)
+		progs := op.progs
+		if th.sys.Cfg.Functional {
+			if step%ops == 0 {
+				lo, hi := op.keyRange()
+				th.progs = th.w.Layout.CompileRangeScan(th.sys.Scopes.ScopeBase(s), lo, hi, true)
+			}
+			progs = th.progs
+		}
+		p := progs[step%ops]
+		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name}, true
+	}
+	step -= n * ops
+	s := th.scope(step / readSlots)
+	switch step % readSlots {
+	case 0:
+		return cpu.Instr{Kind: cpu.InstrScopeFence, Scope: s}, th.sys.Cfg.Model.NeedsScopeFence()
+	case 1:
+		return th.resultInstr(op, s), true
+	}
+	return th.recordInstr(op, s)
+}
+
+// flushInstr is SW-Flush's software coherence for scope s ([25]): it
+// flushes what the previous scan cached there, the result bit-vectors
+// and then each matched record's line, before the PIM ops run.
+func (th *thread) flushInstr(s mem.ScopeID) cpu.Instr {
 	w := th.w
-	model := th.sys.Cfg.Model
-
-	// SW-Flush: flush everything this thread cached from its scopes
-	// before issuing the PIM ops ([25]'s software coherence).
-	if th.touched != nil {
-		for _, s := range th.owned {
-			if lines := th.touched[s]; len(lines) > 0 {
-				th.emit(cpu.Instr{Kind: cpu.InstrFlush, Lines: lines})
-				for _, l := range lines {
-					delete(th.touchedSet, l)
-				}
-				th.touched[s] = nil
-			}
-		}
+	base := th.sys.Scopes.ScopeBase(s)
+	start, n := w.Layout.ResultRegion(base)
+	th.lines = th.lines[:0]
+	for l := mem.LineOf(start); l < mem.LineOf(start+mem.Addr(n)); l += mem.LineSize {
+		th.lines = append(th.lines, l)
 	}
-
-	// Keys are stored +1 so the all-zero image of an empty row can never
-	// match a scan (0 is the "invalid record" sentinel).
-	lo, hi := op.base+1, op.base+op.count
-
-	// Issue phase: the fine-grained op sequence, duplicated per scope.
-	// Timing-only programs carry no Apply closure, so one compilation
-	// serves every scope.
-	functional := th.sys.Cfg.Functional
-	var shared []*mem.PIMProgram
-	if !functional {
-		shared = w.Layout.CompileRangeScan(0, lo, hi, false)
+	for _, m := range w.matchesInScope(th.prev, s) {
+		th.lines = append(th.lines, w.Layout.RecordLine(base, m.pos))
 	}
-	for _, s := range th.owned {
-		progs := shared
-		if functional {
-			progs = w.Layout.CompileRangeScan(th.sys.Scopes.ScopeBase(s), lo, hi, true)
-		}
-		for _, p := range progs {
-			th.emit(cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name})
-		}
-	}
+	return cpu.Instr{Kind: cpu.InstrFlush, Lines: th.lines}
+}
 
-	// Read phase, per scope: the result bit-vectors, then the extracted
-	// field of each matching record.
-	for _, s := range th.owned {
-		scope := s
-		base := th.sys.Scopes.ScopeBase(scope)
-		if model.NeedsScopeFence() {
-			th.emit(cpu.Instr{Kind: cpu.InstrScopeFence, Scope: scope})
-		}
-		resStart, resBytes := w.Layout.ResultRegion(base)
-		resInstr := cpu.Instr{Kind: cpu.InstrLoadBurst,
-			Burst: []cpu.BurstRange{{Start: resStart, Bytes: resBytes}}}
-		if th.w.P.Verify {
-			resInstr.OnData = th.resultVerifier(op, scope, resStart)
-		}
-		if th.touched != nil {
-			for l := mem.LineOf(resStart); l < mem.LineOf(resStart+mem.Addr(resBytes)); l += mem.LineSize {
-				th.touch(scope, l)
-			}
-		}
-		th.emit(resInstr)
-
-		matches := w.matchesInScope(op, scope)
-		if len(matches) > 0 {
-			var ranges []cpu.BurstRange
-			var expect map[mem.LineAddr][]byte // read only when verifying
-			if th.w.P.Verify {
-				expect = make(map[mem.LineAddr][]byte, len(matches))
-			}
-			for _, m := range matches {
-				line := w.Layout.RecordLine(base, m.pos)
-				off := w.Layout.FieldByteOff(op.field)
-				ranges = append(ranges, cpu.BurstRange{
-					Start: line.Addr() + mem.Addr(off), Bytes: w.P.FieldBytes})
-				if th.w.P.Verify {
-					want := make([]byte, w.P.FieldBytes)
-					for i := range want {
-						want[i] = FieldByte(m.key, op.field, i)
-					}
-					expect[line] = want
-				}
-				th.touch(scope, line)
-			}
-			recInstr := cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: ranges}
-			if th.w.P.Verify {
-				field := op.field
-				recInstr.OnData = func(line mem.LineAddr, data []byte) {
-					want := expect[line]
-					if want == nil {
-						return
-					}
-					off := w.Layout.FieldByteOff(field)
-					if !bytes.Equal(data[off:off+len(want)], want) {
-						th.sys.Violations.Inc()
-					}
-				}
-			}
-			th.emit(recInstr)
-		}
+// resultInstr reads the result bit-vectors of scope s.
+func (th *thread) resultInstr(op *opSpec, s mem.ScopeID) cpu.Instr {
+	start, n := th.w.Layout.ResultRegion(th.sys.Scopes.ScopeBase(s))
+	th.burst = append(th.burst[:0], cpu.BurstRange{Start: start, Bytes: n})
+	in := cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: th.burst}
+	if th.w.P.Verify {
+		in.OnData = th.resultVerifier(op, s, start)
 	}
+	return in
+}
+
+// recordInstr reads the extracted field of each record op matched in
+// scope s, or is skipped when it matched none there.
+func (th *thread) recordInstr(op *opSpec, s mem.ScopeID) (cpu.Instr, bool) {
+	w := th.w
+	matches := w.matchesInScope(op, s)
+	if len(matches) == 0 {
+		return cpu.Instr{}, false
+	}
+	base := th.sys.Scopes.ScopeBase(s)
+	off := mem.Addr(w.Layout.FieldByteOff(op.field))
+	th.burst = th.burst[:0]
+	for _, m := range matches {
+		th.burst = append(th.burst, cpu.BurstRange{
+			Start: w.Layout.RecordLine(base, m.pos).Addr() + off, Bytes: w.P.FieldBytes})
+	}
+	in := cpu.Instr{Kind: cpu.InstrLoadBurst, Burst: th.burst}
+	if w.P.Verify {
+		in.OnData = th.recordVerifier(op, base, matches)
+	}
+	return in, true
 }
 
 // resultVerifier checks result bit-vector lines against the oracle.
@@ -201,23 +204,52 @@ func (th *thread) resultVerifier(op *opSpec, scope mem.ScopeID, resStart mem.Add
 	}
 }
 
-func (th *thread) emitInsert(op *opSpec) {
-	if op.thr != th.id {
-		return // only the designated thread inserts; all threads barrier
-	}
+// recordVerifier checks the extracted field of each matched record
+// against the oracle.
+func (th *thread) recordVerifier(op *opSpec, base mem.Addr, matches []match) func(mem.LineAddr, []byte) {
 	w := th.w
+	expect := make(map[mem.LineAddr][]byte, len(matches))
+	for _, m := range matches {
+		want := make([]byte, w.P.FieldBytes)
+		for i := range want {
+			want[i] = FieldByte(m.key, op.field, i)
+		}
+		expect[w.Layout.RecordLine(base, m.pos)] = want
+	}
+	off := w.Layout.FieldByteOff(op.field)
+	return func(line mem.LineAddr, data []byte) {
+		want := expect[line]
+		if want == nil {
+			return
+		}
+		if !bytes.Equal(data[off:off+len(want)], want) {
+			th.sys.Violations.Inc()
+		}
+	}
+}
+
+// insertInstr returns step 0 (the store) or 1 (SW-Flush's flush of the
+// stored line, so any thread's next scan sees the record) of an insert.
+// Both are skipped on every thread but the designated one, and when the
+// database is full: the append has no free slot.
+func (th *thread) insertInstr(op *opSpec, step int) (cpu.Instr, bool) {
+	w := th.w
+	if op.thr != th.id {
+		return cpu.Instr{}, false
+	}
 	pos := w.Position(op.key)
 	if pos >= w.Scopes*w.Layout.RecordsPerScope() {
-		return // database full: the append has no free slot
+		return cpu.Instr{}, false
 	}
-	scope := w.Layout.ScopeOfRecord(pos)
-	base := th.sys.Scopes.ScopeBase(scope)
+	base := th.sys.Scopes.ScopeBase(w.Layout.ScopeOfRecord(pos))
 	line := w.Layout.RecordLine(base, pos%w.Layout.RecordsPerScope())
-	image := w.Layout.EncodeRecord(op.key+1, w.recordFields(op.key))
-	th.emit(cpu.Instr{Kind: cpu.InstrStore, Addr: line.Addr(), Data: image, Label: "insert"})
-	if th.touched != nil {
-		// SW-Flush: flush immediately after writing so any thread's next
-		// scan sees the record.
-		th.emit(cpu.Instr{Kind: cpu.InstrFlush, Lines: []mem.LineAddr{line}})
+	if step == 0 {
+		image := w.Layout.EncodeRecord(op.key+1, w.recordFields(op.key))
+		return cpu.Instr{Kind: cpu.InstrStore, Addr: line.Addr(), Data: image, Label: "insert"}, true
 	}
+	if th.sys.Cfg.Model != core.SWFlush {
+		return cpu.Instr{}, false
+	}
+	th.lines = append(th.lines[:0], line)
+	return cpu.Instr{Kind: cpu.InstrFlush, Lines: th.lines}, true
 }

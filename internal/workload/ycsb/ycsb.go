@@ -58,6 +58,10 @@ type opSpec struct {
 	key   uint64 // insert
 	thr   int    // insert: executing thread
 
+	// progs is a scan's op sequence for a timing-only run. It carries no
+	// Apply closure, so every thread and run shares it read-only.
+	progs []*mem.PIMProgram
+
 	// matches caches scope -> matched (key, localPos) pairs.
 	matches map[mem.ScopeID][]match
 }
@@ -99,7 +103,10 @@ func ScopeCount(p Params) int {
 
 // New generates the operation sequence for p.
 func New(p Params) *Workload {
-	if p.Records <= 0 || p.Operations <= 0 || p.Threads <= 0 {
+	// Scan bases are drawn below Records-MaxScanRecords, so a scan
+	// covers initial keys only; that bound must not wrap below zero.
+	if p.Records <= 0 || p.Operations <= 0 || p.Threads <= 0 ||
+		p.MaxScanRecords < 1 || p.Records < p.MaxScanRecords {
 		panic("ycsb: bad params")
 	}
 	w := &Workload{P: p, Layout: pimdb.DefaultLayout()}
@@ -121,10 +128,10 @@ func New(p Params) *Workload {
 		if rng.Float64() < p.ScanFraction {
 			count := uint64(rng.Intn(p.MaxScanRecords)) + 1
 			base := zipf.Next(rng)
-			w.ops = append(w.ops, &opSpec{
-				kind: opScan, base: base, count: count,
-				field: rng.Intn(p.Fields),
-			})
+			op := &opSpec{kind: opScan, base: base, count: count, field: rng.Intn(p.Fields)}
+			lo, hi := op.keyRange()
+			op.progs = w.Layout.CompileRangeScan(0, lo, hi, false)
+			w.ops = append(w.ops, op)
 		} else {
 			w.ops = append(w.ops, &opSpec{
 				kind: opInsert, key: nextInsert, thr: i % p.Threads,
@@ -134,6 +141,11 @@ func New(p Params) *Workload {
 	}
 	return w
 }
+
+// keyRange is the stored-key range a scan matches. Keys are stored +1
+// so the all-zero image of an empty row can never match a scan (0 is the
+// "invalid record" sentinel).
+func (op *opSpec) keyRange() (lo, hi uint64) { return op.base + 1, op.base + op.count }
 
 func gcd(a, b uint64) uint64 {
 	for b != 0 {

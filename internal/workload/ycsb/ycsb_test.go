@@ -56,6 +56,29 @@ func TestWorkloadGeneration(t *testing.T) {
 	}
 }
 
+// New rejects a scan length below 1 and a database smaller than the
+// longest scan, whose scan-base range Records-MaxScanRecords would wrap
+// below zero.
+func TestNewRejectsBadScanParams(t *testing.T) {
+	for _, tc := range []struct{ records, maxScan int }{{1000, 0}, {1000, -1}, {99, 100}, {1, 2}} {
+		p := DefaultParams(tc.records)
+		p.MaxScanRecords = tc.maxScan
+		func() {
+			defer func() {
+				if r := recover(); r != "ycsb: bad params" {
+					t.Errorf("New(Records %d, MaxScanRecords %d) panicked with %v, want \"ycsb: bad params\"",
+						tc.records, tc.maxScan, r)
+				}
+			}()
+			New(p)
+		}()
+	}
+	p := DefaultParams(100)
+	if err := New(p).Validate(); err != nil { // Records == MaxScanRecords is allowed
+		t.Fatal(err)
+	}
+}
+
 func TestPositionIsBijective(t *testing.T) {
 	p := DefaultParams(10000)
 	w := New(p)
