@@ -17,7 +17,7 @@ import (
 func BenchmarkScopeFlush(b *testing.B) {
 	const sets, ways = 2048, 16
 	scopes := mem.NewScopeMap(mem.DefaultPIMBase, mem.DefaultScopeSize, 4)
-	l := NewLLC(sim.NewKernel(), core.Atomic, sets, ways, 18, scopes)
+	l := NewLLC(sim.NewKernel(), mem.NewRequestPool(), core.Atomic, sets, ways, 18, scopes)
 	l.EnableScope(64, 4, true)
 	defer l.Release()
 	install := func(a mem.Addr) {

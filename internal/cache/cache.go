@@ -187,10 +187,10 @@ func (c *setAssoc) enableScope(sbSets, sbWays int, sbv bool) {
 	}
 }
 
-// recycle hands the line array and the payload blocks to the free lists
-// and leaves c unusable: any lookup on its nil line slice panics. It
-// panics, too, if the SBV disagrees with the lines: every scan of the
-// run was priced on that vector.
+// recycle hands the line array, the payload blocks and the scope unit to
+// the free lists and leaves c unusable: any lookup on its nil line slice
+// panics. It panics, too, if the SBV disagrees with the lines: every
+// scan of the run was priced on that vector.
 func (c *setAssoc) recycle() {
 	if c.lines == nil {
 		panic("cache: array released twice")
@@ -201,6 +201,14 @@ func (c *setAssoc) recycle() {
 	lineFree.Put(len(c.lines), len(c.lines)*int(unsafe.Sizeof(Line{})), c.lines)
 	c.lines = nil
 	c.slots.recycle()
+	if c.sb != nil {
+		c.sb.Release()
+		c.sb = nil
+	}
+	if c.sbv != nil {
+		c.sbv.Release()
+		c.sbv = nil
+	}
 }
 
 // SetOf maps a line address to its set index.

@@ -34,9 +34,10 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	scopes := mem.NewScopeMap(mem.DefaultPIMBase, mem.DefaultScopeSize, 16)
 	mod := pim.NewModule(k, b)
 	mod.Functional = true
-	mc := memctrl.New(k, mod, b)
+	pool := mem.NewRequestPool()
+	mc := memctrl.New(k, pool, mod, b)
 	mc.Functional = true
-	llc := NewLLC(k, model, 16, 2, 18, scopes)
+	llc := NewLLC(k, pool, model, 16, 2, 18, scopes)
 	if model.FlushesLLCOnPIMOp() {
 		llc.EnableScope(64, 4, true)
 	}
@@ -44,7 +45,7 @@ func newRig(t *testing.T, model core.Model, cores int) *rig {
 	l1s := make([]*L1, cores)
 	down := make([]*noc.Link, cores)
 	for i := range l1s {
-		l1s[i] = NewL1(k, i, 4, 2, 3)
+		l1s[i] = NewL1(k, pool, i, 4, 2, 3)
 		if model.ScopeStructuresInAllCaches() {
 			l1s[i].EnableScope(16, 1, true)
 		}
@@ -493,6 +494,7 @@ func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
 	const n, depth = 4000, 32
 	r.llc.Tracer = trace.New(r.k.Now, nil, 1<<trace.CatCache, n)
 	live := func() int { return len(r.llc.queue) - r.llc.qHead }
+	peak := 0 // most live requests, counted as each arrival joins
 	// A feeder event tops the queue up to depth and comes back every
 	// depth/2 cycles. Uncacheable requests occupy the LLC one cycle each,
 	// so each interval drains about half the queue, never all of it.
@@ -506,6 +508,7 @@ func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
 			req := r.llc.Pool.Get()
 			req.ID, req.Kind, req.Uncacheable = uint64(sent), mem.ReqLoad, true
 			req.Line = mem.LineAddr(uint64(sent%64) * mem.LineSize)
+			peak = max(peak, live()+1)
 			r.llc.Receive(req)
 			sent++
 		}
@@ -520,7 +523,7 @@ func TestLLCQueueReusedWhileNeverDrained(t *testing.T) {
 	if sent != n {
 		t.Fatalf("fed %d requests, want %d", sent, n)
 	}
-	if c, peak := cap(r.llc.queue), r.llc.QueuePeak; c > 4*peak {
+	if c := cap(r.llc.queue); c > 4*peak {
 		t.Fatalf("queue backing array grew to cap %d for a peak of %d live requests", c, peak)
 	}
 	handled := 0

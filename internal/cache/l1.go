@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"unsafe"
+
 	"bulkpim/internal/mem"
 	"bulkpim/internal/noc"
 	"bulkpim/internal/sim"
@@ -22,11 +24,20 @@ type L1 struct {
 	llc *LLC
 	up  *noc.Link // requests toward the LLC
 
-	// Pool supplies requests. NewL1 creates a private pool; the system
-	// builder overrides it so the whole machine shares one. Line payloads
-	// live in arr's slot arena.
+	// Pool supplies requests: the machine's pool, which every component
+	// shares. Line payloads live in arr's slot arena.
 	Pool *mem.RequestPool
 
+	l1Reuse
+
+	Hits, Misses stats.Counter
+	Writebacks   stats.Counter
+}
+
+// l1Reuse is what a released L1 hands the next L1 built on its struct
+// (Release, NewL1): the hoisted callbacks, which name that struct, and the
+// miss table and recycled miss entries its runs grew, emptied.
+type l1Reuse struct {
 	mshr     mem.LineTable[*l1Miss]
 	missFree []*l1Miss
 
@@ -36,13 +47,10 @@ type L1 struct {
 	deliverW []FillWaiter
 	deliverX []ExclWaiter
 
-	// Hoisted event/link callbacks (built once in NewL1) so the miss and
-	// PIM-forward paths schedule without allocating closures.
+	// Hoisted event/link callbacks so the miss and PIM-forward paths
+	// schedule without allocating closures.
 	recvFn func(any)
 	fwdFn  func(any)
-
-	Hits, Misses stats.Counter
-	Writebacks   stats.Counter
 }
 
 type l1Miss struct {
@@ -53,25 +61,43 @@ type l1Miss struct {
 	exclWaiters []ExclWaiter
 }
 
-// NewL1 builds a private cache of sets x ways bound to kernel k. The
-// upstream link and LLC are wired by the system builder via Connect.
-func NewL1(k *sim.Kernel, coreID, sets, ways int, hitLatency sim.Tick) *L1 {
-	c := &L1{
+// l1Free holds released L1s.
+var l1Free = sim.NewFreeList[*L1]()
+
+// NewL1 builds a private cache of sets x ways bound to kernel k that
+// draws requests from pool, on a released L1's struct when one is free.
+// The upstream link and LLC are wired by system.New via Connect.
+func NewL1(k *sim.Kernel, pool *mem.RequestPool, coreID, sets, ways int, hitLatency sim.Tick) *L1 {
+	c, ok := l1Free.Get(0)
+	if !ok {
+		c = new(L1)
+		c.recvFn = func(x any) { c.llc.Receive(x.(*mem.Request)) }
+		c.fwdFn = func(x any) { c.up.SendOrderedCtx(c.recvFn, x) }
+	}
+	*c = L1{
 		k:          k,
 		CoreID:     coreID,
 		arr:        newSetAssoc(sets, ways),
 		HitLatency: hitLatency,
 		Scan:       tableIIScan,
-		Pool:       mem.NewRequestPool(),
+		Pool:       pool,
+		l1Reuse:    c.l1Reuse,
 	}
-	c.recvFn = func(x any) { c.llc.Receive(x.(*mem.Request)) }
-	c.fwdFn = func(x any) { c.up.SendOrderedCtx(c.recvFn, x) }
 	return c
 }
 
-// Release hands the line array and its payload blocks to the next cache
-// built; any later lookup on c panics. The machine must be drained.
-func (c *L1) Release() { c.arr.recycle() }
+// Release hands the line array, its payload blocks and scope unit to
+// the free lists, and c itself, with the storage its runs grew, to the
+// next NewL1. The machine must be drained; the caller drops c.
+func (c *L1) Release() {
+	c.arr.recycle()
+	r := c.l1Reuse
+	r.mshr.Reset()
+	clear(r.deliverW[:cap(r.deliverW)])
+	clear(r.deliverX[:cap(r.deliverX)])
+	*c = L1{l1Reuse: r}
+	l1Free.Put(0, int(unsafe.Sizeof(L1{})), c)
+}
 
 // Connect wires the L1 to its LLC and upstream link.
 func (c *L1) Connect(llc *LLC, up *noc.Link) {

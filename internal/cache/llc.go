@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"bulkpim/internal/core"
 	"bulkpim/internal/mem"
@@ -27,9 +28,9 @@ type LLC struct {
 	Scan   ScanCost
 	Scopes *mem.ScopeMap
 
-	// Pool supplies requests and in-flight line buffers. NewLLC creates a
-	// private pool; the system builder overrides it so the whole machine
-	// shares one. Cached payloads live in arr's slot arena.
+	// Pool supplies requests and in-flight line buffers: the machine's
+	// pool, which every component shares. Cached payloads live in arr's
+	// slot arena.
 	Pool *mem.RequestPool
 
 	l1s  []*L1
@@ -39,26 +40,15 @@ type LLC struct {
 	mcLink *noc.Link // LLC -> MC, FIFO (hardware memory channel)
 	mcResp *noc.Link // MC -> LLC fills
 
-	egress     []*mem.Request
 	egHead     int
 	inflightMC int
 	pumping    bool
 
-	queue         []llcWork
 	qHead         int
 	busyUntil     sim.Tick
 	wakeScheduled bool
 
-	mshr     mem.LineTable[*llcMiss]
-	missFree []*llcMiss
-	fillFree []*fillMsg
-
-	// Hoisted callbacks (built once in NewLLC) so the steady-state
-	// request path schedules and sends without allocating closures.
-	wakeFn      func(any)
-	fetchDoneFn func(*mem.Request, any)
-	fillRecvFn  func(any)
-	mcDeliverFn func(any)
+	llcReuse
 
 	// Tracer, when enabled for CatCache, logs request handling and scans.
 	Tracer *trace.Tracer
@@ -71,7 +61,28 @@ type LLC struct {
 	LinesFlushed stats.Counter
 	Hits, Misses stats.Counter
 	Writebacks   stats.Counter
-	QueuePeak    int
+}
+
+// llcReuse is what a released LLC hands the next LLC built on its struct
+// (Release, NewLLC): the hoisted callbacks, which name that struct, and
+// the queues, miss table and recycled messages its runs grew, emptied.
+type llcReuse struct {
+	// egress is the FIFO toward the memory controller, from egHead.
+	egress []*mem.Request
+	// queue is the pipeline's input queue, from qHead.
+	queue []llcWork
+
+	mshr     mem.LineTable[*llcMiss]
+	missFree []*llcMiss
+	fillFree []*fillMsg
+
+	// Hoisted callbacks so the steady-state request path schedules and
+	// sends without allocating closures.
+	wakeFn      func(any)
+	fetchDoneFn func(*mem.Request, any)
+	fillRecvFn  func(any)
+	mcDeliverFn func(any)
+	pumpFn      func()
 }
 
 // llcWork is one queued unit of LLC occupancy: a request to handle or a
@@ -114,17 +125,33 @@ func deliverFillMsg(x any) {
 	m.l.putFill(m)
 }
 
-// NewLLC builds the shared cache. Wire it with Connect before use.
-func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick, scopes *mem.ScopeMap) *LLC {
-	l := &LLC{
+// llcFree holds released LLCs.
+var llcFree = sim.NewFreeList[*LLC]()
+
+// NewLLC builds the shared cache that draws requests and line buffers
+// from pool, on a released LLC's struct when one is free. Wire it with
+// Connect before use.
+func NewLLC(k *sim.Kernel, pool *mem.RequestPool, model core.Model, sets, ways int, hitLatency sim.Tick, scopes *mem.ScopeMap) *LLC {
+	l, ok := llcFree.Get(0)
+	if !ok {
+		l = new(LLC)
+		l.hoist()
+	}
+	*l = LLC{
 		k:          k,
 		Model:      model,
 		arr:        newSetAssoc(sets, ways),
 		HitLatency: hitLatency,
 		Scan:       tableIIScan,
 		Scopes:     scopes,
-		Pool:       mem.NewRequestPool(),
+		Pool:       pool,
+		llcReuse:   l.llcReuse,
 	}
+	return l
+}
+
+// hoist builds l's callbacks, once per struct.
+func (l *LLC) hoist() {
 	l.wakeFn = func(any) {
 		l.wakeScheduled = false
 		l.process()
@@ -137,12 +164,20 @@ func NewLLC(k *sim.Kernel, model core.Model, sets, ways int, hitLatency sim.Tick
 			panic("cache: MC rejected a credited request")
 		}
 	}
-	return l
+	l.pumpFn = l.pump
 }
 
-// Release hands the line array and its payload blocks to the next cache
-// built; any later lookup on l panics. The machine must be drained.
-func (l *LLC) Release() { l.arr.recycle() }
+// Release hands the line array, its payload blocks and scope unit to
+// the free lists, and l itself, with the storage its runs grew, to the
+// next NewLLC. The machine must be drained; the caller drops l.
+func (l *LLC) Release() {
+	l.arr.recycle()
+	r := l.llcReuse
+	r.egress, r.queue = r.egress[:0], r.queue[:0]
+	r.mshr.Reset()
+	*l = LLC{llcReuse: r}
+	llcFree.Put(0, int(unsafe.Sizeof(LLC{})), l)
+}
 
 // Connect wires the LLC to its L1s, per-core response links, the memory
 // controller and the links to/from it.
@@ -152,7 +187,7 @@ func (l *LLC) Connect(l1s []*L1, down []*noc.Link, mc *memctrl.Controller, mcLin
 	l.mc = mc
 	l.mcLink = mcLink
 	l.mcResp = mcResp
-	mc.OnSpace = func() { l.pump() }
+	mc.OnSpace = l.pumpFn
 }
 
 // EnableScope gives the cache a scope unit: a scope buffer of sbSets x
@@ -215,9 +250,6 @@ func (l *LLC) enqueue(w llcWork) {
 		l.qHead = 0
 	}
 	l.queue = append(l.queue, w)
-	if n := len(l.queue) - l.qHead; n > l.QueuePeak {
-		l.QueuePeak = n
-	}
 	l.process()
 }
 

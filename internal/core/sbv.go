@@ -1,5 +1,11 @@
 package core
 
+import (
+	"unsafe"
+
+	"bulkpim/internal/sim"
+)
+
 // SBV is the scope bit-vector of §IV-B: one bit per cache set, high when
 // the set holds at least one cache line from a PIM-enabled scope. A cache
 // scan for a PIM op only visits sets whose bit is high; the rest are
@@ -14,12 +20,25 @@ type SBV struct {
 	counts []uint32
 }
 
-// NewSBV builds a scope bit-vector for a cache with the given set count.
+// sbvFree holds released SBVs, by set count.
+var sbvFree = sim.NewFreeList[*SBV]()
+
+// NewSBV builds a scope bit-vector for a cache with the given set count:
+// a released one of that size, cleared, when one is free.
 func NewSBV(sets int) *SBV {
 	if sets <= 0 {
 		panic("core: SBV needs positive set count")
 	}
+	if v, ok := sbvFree.Get(sets); ok {
+		clear(v.counts)
+		return v
+	}
 	return &SBV{counts: make([]uint32, sets)}
+}
+
+// Release hands v to the next NewSBV of its size; the caller drops v.
+func (v *SBV) Release() {
+	sbvFree.Put(len(v.counts), len(v.counts)*int(unsafe.Sizeof(v.counts[0])), v)
 }
 
 // OnInsert records insertion of a PIM-enabled line into set.

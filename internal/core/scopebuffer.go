@@ -1,6 +1,11 @@
 package core
 
-import "bulkpim/internal/mem"
+import (
+	"unsafe"
+
+	"bulkpim/internal/mem"
+	"bulkpim/internal/sim"
+)
 
 // ScopeBuffer is the small cache-like structure of §IV-A. It is indexed by
 // scope and holds entries for scopes that were recently scanned-and-flushed
@@ -22,14 +27,30 @@ type sbEntry struct {
 	used  uint64
 }
 
-// NewScopeBuffer builds a scope buffer with the given geometry. The paper
-// uses 64 sets x 4 ways at the LLC and 16 sets x 1 way at each L1
+// scopeBufferFree holds released scope buffers, by entry count.
+var scopeBufferFree = sim.NewFreeList[*ScopeBuffer]()
+
+// NewScopeBuffer builds a scope buffer with the given geometry: a
+// released one with as many entries, emptied, when one is free. The
+// paper uses 64 sets x 4 ways at the LLC and 16 sets x 1 way at each L1
 // (Table II).
 func NewScopeBuffer(sets, ways int) *ScopeBuffer {
 	if sets <= 0 || ways <= 0 {
 		panic("core: scope buffer needs positive geometry")
 	}
-	return &ScopeBuffer{sets: sets, ways: ways, entries: make([]sbEntry, sets*ways)}
+	b, ok := scopeBufferFree.Get(sets * ways)
+	if !ok {
+		return &ScopeBuffer{sets: sets, ways: ways, entries: make([]sbEntry, sets*ways)}
+	}
+	clear(b.entries)
+	*b = ScopeBuffer{sets: sets, ways: ways, entries: b.entries}
+	return b
+}
+
+// Release hands b to the next NewScopeBuffer of its size; the caller
+// drops b.
+func (b *ScopeBuffer) Release() {
+	scopeBufferFree.Put(len(b.entries), len(b.entries)*int(unsafe.Sizeof(sbEntry{})), b)
 }
 
 func (b *ScopeBuffer) set(s mem.ScopeID) []sbEntry {

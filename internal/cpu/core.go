@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"bulkpim/internal/cache"
 	"bulkpim/internal/core"
@@ -43,8 +44,8 @@ type Core struct {
 	Reply  *noc.Link
 	Scopes *mem.ScopeMap
 
-	// Pool supplies requests and store-data buffers. NewCore creates a
-	// private pool; the system builder overrides it with the shared one.
+	// Pool supplies requests and store-data buffers: the machine's pool,
+	// which every component shares.
 	Pool *mem.RequestPool
 	// Functional makes stores carry their bytes through the store buffer
 	// into the caches. A timing-only core buffers only each store's
@@ -90,21 +91,12 @@ type Core struct {
 	flushRemaining int
 	flushTok       uint64
 
-	// Store buffer (TSO FIFO; PIM ops ride it under the store model).
-	sb       []sbEntry
-	draining bool
-
-	// burstFree recycles burst trackers.
-	burstFree []*burstState
-
-	// Scope-model per-scope PIM queues (non-FIFO entry point, §V-D).
-	pimQueues map[mem.ScopeID][]pimEntry
+	draining bool // a store-buffer drain step is scheduled
 
 	// Tracking.
 	outLoads     int
-	pimUnacked   map[mem.ScopeID]int // sent, ACK pending (atomic/scope)
-	pimCreditUse int                 // flow-control credits in use
-	fencePending map[mem.ScopeID]int // outstanding scope fences
+	pimQueued    int // scope-model ops across pimQueues
+	pimCreditUse int // flow-control credits in use
 	pimFenceWait bool
 	ackToken     uint64
 
@@ -116,8 +108,37 @@ type Core struct {
 
 	lastInstr InstrKind
 
-	// Hoisted event callbacks and completion functions, built once in
-	// NewCore.
+	coreReuse
+
+	// Stats.
+	Instrs      stats.Counter
+	LoadsIssued stats.Counter
+	PIMIssued   stats.Counter
+	Stalls      stats.Counter
+
+	FinishedAt sim.Tick
+}
+
+// coreReuse is what a released core hands the next core built on its
+// struct (Release, NewCore): the hoisted callbacks, which name that
+// struct, and the storage its runs grew, emptied.
+type coreReuse struct {
+	// Store buffer (TSO FIFO; PIM ops ride it under the store model).
+	sb []sbEntry
+
+	// burstFree recycles burst trackers.
+	burstFree []*burstState
+
+	// pimQueues are the scope model's per-scope PIM queues (non-FIFO
+	// entry point, §V-D), indexed by scope and grown on first use.
+	// NoScope has none.
+	pimQueues [][]pimEntry
+
+	pimUnacked   map[mem.ScopeID]int // sent, ACK pending (atomic/scope)
+	fencePending map[mem.ScopeID]int // outstanding scope fences
+
+	// Hoisted event callbacks and completion functions, built once per
+	// struct.
 	stepFn       func(any)
 	wakeFn       func(any)
 	drainFn      func(any)
@@ -131,14 +152,6 @@ type Core struct {
 	uncStoreFin  func(any)
 	flushDoneFn  func(*mem.Request, any)
 	fenceDoneFn  func(*mem.Request, any)
-
-	// Stats.
-	Instrs      stats.Counter
-	LoadsIssued stats.Counter
-	PIMIssued   stats.Counter
-	Stalls      stats.Counter
-
-	FinishedAt sim.Tick
 }
 
 type runState uint8
@@ -175,9 +188,18 @@ type pimEntry struct {
 	ev  core.EventID
 }
 
-// NewCore builds a core; wire the caches/links before Start.
-func NewCore(k *sim.Kernel, id int, model core.Model) *Core {
-	c := &Core{
+// coreFree holds released cores.
+var coreFree = sim.NewFreeList[*Core]()
+
+// NewCore builds a core that draws requests from pool, on a released
+// core's struct when one is free; wire the caches/links before Start.
+func NewCore(k *sim.Kernel, pool *mem.RequestPool, id int, model core.Model) *Core {
+	c, ok := coreFree.Get(0)
+	if !ok {
+		c = new(Core)
+		c.hoist()
+	}
+	*c = Core{
 		k:              k,
 		ID:             id,
 		Model:          model,
@@ -187,11 +209,30 @@ func NewCore(k *sim.Kernel, id int, model core.Model) *Core {
 		MLP:            8,
 		StoreBufferCap: 32,
 		PIMCredits:     48,
-		Pool:           mem.NewRequestPool(),
-		pimQueues:      make(map[mem.ScopeID][]pimEntry),
-		pimUnacked:     make(map[mem.ScopeID]int),
-		fencePending:   make(map[mem.ScopeID]int),
+		Pool:           pool,
+		coreReuse:      c.coreReuse,
 	}
+	return c
+}
+
+// Release hands c, with the storage its runs grew, to the next NewCore;
+// the caller drops c. The machine must be drained.
+func (c *Core) Release() {
+	r := c.coreReuse
+	r.sb = r.sb[:0]
+	for i, q := range r.pimQueues {
+		r.pimQueues[i] = q[:0]
+	}
+	clear(r.pimUnacked)
+	clear(r.fencePending)
+	*c = Core{coreReuse: r}
+	coreFree.Put(0, int(unsafe.Sizeof(Core{})), c)
+}
+
+// hoist builds c's callbacks and scope tables, once per struct.
+func (c *Core) hoist() {
+	c.pimUnacked = make(map[mem.ScopeID]int)
+	c.fencePending = make(map[mem.ScopeID]int)
 	c.stepFn = func(any) { c.step() }
 	c.wakeFn = func(any) {
 		c.wakeQueued = false
@@ -251,7 +292,6 @@ func NewCore(k *sim.Kernel, id int, model core.Model) *Core {
 		}
 		c.wake()
 	}
-	return c
 }
 
 // Start begins executing t.
@@ -544,19 +584,15 @@ func (c *Core) pimPendingTo(scope mem.ScopeID) int {
 			n++
 		}
 	}
-	n += len(c.pimQueues[scope])
-	return n
+	return n + len(c.scopeQueue(scope))
 }
 
 func (c *Core) totalPIMPending() int {
-	n := c.pimCreditUse
+	n := c.pimCreditUse + c.pimQueued
 	for i := range c.sb {
 		if c.sb[i].isPIM() && !c.sb[i].issued {
 			n++
 		}
-	}
-	for _, q := range c.pimQueues {
-		n += len(q)
 	}
 	return n
 }
@@ -859,8 +895,8 @@ func (c *Core) execPIM(in Instr) {
 		// §V-D: non-FIFO entry point; ops queue per scope.
 		e := c.buildPIMReq(in)
 		c.PIMIssued.Inc()
-		if c.pimUnacked[in.Scope] > 0 || len(c.pimQueues[in.Scope]) > 0 || c.sbHasScopeStoreBefore(in.Scope, e.seq) {
-			c.pimQueues[in.Scope] = append(c.pimQueues[in.Scope], e)
+		if c.pimUnacked[in.Scope] > 0 || len(c.scopeQueue(in.Scope)) > 0 || c.sbHasScopeStoreBefore(in.Scope, e.seq) {
+			c.queueScopePIM(in.Scope, e)
 		} else {
 			c.pimUnacked[in.Scope]++
 			c.pimCreditUse++
@@ -911,8 +947,25 @@ func (c *Core) scopePIMBefore(scope mem.ScopeID, seq uint64) bool {
 	if c.pimUnacked[scope] > 0 {
 		return true
 	}
-	q := c.pimQueues[scope]
+	q := c.scopeQueue(scope)
 	return len(q) > 0 && q[0].seq < seq
+}
+
+// scopeQueue returns scope's queued scope-model PIM ops, oldest first.
+func (c *Core) scopeQueue(scope mem.ScopeID) []pimEntry {
+	if scope < 0 || int(scope) >= len(c.pimQueues) {
+		return nil
+	}
+	return c.pimQueues[scope]
+}
+
+// queueScopePIM appends e to scope's queue.
+func (c *Core) queueScopePIM(scope mem.ScopeID, e pimEntry) {
+	for int(scope) >= len(c.pimQueues) {
+		c.pimQueues = append(c.pimQueues, nil)
+	}
+	c.pimQueues[scope] = append(c.pimQueues[scope], e)
+	c.pimQueued++
 }
 
 // tryLaunchScopePIM sends the next queued scope-model PIM op for scope if
@@ -921,15 +974,16 @@ func (c *Core) tryLaunchScopePIM(scope mem.ScopeID) {
 	if c.Model != core.Scope {
 		return
 	}
-	q := c.pimQueues[scope]
+	q := c.scopeQueue(scope)
 	if len(q) == 0 || c.pimUnacked[scope] > 0 || c.sbHasScopeStoreBefore(scope, q[0].seq) {
 		return
 	}
 	e := q[0]
-	c.pimQueues[scope] = q[1:]
-	if len(c.pimQueues[scope]) == 0 {
-		delete(c.pimQueues, scope)
-	}
+	// Shift the queue down in place so its backing array is kept.
+	n := copy(q, q[1:])
+	q[n] = pimEntry{}
+	c.pimQueues[scope] = q[:n]
+	c.pimQueued--
 	c.pimUnacked[scope]++
 	c.pimCreditUse++
 	c.sendDirect(e.req)
@@ -1015,10 +1069,7 @@ func (c *Core) ackTracked() int {
 	for _, v := range c.pimUnacked {
 		n += v
 	}
-	for _, q := range c.pimQueues {
-		n += len(q)
-	}
-	return n
+	return n + c.pimQueued
 }
 
 func (c *Core) execFencePIM(in Instr) {
@@ -1066,8 +1117,8 @@ func (c *Core) DebugState() string {
 	case stWaiting:
 		state = "waiting"
 	}
-	return fmt.Sprintf("core%d done=%v state=%s last=%d sb=%d outLoads=%d credits=%d unacked=%v queues=%d draining=%v l1mshr=%d",
-		c.ID, c.done, state, c.lastInstr, len(c.sb), c.outLoads, c.pimCreditUse, c.pimUnacked, len(c.pimQueues), c.draining, c.L1.MSHRLen())
+	return fmt.Sprintf("core%d done=%v state=%s last=%d sb=%d outLoads=%d credits=%d unacked=%v queued=%d draining=%v l1mshr=%d",
+		c.ID, c.done, state, c.lastInstr, len(c.sb), c.outLoads, c.pimCreditUse, c.pimUnacked, c.pimQueued, c.draining, c.L1.MSHRLen())
 }
 
 func max64(a, b uint64) uint64 {

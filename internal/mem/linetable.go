@@ -108,6 +108,13 @@ func (t *LineTable[T]) Delete(l LineAddr) {
 	t.n--
 }
 
+// Reset empties the table and keeps its slots, so a table reused for the
+// next machine does not grow again.
+func (t *LineTable[T]) Reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
 // Range calls fn for every entry, in slot order. fn must not modify the
 // table.
 func (t *LineTable[T]) Range(fn func(LineAddr, T)) {

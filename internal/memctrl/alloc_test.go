@@ -17,7 +17,7 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	k := sim.NewKernel()
 	bk := mem.NewBacking()
 	m := pim.NewModule(k, bk)
-	c := New(k, m, bk)
+	c := New(k, mem.NewRequestPool(), m, bk)
 	c.QueueSize = 32
 	pool := c.Pool
 

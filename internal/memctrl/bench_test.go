@@ -77,7 +77,7 @@ func runScheduleBench(b *testing.B, ref bool) {
 		m.FixedOpLatency = 300
 		m.CyclesPerMicroOp = 0
 		m.BufferSize = 16
-		c := New(k, m, bk)
+		c := New(k, mem.NewRequestPool(), m, bk)
 		if ref {
 			c.useReferenceScheduler()
 		}

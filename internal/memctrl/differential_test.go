@@ -102,7 +102,7 @@ func runStream(t *testing.T, specs []streamSpec, ref bool, modules int, hook fun
 	m.FixedOpLatency = 17
 	m.CyclesPerMicroOp = 0
 	m.BufferSize = 2
-	c := New(k, m, b)
+	c := New(k, mem.NewRequestPool(), m, b)
 	for i := 1; i < modules; i++ {
 		m2 := pim.NewModule(k, b)
 		m2.FixedOpLatency = 29

@@ -20,6 +20,8 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"bulkpim/internal/mem"
 	"bulkpim/internal/pim"
@@ -51,11 +53,11 @@ type Controller struct {
 	// payload, which every cache level passes on as "no data".
 	Functional bool
 
-	// Pool recycles requests and line buffers. New creates a private pool;
-	// the system overrides it so every component shares one. finishDRAM
-	// fills a functional machine's load data from it, and the controller
-	// — as the completion invoker — releases requests that carry no
-	// completion callback (writebacks) once they retire.
+	// Pool recycles requests and line buffers: the machine's pool, which
+	// every component shares. finishDRAM fills a functional machine's
+	// load data from it, and the controller — as the completion invoker
+	// — releases requests that carry no completion callback (writebacks)
+	// once they retire.
 	Pool *mem.RequestPool
 
 	// SendACK, when set, is invoked as soon as a PIM op is accepted into
@@ -74,6 +76,44 @@ type Controller struct {
 	qHead, qTail *entry
 	queueLen     int
 
+	// scheduling guards against re-entrant scheduler runs (completion
+	// callbacks can call back into the controller).
+	scheduling bool
+	rerun      bool
+
+	// refSched switches the controller to the retained linear-scan
+	// reference scheduler (refsched.go); used by the differential tests
+	// and BenchmarkScheduleRef.
+	refSched bool
+
+	// onPass, when set (tests), runs at the top of every indexed
+	// scheduling pass — the point where the ready heap must agree with
+	// the reference conflict scan.
+	onPass func()
+
+	// pimFree is the head of the pimRefs slab's free list (-1 when
+	// empty).
+	pimFree int32
+
+	ctrlReuse
+
+	// Tracer, when enabled for CatMC, logs admissions and completions.
+	Tracer *trace.Tracer
+
+	// Stats.
+	QueueLenOnArrival stats.Mean
+	Accepted          stats.Counter
+	Rejected          stats.Counter
+	LoadsServed       stats.Counter
+	WritesServed      stats.Counter
+	PIMForwarded      stats.Counter
+}
+
+// ctrlReuse is what a released controller hands the next controller
+// built on its struct (Release, New): the hoisted callbacks, which name
+// that struct, and the indexes, slabs and recycled entries its runs grew,
+// emptied.
+type ctrlReuse struct {
 	// Dependency indexes: the youngest queued entry per line and per
 	// scope. Together with the per-entry linePrev/scopePrev links they
 	// answer "does an earlier conflicting entry exist" in O(1) — an
@@ -90,50 +130,26 @@ type Controller struct {
 	ready entryHeap
 	held  []*entry
 
-	// bankFree[i] is the time bank i next accepts an access.
+	// bankFree[i] is the time bank i next accepts an access. It holds
+	// one slot per bank of Banks, sized at the first access (banks).
 	bankFree []sim.Tick
-
-	// scheduling guards against re-entrant scheduler runs (completion
-	// callbacks can call back into the controller).
-	scheduling bool
-	rerun      bool
-
-	// refSched switches the controller to the retained linear-scan
-	// reference scheduler (refsched.go); used by the differential tests
-	// and BenchmarkScheduleRef.
-	refSched bool
-
-	// onPass, when set (tests), runs at the top of every indexed
-	// scheduling pass — the point where the ready heap must agree with
-	// the reference conflict scan.
-	onPass func()
 
 	// The outstanding PIM ops, from acceptance until PIM-module
 	// completion: one FIFO per scope, in acceptance order. pimFIFOs is
-	// indexed by slot(scope); the nodes come from the pimRefs slab, with
-	// pimFree the head of its free list (-1 when empty), so admitting
-	// and completing ops allocates nothing at steady state.
+	// indexed by slot(scope); the nodes come from the pimRefs slab, so
+	// admitting and completing ops allocates nothing at steady state.
 	pimFIFOs []pimFIFO
 	pimRefs  []pimRef
-	pimFree  int32
 
-	// entryFree recycles retired entries; finishFn and schedFn are the
-	// once-built event callbacks (ctx = *entry / nil), so steady-state
-	// scheduling allocates neither entries nor closures.
-	entryFree []*entry
-	finishFn  func(any)
-	schedFn   func(any)
-
-	// Tracer, when enabled for CatMC, logs admissions and completions.
-	Tracer *trace.Tracer
-
-	// Stats.
-	QueueLenOnArrival stats.Mean
-	Accepted          stats.Counter
-	Rejected          stats.Counter
-	LoadsServed       stats.Counter
-	WritesServed      stats.Counter
-	PIMForwarded      stats.Counter
+	// entryFree recycles retired entries; finishFn, schedFn, spaceFn and
+	// completedFn are the once-built callbacks (finishFn's ctx is an
+	// *entry), so steady-state scheduling allocates neither entries nor
+	// closures.
+	entryFree   []*entry
+	finishFn    func(any)
+	schedFn     func(any)
+	spaceFn     func()
+	completedFn func(*mem.Request)
 }
 
 // pimRef identifies one outstanding PIM op: its acceptance sequence
@@ -174,24 +190,67 @@ type entry struct {
 	scopePrev, scopeNext *entry
 }
 
-// New builds a controller over the given PIM module and backing memory.
-func New(k *sim.Kernel, module *pim.Module, backing *mem.Backing) *Controller {
-	c := &Controller{
+// ctrlFree holds released controllers.
+var ctrlFree = sim.NewFreeList[*Controller]()
+
+// New builds a controller over the given PIM module and backing memory
+// that draws requests and line buffers from pool: a released
+// controller's struct and storage when one is free.
+func New(k *sim.Kernel, pool *mem.RequestPool, module *pim.Module, backing *mem.Backing) *Controller {
+	c, ok := ctrlFree.Get(0)
+	if !ok {
+		c = new(Controller)
+		c.scopeTail = make(map[mem.ScopeID]*entry)
+		c.finishFn = func(ctx any) { c.finishDRAM(ctx.(*entry)) }
+		c.schedFn = func(any) { c.schedule() }
+		c.spaceFn = func() { c.schedule() }
+		c.completedFn = c.pimCompleted
+	}
+	*c = Controller{
 		k:           k,
 		QueueSize:   32,
 		DRAMLatency: 220,
 		Banks:       8,
 		BankBusy:    40,
+		PIMs:        c.PIMs[:0],
 		Backing:     backing,
-		Pool:        mem.NewRequestPool(),
-		scopeTail:   make(map[mem.ScopeID]*entry),
+		Pool:        pool,
 		pimFree:     -1,
+		ctrlReuse:   c.ctrlReuse,
 	}
-	c.bankFree = make([]sim.Tick, c.Banks)
-	c.finishFn = func(ctx any) { c.finishDRAM(ctx.(*entry)) }
-	c.schedFn = func(any) { c.schedule() }
 	c.AddPIMModule(module)
 	return c
+}
+
+// Release hands c, with the storage its runs grew, to the next New; the
+// caller drops c. c must be idle: nothing queued and no PIM op
+// outstanding.
+func (c *Controller) Release() {
+	if c.queueLen != 0 || c.pimOutstanding() {
+		panic("memctrl: Release of a busy controller")
+	}
+	r := c.ctrlReuse
+	r.lineTail.Reset()
+	clear(r.scopeTail)
+	clear(r.held[:cap(r.held)])
+	clear(r.pimRefs)
+	r.ready, r.held = r.ready[:0], r.held[:0]
+	r.bankFree, r.pimFIFOs, r.pimRefs = r.bankFree[:0], r.pimFIFOs[:0], r.pimRefs[:0]
+	pims := c.PIMs
+	clear(pims)
+	*c = Controller{PIMs: pims[:0], ctrlReuse: r}
+	ctrlFree.Put(0, int(unsafe.Sizeof(Controller{})), c)
+}
+
+// pimOutstanding reports whether any scope has a PIM op the module has
+// not completed.
+func (c *Controller) pimOutstanding() bool {
+	for _, f := range c.pimFIFOs {
+		if f.head >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // getEntry pops a recycled entry or allocates one.
@@ -214,8 +273,8 @@ func (c *Controller) putEntry(e *entry) {
 // AddPIMModule attaches another PIM module; scope s routes to module
 // s mod N.
 func (c *Controller) AddPIMModule(m *pim.Module) {
-	m.OnComplete = c.pimCompleted
-	m.OnSpace = func() { c.schedule() }
+	m.OnComplete = c.completedFn
+	m.OnSpace = c.spaceFn
 	c.PIMs = append(c.PIMs, m)
 }
 
@@ -419,7 +478,7 @@ func (c *Controller) issue(e *entry, now sim.Tick) bool {
 		return true
 	default:
 		bank := int(e.req.Line.Index()) % c.Banks
-		if c.bankFree[bank] > now {
+		if c.banks()[bank] > now {
 			return false // bank busy; retry when something completes
 		}
 		c.bankFree[bank] = now + c.BankBusy
@@ -429,6 +488,16 @@ func (c *Controller) issue(e *entry, now sim.Tick) bool {
 		c.k.ScheduleCtx(c.BankBusy, c.schedFn, nil)
 		return true
 	}
+}
+
+// banks returns bankFree, first sizing it to Banks, which the machine
+// sets after New.
+func (c *Controller) banks() []sim.Tick {
+	if len(c.bankFree) != c.Banks {
+		c.bankFree = slices.Grow(c.bankFree[:0], c.Banks)[:c.Banks]
+		clear(c.bankFree)
+	}
+	return c.bankFree
 }
 
 // schedule issues every runnable entry, in arrival order.

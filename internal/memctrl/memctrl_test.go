@@ -14,7 +14,7 @@ func setup() (*sim.Kernel, *mem.Backing, *pim.Module, *Controller) {
 	m := pim.NewModule(k, b)
 	m.FixedOpLatency = 500
 	m.CyclesPerMicroOp = 0
-	c := New(k, m, b)
+	c := New(k, mem.NewRequestPool(), m, b)
 	c.Functional = true
 	return k, b, m, c
 }

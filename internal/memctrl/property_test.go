@@ -29,7 +29,7 @@ func TestControllerOrderingProperty(t *testing.T) {
 		m := pim.NewModule(k, b)
 		m.FixedOpLatency = 13
 		m.CyclesPerMicroOp = 0
-		c := New(k, m, b)
+		c := New(k, mem.NewRequestPool(), m, b)
 		c.QueueSize = 8
 
 		type done struct {

@@ -8,6 +8,8 @@
 package noc
 
 import (
+	"unsafe"
+
 	"bulkpim/internal/sim"
 )
 
@@ -26,7 +28,7 @@ type Link struct {
 	// CyclesPerMsg is the serialization time per message (bandwidth limit).
 	CyclesPerMsg sim.Tick
 
-	rng      *sim.Rand
+	rng      sim.Rand
 	nextFree sim.Tick
 
 	// Delivered counts messages sent on the link.
@@ -35,12 +37,28 @@ type Link struct {
 	BusyCycles sim.Tick
 }
 
-// NewLink builds a link bound to kernel k.
+// linkFree holds released links.
+var linkFree = sim.NewFreeList[*Link]()
+
+// NewLink builds a link bound to kernel k, on a released link's struct
+// when one is free. It draws its jitter from a copy of rng, which it does
+// not keep.
 func NewLink(k *sim.Kernel, name string, latency, jitter, cyclesPerMsg sim.Tick, rng *sim.Rand) *Link {
 	if cyclesPerMsg == 0 {
 		cyclesPerMsg = 1
 	}
-	return &Link{Name: name, k: k, Latency: latency, Jitter: jitter, CyclesPerMsg: cyclesPerMsg, rng: rng}
+	l, ok := linkFree.Get(0)
+	if !ok {
+		l = new(Link)
+	}
+	*l = Link{Name: name, k: k, Latency: latency, Jitter: jitter, CyclesPerMsg: cyclesPerMsg, rng: *rng}
+	return l
+}
+
+// Release hands l to the next NewLink; the caller drops l.
+func (l *Link) Release() {
+	*l = Link{}
+	linkFree.Put(0, int(unsafe.Sizeof(Link{})), l)
 }
 
 // SendCtx schedules fn(ctx) to run at the destination after link

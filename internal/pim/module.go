@@ -1,6 +1,9 @@
 package pim
 
 import (
+	"fmt"
+	"unsafe"
+
 	"bulkpim/internal/mem"
 	"bulkpim/internal/sim"
 	"bulkpim/internal/stats"
@@ -46,23 +49,13 @@ type Module struct {
 	// Tracer, when enabled for CatPIM, logs op start and completion.
 	Tracer *trace.Tracer
 
-	// scopes is indexed by slot(scope); nodes is the FIFO node slab, with
-	// free the head of its free list (-1 when empty).
-	scopes []scopeState
-	nodes  []opNode
-	free   int32
-	// ready lists the slots of the scopes that are idle with a waiting
-	// op, oldest head op first; tryStart empties it. It is born sorted:
-	// complete runs as a kernel event, after every earlier module call
-	// emptied the list, so it pushes onto an empty list, and TryEnqueue
-	// pushes only a scope whose head is the op that just arrived, newer
-	// than every other head.
-	ready []int32
 	// buffered, executing and waiting count buffered ops, executing ops
 	// and scopes with at least one buffered op.
 	buffered, executing, waiting int
-	// completeFn is the hoisted completion callback (no per-op closure).
-	completeFn func(any)
+	// free is the head of the node slab's free list (-1 when empty).
+	free int32
+
+	moduleReuse
 
 	// Stats (names match the figures they feed).
 	BufLenOnArrival   stats.Mean // Fig. 10a
@@ -70,6 +63,24 @@ type Module struct {
 	ExecCycles        stats.Mean
 	OpsExecuted       stats.Counter
 	PeakBuffer        int
+}
+
+// moduleReuse is what a released module hands the next module built on
+// its struct (Release, NewModule): the hoisted completion callback, which
+// names that struct, and the tables its runs grew, emptied.
+type moduleReuse struct {
+	// scopes is indexed by slot(scope); nodes is the FIFO node slab.
+	scopes []scopeState
+	nodes  []opNode
+	// ready lists the slots of the scopes that are idle with a waiting
+	// op, oldest head op first; tryStart empties it. It is born sorted:
+	// complete runs as a kernel event, after every earlier module call
+	// emptied the list, so it pushes onto an empty list, and TryEnqueue
+	// pushes only a scope whose head is the op that just arrived, newer
+	// than every other head.
+	ready []int32
+	// completeFn is the hoisted completion callback (no per-op closure).
+	completeFn func(any)
 }
 
 // scopeState is one scope's slot: the FIFO of its buffered ops, as node
@@ -86,18 +97,40 @@ type opNode struct {
 	next int32
 }
 
-// NewModule builds a module bound to kernel k.
+// moduleFree holds released modules.
+var moduleFree = sim.NewFreeList[*Module]()
+
+// NewModule builds a module bound to kernel k, on a released module's
+// struct and tables when one is free.
 func NewModule(k *sim.Kernel, backing *mem.Backing) *Module {
-	m := &Module{
+	m, ok := moduleFree.Get(0)
+	if !ok {
+		m = new(Module)
+		m.completeFn = func(x any) { m.complete(x.(*mem.Request)) }
+	}
+	*m = Module{
 		k:                k,
 		Backing:          backing,
 		BufferSize:       128,
 		CyclesPerMicroOp: 360, // ~100ns per array micro-op at 3.6GHz
 		FixedOpLatency:   720,
 		free:             -1,
+		moduleReuse:      m.moduleReuse,
 	}
-	m.completeFn = func(x any) { m.complete(x.(*mem.Request)) }
 	return m
+}
+
+// Release hands m, with the tables its runs grew, to the next NewModule;
+// the caller drops m. m must be idle: nothing buffered or executing.
+func (m *Module) Release() {
+	if n := m.InFlight(); n != 0 {
+		panic(fmt.Sprintf("pim: Release of a module with %d ops in flight", n))
+	}
+	r := m.moduleReuse
+	clear(r.nodes)
+	r.scopes, r.nodes, r.ready = r.scopes[:0], r.nodes[:0], r.ready[:0]
+	*m = Module{moduleReuse: r}
+	moduleFree.Put(0, int(unsafe.Sizeof(Module{})), m)
 }
 
 // slot maps a scope to its index in m.scopes. NoScope (-1) gets slot 0,

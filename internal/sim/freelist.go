@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// FreeList recycles a finished machine's large buffers for the next
-// machine built in the process: a machine's Release puts its buffers,
-// the constructors get them back. Entries are grouped by size class (a
-// buffer's length), and a class keeps at most FreeListCap entries, so a
-// long-lived process retains a few megabytes. A FreeList is safe for
+// FreeList recycles a finished machine's structures and buffers for the
+// next machine built in the process: a machine's Release puts them, the
+// constructors get them back. Entries are grouped by size class (a
+// buffer's length; 0 for a component's struct), and a class keeps at
+// most FreeListCap entries, so a long-lived process retains a few
+// megabytes. A FreeList is safe for
 // concurrent use; make one with NewFreeList.
 type FreeList[T any] struct {
 	mu      sync.Mutex

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"bulkpim/internal/cpu"
+	"bulkpim/internal/mem"
 	"bulkpim/internal/sim"
 )
 
@@ -19,6 +21,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("smallest geometry with %d cores and %d modules rejected: %v", maxCores, maxModules, err)
 	}
 	New(ok).Release()
+	ok.Banks = maxBanks
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("%d banks rejected: %v", maxBanks, err)
+	}
 	// The largest capped geometries validate (New is not called: they
 	// are still tens of megabytes).
 	largest := Default()
@@ -65,6 +71,8 @@ func TestConfigValidate(t *testing.T) {
 		// Values that divide by zero, deadlock or silently misrun.
 		"Banks=0":           func(c *Config) { c.Banks = 0 },
 		"Banks=-1":          func(c *Config) { c.Banks = -1 },
+		"Banks=1025":        func(c *Config) { c.Banks = maxBanks + 1 }, // bank state is per bank
+		"Banks=2^40":        func(c *Config) { c.Banks = 1 << 40 },
 		"MCQueue=0":         func(c *Config) { c.MCQueue = 0 },
 		"MLP=0":             func(c *Config) { c.MLP = 0 },
 		"PIMCredits=0":      func(c *Config) { c.PIMCredits = 0 },
@@ -101,6 +109,34 @@ func TestConfigValidate(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// A machine runs at every bank count Validate accepts: the controller
+// sizes its bank state from the Banks it runs with, not from its own
+// default of 8. A burst over 2*maxBanks consecutive lines reaches every
+// bank; one bank serializes its DRAM accesses.
+func TestRunAtBankCounts(t *testing.T) {
+	const lines = 2 * maxBanks
+	cycles := map[int]sim.Tick{}
+	for _, banks := range []int{1, 16, maxBanks} {
+		cfg := Default()
+		cfg.Banks = banks
+		s := New(cfg)
+		res, err := s.Run([]cpu.Thread{&cpu.SliceThread{Instrs: []cpu.Instr{
+			{Kind: cpu.InstrLoadBurst, Burst: []cpu.BurstRange{{Start: 0x100000, Bytes: lines * mem.LineSize}}},
+		}}})
+		if err != nil {
+			t.Fatalf("Banks=%d: %v", banks, err)
+		}
+		if got := res.Stats["mc.loads"]; got != lines {
+			t.Errorf("Banks=%d: %v DRAM loads, want %d", banks, got, lines)
+		}
+		cycles[banks] = res.Cycles
+		s.Release()
+	}
+	if cycles[1] <= cycles[16] {
+		t.Errorf("1 bank ran the burst in %d cycles, 16 banks in %d", cycles[1], cycles[16])
 	}
 }
 

@@ -152,6 +152,10 @@ const maxCores = 64
 // up front, a few hundred bytes each before any run.
 const maxModules = maxCores
 
+// maxBanks caps Banks: the memory controller keeps state per bank. 1 024
+// is 64x the paper's 8 banks.
+const maxBanks = 1 << 10
+
 // maxLines caps the entries of one cache level (or one scope-buffer
 // level), summed over its per-core copies: 2^20 lines is 64 MB of
 // 64-byte lines, 8x the paper's largest LLC (8 MB, 131 072 lines). An
@@ -175,7 +179,7 @@ func capLines(name string, sets, ways, count int) error {
 // and at least one way; a scope buffer without sets or ways; a cache or
 // scope-buffer level over maxLines entries; no banks, queue slots,
 // memory-level parallelism, PIM credits or PIM modules; more than
-// maxModules PIM modules; a non-positive clock; a scope size other than
+// maxBanks banks or maxModules PIM modules; a non-positive clock; a scope size other than
 // the one the PIM geometry tiles (2 MB); no scopes; or a PIM base that
 // is not scope-aligned. PIMBufferSize 0 is valid (unbounded, Fig. 11a),
 // and so are zero latencies (an ideal L1 or DRAM).
@@ -221,6 +225,9 @@ func (c Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("system: %s = %d, want >= 1", f.name, f.v)
 		}
+	}
+	if c.Banks > maxBanks {
+		return fmt.Errorf("system: Banks = %d, want <= %d", c.Banks, maxBanks)
 	}
 	if c.PIMModules > maxModules {
 		return fmt.Errorf("system: PIMModules = %d, want <= %d", c.PIMModules, maxModules)

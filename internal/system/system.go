@@ -38,8 +38,10 @@ type System struct {
 	Tracer     *trace.Tracer
 	Violations stats.Counter
 
-	// pool is the request pool every component shares.
-	pool *mem.RequestPool
+	// pool is the request pool every component shares; links are every
+	// NoC link, which Release hands on.
+	pool  *mem.RequestPool
+	links []*noc.Link
 
 	// failed marks a machine whose Run returned an error; released one
 	// whose buffers went back (see Release).
@@ -81,11 +83,10 @@ func New(cfg Config) *System {
 	}
 	module := modules[0]
 
-	mc := memctrl.New(k, module, backing)
+	mc := memctrl.New(k, pool, module, backing)
 	for _, m := range modules[1:] {
 		mc.AddPIMModule(m)
 	}
-	mc.Pool = pool
 	mc.Functional = cfg.Functional
 	mc.QueueSize = cfg.MCQueue
 	mc.DRAMLatency = cfg.DRAMLatency
@@ -98,8 +99,7 @@ func New(cfg Config) *System {
 	// ablations strip; scope-relaxed adds a whole one to each L1 (§V-E).
 	// One scan cost prices both levels.
 	scan := cache.ScanCost{PerSet: cfg.ScanPerSet, PerLine: cfg.ScanPerLine}
-	llc := cache.NewLLC(k, cfg.Model, cfg.LLCSets, cfg.LLCWays, cfg.LLCHitLatency, scopes)
-	llc.Pool = pool
+	llc := cache.NewLLC(k, pool, cfg.Model, cfg.LLCSets, cfg.LLCWays, cfg.LLCHitLatency, scopes)
 	llc.Scan = scan
 	if cfg.Model.FlushesLLCOnPIMOp() {
 		sbSets := cfg.LLCScopeBufSets
@@ -112,6 +112,12 @@ func New(cfg Config) *System {
 	s := &System{
 		Cfg: cfg, K: k, Backing: backing, Scopes: scopes, Geom: geom,
 		LLC: llc, MC: mc, PIM: module, PIMs: modules, pool: pool,
+		links: make([]*noc.Link, 0, 4*cfg.Cores+2),
+	}
+	link := func(name string, latency, jitter sim.Tick) *noc.Link {
+		l := noc.NewLink(k, name, latency, jitter, 1, rng.Fork())
+		s.links = append(s.links, l)
+		return l
 	}
 	if cfg.TraceCategories != "" {
 		mask, _ := trace.ParseCategories(cfg.TraceCategories) // checked by Validate
@@ -130,26 +136,24 @@ func New(cfg Config) *System {
 	down := make([]*noc.Link, cfg.Cores)
 	ackLinks := make([]*noc.Link, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		l1s[i] = cache.NewL1(k, i, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLatency)
-		l1s[i].Pool = pool
+		l1s[i] = cache.NewL1(k, pool, i, cfg.L1Sets, cfg.L1Ways, cfg.L1HitLatency)
 		l1s[i].Scan = scan
 		if cfg.Model.ScopeStructuresInAllCaches() {
 			l1s[i].EnableScope(cfg.L1ScopeBufSets, cfg.L1ScopeBufWays, true)
 		}
-		up := noc.NewLink(k, fmt.Sprintf("up%d", i), cfg.CoreLLCLatency, cfg.CoreLLCJitter, 1, rng.Fork())
-		l1s[i].Connect(llc, up)
-		down[i] = noc.NewLink(k, fmt.Sprintf("down%d", i), cfg.CoreLLCLatency, cfg.CoreLLCJitter, 1, rng.Fork())
-		ackLinks[i] = noc.NewLink(k, fmt.Sprintf("ack%d", i), cfg.CoreLLCLatency, 0, 1, rng.Fork())
+		names := &coreLinkNames[i]
+		l1s[i].Connect(llc, link(names.up, cfg.CoreLLCLatency, cfg.CoreLLCJitter))
+		down[i] = link(names.down, cfg.CoreLLCLatency, cfg.CoreLLCJitter)
+		ackLinks[i] = link(names.ack, cfg.CoreLLCLatency, 0)
 	}
-	mcLink := noc.NewLink(k, "llc-mc", cfg.LLCMCLatency, 0, 1, rng.Fork())
-	mcResp := noc.NewLink(k, "mc-llc", cfg.LLCMCLatency, 0, 1, rng.Fork())
+	mcLink := link("llc-mc", cfg.LLCMCLatency, 0)
+	mcResp := link("mc-llc", cfg.LLCMCLatency, 0)
 	llc.Connect(l1s, down, mc, mcLink, mcResp)
 	s.L1s = l1s
 
 	cores := make([]*cpu.Core, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		c := cpu.NewCore(k, i, cfg.Model)
-		c.Pool = pool
+		c := cpu.NewCore(k, pool, i, cfg.Model)
 		c.Functional = cfg.Functional
 		c.L1 = l1s[i]
 		c.LLC = llc
@@ -161,7 +165,7 @@ func New(cfg Config) *System {
 		c.StoreBufferCap = cfg.StoreBufCap
 		c.PIMCredits = cfg.PIMCredits
 		c.Tracer = s.Tracer
-		c.Direct = noc.NewLink(k, fmt.Sprintf("direct%d", i), cfg.CoreLLCLatency, cfg.CoreLLCJitter, 1, rng.Fork())
+		c.Direct = link(coreLinkNames[i].direct, cfg.CoreLLCLatency, cfg.CoreLLCJitter)
 		cores[i] = c
 	}
 	s.Cores = cores
@@ -182,6 +186,18 @@ func New(cfg Config) *System {
 	return s
 }
 
+// coreLinkNames names each core's links, built once rather than per
+// machine.
+var coreLinkNames = func() (names [maxCores]struct{ up, down, ack, direct string }) {
+	for i := range names {
+		names[i].up = fmt.Sprintf("up%d", i)
+		names[i].down = fmt.Sprintf("down%d", i)
+		names[i].ack = fmt.Sprintf("ack%d", i)
+		names[i].direct = fmt.Sprintf("direct%d", i)
+	}
+	return names
+}()
+
 // Result summarizes one run.
 type Result struct {
 	Cycles  sim.Tick
@@ -196,14 +212,16 @@ type Result struct {
 // requests and line buffers its run grew.
 var poolFree = sim.NewFreeList[*mem.RequestPool]()
 
-// Release hands the machine's large buffers to the free lists the next
-// New draws from: the L1 and LLC line arrays, their payload blocks, the
-// request pool and the event kernel, which s.K stops naming. It leaves s
-// unusable: a second Release, a Run, and a cache lookup or a run of the
-// kernel on s panic. A machine whose Run returned an error, or whose
-// kernel still holds events, gives nothing back. Calling Release is
-// optional; a machine never released goes to the garbage collector
-// whole.
+// Release hands every per-machine structure to the free lists the next
+// New draws from: the cores, the L1s and the LLC with their line arrays,
+// payload blocks and scope units, the memory controller, the PIM modules,
+// the links, the request pool and the event kernel. Each is handed on
+// with the storage its run grew and none of its state. Release leaves s
+// unusable: s stops naming them, and a second Release, a Run, and a
+// cache lookup or a run of the kernel on s panic. A machine whose Run
+// returned an error, or whose kernel still holds events, gives nothing
+// back. Calling Release is optional; a machine never released goes to
+// the garbage collector whole.
 //
 // Release checks what it hands on: every pooled request must have come
 // back to the pool, and every scope bit-vector must match its lines.
@@ -223,10 +241,20 @@ func (s *System) Release() {
 		l1.Release()
 	}
 	s.LLC.Release()
+	for _, c := range s.Cores {
+		c.Release()
+	}
+	s.MC.Release()
+	for _, m := range s.PIMs {
+		m.Release()
+	}
+	for _, l := range s.links {
+		l.Release()
+	}
 	p.Gets, p.Puts = 0, 0
 	poolFree.Put(0, p.FreeRequests()*int(unsafe.Sizeof(mem.Request{}))+p.FreeLines()*mem.LineSize, p)
 	s.K.Release()
-	s.K = nil
+	s.K, s.Cores, s.L1s, s.LLC, s.MC, s.PIM, s.PIMs, s.links = nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // Run executes one thread per core (len(threads) <= cores) and returns

@@ -1,0 +1,7 @@
+//go:build race
+
+package tpch
+
+// raceEnabled reports a race-detector build. TestGridAllocBound skips
+// there: it checks no concurrency and runs ten times slower.
+const raceEnabled = true

@@ -16,6 +16,11 @@ type Workload struct {
 	Runs    int
 	Threads int
 	Verify  bool
+
+	// progs is the query's op sequence for a timing-only run. It carries
+	// no Apply closure, so one compilation serves every scope of every
+	// run.
+	progs []*mem.PIMProgram
 }
 
 // NewWorkload prepares query q for nThreads workers. scale (0 < scale <= 1)
@@ -26,10 +31,12 @@ func NewWorkload(q QuerySpec, nThreads int, scale float64, verify bool) *Workloa
 	}
 	scopes := max(int(float64(q.Scopes)*scale), nThreads)
 	runs := max(int(float64(q.Runs)*scale+0.5), 1)
-	return &Workload{
+	w := &Workload{
 		Q: q, Layout: pimdb.DefaultLayout(), Scopes: scopes,
 		Runs: runs, Threads: nThreads, Verify: verify,
 	}
+	w.progs = q.Compile(w.Layout, 0, false)
+	return w
 }
 
 // SystemConfig sizes the system for the workload.
@@ -55,9 +62,7 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 		th := &thread{w: w, sys: sys, bar: bar, id: t,
 			owned: (w.Scopes + w.Threads - 1 - t) / w.Threads}
 		if !sys.Cfg.Functional {
-			// Timing-only programs carry no Apply closure, so one
-			// compilation serves every scope of every run.
-			th.progs = w.Q.Compile(w.Layout, 0, false)
+			th.progs = w.progs
 		}
 		out[t] = th
 	}
@@ -92,8 +97,9 @@ type thread struct {
 	// of them.
 	id, owned int
 
-	// progs is the op sequence of the scope being issued: compiled once
-	// on a timing-only machine, per scope and run on a functional one.
+	// progs is the op sequence of the scope being issued: the workload's
+	// on a timing-only machine, compiled per scope and run on a
+	// functional one.
 	progs []*mem.PIMProgram
 
 	run, step int

@@ -326,3 +326,41 @@ func TestRunAllocBound(t *testing.T) {
 			float64(got)/(1<<10), float64(maxBytes)/(1<<10))
 	}
 }
+
+// A warm pass over the Fig. 8 grid allocates little: every machine is
+// built on the structures the previous one released, the timing-only
+// programs are compiled with the workload, and the threads emit from a
+// cursor. What is left is each point's Result and threads, and each
+// machine's System and wiring.
+func TestGridAllocBound(t *testing.T) {
+	const maxBytes = 1500 << 10
+	if testing.Short() || raceEnabled {
+		t.Skip("two passes over the Fig. 8 grid")
+	}
+	models := []core.Model{core.Naive, core.SWFlush, core.Atomic, core.Store, core.Scope, core.ScopeRelaxed}
+	var ws []*Workload
+	for _, q := range Queries() {
+		ws = append(ws, NewWorkload(q, 4, 0.1, false))
+	}
+	pass := func() {
+		for _, w := range ws {
+			for _, m := range models {
+				cfg := system.Default()
+				cfg.Model = m
+				if _, err := Run(w, cfg); err != nil {
+					t.Fatalf("%s/%s: %v", w.Q.Name, m, err)
+				}
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+		t.Fatalf("a warm pass over the Fig. 8 grid (%d points) allocated %.0f KB, want <= %.0f KB",
+			len(ws)*len(models), float64(got)/(1<<10), float64(maxBytes)/(1<<10))
+	}
+}

@@ -520,3 +520,44 @@ func BenchmarkThreadStream(b *testing.B) {
 		}
 	}
 }
+
+// A warm pass over one seed's Fig. 7 quick grid (4 record counts x 6
+// models, 16 operations) allocates little: every machine is built on the
+// structures the previous one released, and the threads emit from a
+// cursor over ops compiled with the workload.
+func TestGridAllocBound(t *testing.T) {
+	const maxBytes = 1 << 20
+	if testing.Short() || raceEnabled {
+		t.Skip("two passes over the Fig. 7 quick grid")
+	}
+	models := []core.Model{core.Naive, core.SWFlush, core.Atomic, core.Store, core.Scope, core.ScopeRelaxed}
+	var ws []*Workload
+	for _, records := range []int{100_000, 500_000, 2_000_000, 8_000_000} {
+		p := DefaultParams(records)
+		p.Operations = 16
+		w := New(p)
+		w.Precompute()
+		ws = append(ws, w)
+	}
+	pass := func() {
+		for _, w := range ws {
+			for _, m := range models {
+				cfg := system.Default()
+				cfg.Model = m
+				if _, err := Run(w, cfg); err != nil {
+					t.Fatalf("records=%d/%s: %v", w.P.Records, m, err)
+				}
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+		t.Fatalf("a warm pass over the Fig. 7 quick grid (%d points) allocated %.0f KB, want <= %.0f KB",
+			len(ws)*len(models), float64(got)/(1<<10), float64(maxBytes)/(1<<10))
+	}
+}

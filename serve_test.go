@@ -43,6 +43,12 @@ func TestParseConfigOverride(t *testing.T) {
 	if _, err := ParseConfigOverride([]byte(`{"L1HitLatency":0,"DRAMLatency":0}`)); err != nil {
 		t.Fatalf("zero latencies rejected: %v", err)
 	}
+	// Any bank count from 1 to 1024 runs (TestRunAtBankCounts).
+	for _, banks := range []string{`{"Banks":1}`, `{"Banks":16}`, `{"Banks":1024}`} {
+		if _, err := ParseConfigOverride([]byte(banks)); err != nil {
+			t.Fatalf("%s rejected: %v", banks, err)
+		}
+	}
 
 	for _, empty := range []string{"", "   ", "null"} {
 		mut, err := ParseConfigOverride([]byte(empty))
@@ -58,12 +64,13 @@ func TestParseConfigOverride(t *testing.T) {
 		`{"Cores":2} {"x":1}`, // trailing data
 		`{"Cores":`,           // truncated
 		`true`,
-		`{"Cores":65}`,  // more cores than the sharer mask tracks
-		`{"Cores":0}`,   // no cores
-		`{"LLCSets":3}`, // not a power of two
-		`{"L1Ways":0}`,  // no ways
-		`{"Banks":0}`,   // divides by zero
-		`{"Banks":-1}`,  // silently misruns
+		`{"Cores":65}`,   // more cores than the sharer mask tracks
+		`{"Cores":0}`,    // no cores
+		`{"LLCSets":3}`,  // not a power of two
+		`{"L1Ways":0}`,   // no ways
+		`{"Banks":0}`,    // divides by zero
+		`{"Banks":-1}`,   // silently misruns
+		`{"Banks":1025}`, // bank state is per bank
 		`{"ScopeSize":0}`,
 		`{"L1ScopeBufWays":0}`,
 		`{"MCQueue":0}`, // deadlocks
