@@ -107,11 +107,12 @@ type PIMProgram = mem.PIMProgram
 
 // NewPIMProgram builds a custom PIM program: microOps drives the latency
 // model; apply, when non-nil, performs the functional memory update
-// through byte-granular read/write accessors.
+// through byte-granular read/write accessors on absolute addresses, so it
+// does the same thing whichever scope it is issued to.
 func NewPIMProgram(name string, microOps int, apply func(read func(Addr) byte, write func(Addr, byte))) *PIMProgram {
 	p := &PIMProgram{Name: name, MicroOps: microOps}
 	if apply != nil {
-		p.Apply = func(b *mem.Backing, writer uint64) {
+		p.Apply = func(b *mem.Backing, _ mem.Addr, writer uint64) {
 			touched := make(map[mem.LineAddr]bool)
 			apply(b.ByteAt, func(a Addr, v byte) {
 				b.SetByte(a, v)

@@ -3,13 +3,13 @@
 //
 // Each benchmark line becomes a record carrying ns/op plus any custom
 // metrics (events/sec, ns/row-bit). For every benchmark with a paired
-// baseline in the same input — Foo / FooBitSerial (the bit-serial arith
-// references) or Foo / FooRef (the reference-scheduler baselines) — the
+// baseline in the same input — Foo / FooBitSerial (the bit-serial
+// comparator reference) or Foo / FooRef (the reference-scheduler baselines) — the
 // tool computes speedup = ns/op(baseline) / ns/op(Foo); the baseline is
 // recorded in the same run, on the same machine, so the ratio is
 // load-comparable.
 //
-//	go test -bench ... ./... | benchjson -min-speedup 3 -gate AddFields,MulFields > BENCH_sim_throughput.json
+//	go test -bench ... ./... | benchjson -min-speedup 3 -gate CmpConst,Schedule,Module > BENCH_sim_throughput.json
 //
 // With -min-speedup > 0, a gated pair below the threshold fails the
 // run (exit 1) after writing the JSON, so CI still uploads the
@@ -271,7 +271,7 @@ func benchName(s string) string {
 }
 
 // baselineSuffixes mark baseline benchmarks: FooBitSerial is Foo's
-// bit-serial arith reference, FooRef its reference-scheduler (linear
+// bit-serial reference, FooRef its reference-scheduler (linear
 // conflict scan) counterpart, FooUnpooled its pool-disabled allocation
 // baseline.
 var baselineSuffixes = []string{"BitSerial", "Ref", "Unpooled"}

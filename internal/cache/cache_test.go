@@ -204,7 +204,7 @@ func TestPIMOpScanFlushesScopeAndWritesBackFirst(t *testing.T) {
 	// AFTER the writeback (egress FIFO + MC same-scope ordering).
 	var seen byte = 0xFF
 	req := pimReq(scope)
-	req.Prog.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(base) }
+	req.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) { seen = b.ByteAt(base) }
 	r.llc.Receive(req)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestBaselinePIMOpDoesNotFlush(t *testing.T) {
 	r.storeVia(t, 0, line, 0, 0x21, 6)
 	var seen byte = 0xFF
 	req := pimReq(scope)
-	req.Prog.Apply = func(b *mem.Backing, w uint64) { seen = b.ByteAt(mem.Addr(line)) }
+	req.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) { seen = b.ByteAt(mem.Addr(line)) }
 	r.llc.Receive(req)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestStaleMissBypassesCache(t *testing.T) {
 	// delivered after the GetS registers at the LLC but before the DRAM
 	// fill returns.
 	p := pimReq(scope)
-	p.Prog.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base, 0x02) }
+	p.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) { b.SetByte(base, 0x02) }
 	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestStaleExclusiveMissReplays(t *testing.T) {
 		stored = true
 	}})
 	p := pimReq(scope)
-	p.Prog.Apply = func(b *mem.Backing, w uint64) { b.SetByte(base+1, 0x0B) }
+	p.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) { b.SetByte(base+1, 0x0B) }
 	r.k.ScheduleCtx(40, func(any) { r.llc.Receive(p) }, nil)
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)

@@ -122,7 +122,7 @@ func TestScanWritebackOrderingProperty(t *testing.T) {
 		}
 		var mismatch int
 		req := pimReq(scope)
-		req.Prog.Apply = func(b *mem.Backing, w uint64) {
+		req.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) {
 			for a, v := range want {
 				if b.ByteAt(a) != v {
 					mismatch++
@@ -150,7 +150,7 @@ func TestEgressOrderUnderPressure(t *testing.T) {
 		req := pimReq(scope)
 		name := string(rune('a' + i))
 		req.Prog.Name = name
-		req.Prog.Apply = func(b *mem.Backing, w uint64) { order = append(order, name) }
+		req.Prog.Apply = func(b *mem.Backing, _ mem.Addr, w uint64) { order = append(order, name) }
 		r.llc.Receive(req)
 	}
 	if _, err := r.k.Run(); err != nil {

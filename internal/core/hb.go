@@ -35,8 +35,6 @@ type Event struct {
 type Recorder struct {
 	// Model selects which program-order edges are guaranteed.
 	Model Model
-	// Enabled gates all recording; a disabled recorder is free.
-	Enabled bool
 
 	events     []Event
 	threadOps  map[int][]EventID
@@ -45,11 +43,11 @@ type Recorder struct {
 	readLine   map[EventID]mem.LineAddr
 }
 
-// NewRecorder returns an enabled recorder for model m.
+// NewRecorder returns a recorder for model m. A nil *Recorder is "off":
+// callers test for nil before recording.
 func NewRecorder(m Model) *Recorder {
 	return &Recorder{
 		Model:      m,
-		Enabled:    true,
 		threadOps:  make(map[int][]EventID),
 		lineWrites: make(map[mem.LineAddr][]EventID),
 		rf:         make(map[EventID]EventID),
@@ -60,9 +58,6 @@ func NewRecorder(m Model) *Recorder {
 // RecordOp appends an operation to thread's program order and returns its
 // event ID (first ID is 1).
 func (r *Recorder) RecordOp(thread int, op OpRef, label string) EventID {
-	if !r.Enabled {
-		return 0
-	}
 	id := EventID(len(r.events) + 1)
 	r.events = append(r.events, Event{ID: id, Thread: thread, Op: op, Label: label})
 	r.threadOps[thread] = append(r.threadOps[thread], id)
@@ -73,7 +68,7 @@ func (r *Recorder) RecordOp(thread int, op OpRef, label string) EventID {
 // at the operation's visibility point (store drain to an M-state line, PIM
 // execution in the memory array).
 func (r *Recorder) RecordWrite(ev EventID, line mem.LineAddr) {
-	if !r.Enabled || ev == 0 {
+	if ev == 0 {
 		return
 	}
 	ws := r.lineWrites[line]
@@ -86,7 +81,7 @@ func (r *Recorder) RecordWrite(ev EventID, line mem.LineAddr) {
 // RecordRead links reader ev to the writer whose value it observed
 // (writer 0 = initial memory contents).
 func (r *Recorder) RecordRead(ev EventID, line mem.LineAddr, writer EventID) {
-	if !r.Enabled || ev == 0 {
+	if ev == 0 {
 		return
 	}
 	r.rf[ev] = writer

@@ -135,22 +135,6 @@ func TestScopeModelPIMLoadReorderAllowed(t *testing.T) {
 	}
 }
 
-func TestRecorderDisabled(t *testing.T) {
-	r := NewRecorder(Atomic)
-	r.Enabled = false
-	if id := r.RecordOp(0, OpRef{Class: OpLoad}, "x"); id != 0 {
-		t.Fatal("disabled recorder returned id")
-	}
-	r.RecordWrite(1, lineA)
-	r.RecordRead(1, lineA, 0)
-	if r.Events() != 0 {
-		t.Fatal("disabled recorder stored events")
-	}
-	if r.FindCycle() != nil {
-		t.Fatal("disabled recorder found cycle")
-	}
-}
-
 func TestRecorderEventAccessors(t *testing.T) {
 	r := NewRecorder(Atomic)
 	id := r.RecordOp(2, OpRef{Class: OpStore, Line: lineA}, "w")

@@ -126,40 +126,6 @@ func (m Model) FlushesLLCOnPIMOp() bool { return m >= Atomic }
 // scope buffer and SBV (scope-relaxed), or only the LLC (Table I).
 func (m Model) ScopeStructuresInAllCaches() bool { return m == ScopeRelaxed }
 
-// GateKind describes what the memory-subsystem entry point (the write
-// buffer, §V-C/D) holds back while a PIM op awaits its ACK.
-type GateKind uint8
-
-const (
-	// GateNone: nothing is held back (baselines, scope-relaxed).
-	GateNone GateKind = iota
-	// GateAll: the core stalls completely until the ACK (atomic model,
-	// Fig. 6a: the PIM op does not commit until the ACK arrives).
-	GateAll
-	// GateStoreOrder: stores and PIM ops wait; loads to other scopes may
-	// bypass, loads to the pending PIM op's scope wait (store model,
-	// Fig. 6b under x86-TSO).
-	GateStoreOrder
-	// GateSameScope: only operations addressed to a scope with an
-	// outstanding PIM op wait; the entry point is a non-FIFO write buffer
-	// (scope model, §V-D).
-	GateSameScope
-)
-
-// EntryGate returns the entry-point policy of the model.
-func (m Model) EntryGate() GateKind {
-	switch m {
-	case Atomic:
-		return GateAll
-	case Store:
-		return GateStoreOrder
-	case Scope:
-		return GateSameScope
-	default:
-		return GateNone
-	}
-}
-
 // NeedsScopeFence reports whether software must issue scope-fences to order
 // PIM ops with same-scope memory operations (scope-relaxed only).
 func (m Model) NeedsScopeFence() bool { return m == ScopeRelaxed }

@@ -30,17 +30,16 @@ func TestModelProperties(t *testing.T) {
 	cases := []struct {
 		m            Model
 		correct, ack bool
-		gate         GateKind
 		flushLLC     bool
 		allCaches    bool
 	}{
-		{Naive, false, false, GateNone, false, false},
-		{SWFlush, false, false, GateNone, false, false},
-		{Uncacheable, false, false, GateNone, false, false},
-		{Atomic, true, true, GateAll, true, false},
-		{Store, true, true, GateStoreOrder, true, false},
-		{Scope, true, true, GateSameScope, true, false},
-		{ScopeRelaxed, true, false, GateNone, true, true},
+		{Naive, false, false, false, false},
+		{SWFlush, false, false, false, false},
+		{Uncacheable, false, false, false, false},
+		{Atomic, true, true, true, false},
+		{Store, true, true, true, false},
+		{Scope, true, true, true, false},
+		{ScopeRelaxed, true, false, true, true},
 	}
 	for _, c := range cases {
 		if c.m.GuaranteesCorrectness() != c.correct {
@@ -48,9 +47,6 @@ func TestModelProperties(t *testing.T) {
 		}
 		if c.m.RequiresACK() != c.ack {
 			t.Errorf("%v ack", c.m)
-		}
-		if c.m.EntryGate() != c.gate {
-			t.Errorf("%v gate", c.m)
 		}
 		if c.m.FlushesLLCOnPIMOp() != c.flushLLC {
 			t.Errorf("%v flush", c.m)

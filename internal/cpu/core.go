@@ -741,8 +741,8 @@ func (c *Core) execBurst(in Instr) {
 		first := mem.LineOf(r.Start)
 		last := mem.LineOf(r.Start + mem.Addr(r.Bytes) - 1)
 		for l := first; ; l += mem.LineSize {
-			lo := max64(uint64(l.Addr()), uint64(r.Start))
-			hi := min64(uint64(l.Addr())+mem.LineSize, uint64(r.Start)+uint64(r.Bytes))
+			lo := max(uint64(l.Addr()), uint64(r.Start))
+			hi := min(uint64(l.Addr())+mem.LineSize, uint64(r.Start)+uint64(r.Bytes))
 			words := int(hi-lo+mem.WordSize-1) / mem.WordSize
 			bs.lines = append(bs.lines, l)
 			bs.words = append(bs.words, words)
@@ -1106,7 +1106,7 @@ func (c *Core) execScopeFence(in Instr) {
 	c.next(1)
 }
 
-func (c *Core) hbOn() bool { return c.HB != nil && c.HB.Enabled }
+func (c *Core) hbOn() bool { return c.HB != nil }
 
 // DebugState summarizes the core for deadlock diagnostics.
 func (c *Core) DebugState() string {
@@ -1119,18 +1119,4 @@ func (c *Core) DebugState() string {
 	}
 	return fmt.Sprintf("core%d done=%v state=%s last=%d sb=%d outLoads=%d credits=%d unacked=%v queued=%d draining=%v l1mshr=%d",
 		c.ID, c.done, state, c.lastInstr, len(c.sb), c.outLoads, c.pimCreditUse, c.pimUnacked, c.pimQueued, c.draining, c.L1.MSHRLen())
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -49,19 +49,21 @@ func (k ReqKind) String() string {
 // row-parallel micro-operations executed inside the scope's crossbar
 // arrays. The host hardware only understands the request's scope (the
 // "scope abstraction", paper §III); the program is opaque to it and
-// interpreted by the PIM module. MicroOps drives the latency model;
-// Apply, when non-nil, performs the functional update on backing memory
-// (functional mode).
+// interpreted by the PIM module. A program names no scope: one compiled
+// program serves every scope it is issued to, and the module tells Apply
+// which. MicroOps drives the latency model; Apply, when non-nil, performs
+// the functional update on backing memory (functional mode only).
 type PIMProgram struct {
 	// Name labels the op for traces and stats (e.g. "cmp_ge:key").
 	Name string
 	// MicroOps is the number of basic array operations the op expands to;
 	// execution latency = MicroOps * Config.PIMCyclesPerMicroOp.
 	MicroOps int
-	// Apply performs the functional memory update; writer is the
-	// happens-before event ID recorded on every line the op modifies. It
-	// may be nil in timing-only runs.
-	Apply func(m *Backing, writer uint64)
+	// Apply performs the functional memory update on the scope whose
+	// base address is base; writer is the happens-before event ID
+	// recorded on every line the op modifies. Only a functional module
+	// calls it.
+	Apply func(m *Backing, base Addr, writer uint64)
 }
 
 // Request is one memory-subsystem transaction. Requests are created by
@@ -69,6 +71,11 @@ type PIMProgram struct {
 // controller; OnDone is invoked when the component that completes the
 // request has finished (data returned, write ordered, PIM op executed by
 // its module...).
+//
+// A ReqPIMOp's Line is the first line of its Scope. The issuing core sets
+// it so, and the PIM module passes Line.Addr() to the program's Apply as
+// the scope's base: that is how one compiled program finds the scope it
+// was issued to.
 type Request struct {
 	ID    uint64
 	Kind  ReqKind

@@ -60,9 +60,6 @@ func (m *ScopeMap) ScopeBase(s ScopeID) Addr {
 	return m.Base + Addr(uint64(s)<<m.shift)
 }
 
-// InPIM reports whether a falls inside the PIM region.
-func (m *ScopeMap) InPIM(a Addr) bool { return m.ScopeOf(a) != NoScope }
-
 // End returns the first address past the PIM region.
 func (m *ScopeMap) End() Addr {
 	return m.Base + Addr(uint64(m.ScopeCount)*m.ScopeSize)

@@ -149,7 +149,7 @@ func TestPIMWaitsForEarlierSameScopeWrite(t *testing.T) {
 	wb := &mem.Request{Kind: mem.ReqWriteback, Line: line, Scope: 2, Data: data}
 	var observed byte = 0xFF
 	p := pimop(2)
-	p.Prog.Apply = func(bk *mem.Backing, w uint64) { observed = bk.ByteAt(mem.Addr(line)) }
+	p.Prog.Apply = func(bk *mem.Backing, _ mem.Addr, w uint64) { observed = bk.ByteAt(mem.Addr(line)) }
 	c.Enqueue(wb)
 	c.Enqueue(p)
 	if _, err := k.Run(); err != nil {

@@ -6,7 +6,7 @@ import (
 	"bulkpim/internal/mem"
 )
 
-// TestArithAllocFree pins the word-packed arithmetic kernels at zero
+// TestArithAllocFree pins the word-packed column kernels at zero
 // steady-state allocations: after a first call warms the image's plane
 // scratch, repeated ops must reuse it.
 func TestArithAllocFree(t *testing.T) {
@@ -14,9 +14,8 @@ func TestArithAllocFree(t *testing.T) {
 	img := LoadArray(mem.NewBacking(), 0, g, 0)
 	const w = 16
 	ops := map[string]func(){
-		"AddFields": func() { img.AddFields(0, 32, 64, w, 448, 449) },
-		"MulFields": func() { img.MulFields(0, 32, 64, w, 448, 449) },
-		"CmpConst":  func() { img.CmpConst(PredGT, 0, w, 12345, 448, 449, 450) },
+		"ColOp":    func() { img.ColOp(OpAND, 448, 0, 1) },
+		"CmpConst": func() { img.CmpConst(PredGT, 0, w, 12345, 448, 449, 450) },
 	}
 	for name, op := range ops {
 		op() // warm the plane scratch

@@ -1,10 +1,6 @@
 package pim
 
-import (
-	"encoding/binary"
-
-	"bulkpim/internal/mem"
-)
+import "bulkpim/internal/mem"
 
 // ArrayImage is the functional state of one crossbar array, loaded from
 // backing memory, operated on with bulk-bitwise micro-operations, and
@@ -18,8 +14,6 @@ type ArrayImage struct {
 	dirty []bool // per row
 
 	planes [][]uint64 // reusable column bit-plane scratch (colview.go)
-	// planeRefs is MulFields' reusable operand/accumulator pointer table.
-	planeRefs [][]uint64
 }
 
 // LoadArray materializes array `array` of the scope at base from b.
@@ -102,64 +96,6 @@ func (a *ArrayImage) ColOp(op BoolOp, dst, src1, src2 int) {
 		d[w] = wordOp(x[w], y[w], t00, t01, t10, t11)
 	}
 	a.StorePlane(dst, d)
-}
-
-// ColNot computes dst = NOT src for every row (NOR with itself).
-func (a *ArrayImage) ColNot(dst, src int) {
-	a.ColOp(OpNOR, dst, src, src)
-}
-
-// ColSet initializes a column to a constant in every row (a bulk write
-// driven by the periphery).
-func (a *ArrayImage) ColSet(dst int, v bool) {
-	d := a.plane(0)
-	var word uint64
-	if v {
-		word = ^uint64(0)
-	}
-	for w := range d {
-		d[w] = word
-	}
-	a.StorePlane(dst, d)
-}
-
-// ColCopy copies a column (two NORs in MAGIC; we count it as issued
-// micro-ops at the program level).
-func (a *ArrayImage) ColCopy(dst, src int) {
-	d := a.plane(0)
-	a.LoadPlane(src, d)
-	a.StorePlane(dst, d)
-}
-
-// RowOp computes row dst = op(src1, src2) bitwise across all columns: the
-// row-direction counterpart used to combine result rows. Rows are already
-// bit-packed bytes, so this runs 64 columns per word directly on the row
-// storage.
-func (a *ArrayImage) RowOp(op BoolOp, dst, src1, src2 int) {
-	r1, r2, rd := a.Row(src1), a.Row(src2), a.Row(dst)
-	t00, t01, t10, t11 := truthMasks(op)
-	for o := 0; o+8 <= mem.LineSize; o += 8 {
-		x := binary.LittleEndian.Uint64(r1[o:])
-		y := binary.LittleEndian.Uint64(r2[o:])
-		binary.LittleEndian.PutUint64(rd[o:], wordOp(x, y, t00, t01, t10, t11))
-	}
-	a.dirty[dst] = true
-}
-
-// TransposeColToRow copies column src of rows [0, n) into row dst, bit i of
-// the row taking the value of cell (i, src). This is the result-gather
-// step: after a filter leaves one match bit per record (row) in a result
-// column, the transpose packs those bits into a single row — one cache
-// line — so the host reads one line per array instead of one per record.
-// The packed plane of the source column IS the destination row's bit
-// pattern, so the move is a gather plus word-wide row stores.
-func (a *ArrayImage) TransposeColToRow(dst, src, n int) {
-	if n > a.g.Cols {
-		panic("pim: transpose wider than row")
-	}
-	p := a.plane(0)
-	a.LoadPlane(src, p)
-	a.SetRowBits(dst, p, n)
 }
 
 // CmpConst computes, for every row in parallel, the comparison of the

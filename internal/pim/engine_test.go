@@ -81,30 +81,14 @@ func TestColOps(t *testing.T) {
 	img.ColOp(OpOR, 3, 0, 1)
 	img.ColOp(OpXOR, 4, 0, 1)
 	img.ColOp(OpNOR, 5, 0, 1)
-	img.ColNot(6, 0)
-	img.ColCopy(7, 0)
+	img.ColOp(OpNOR, 6, 0, 0) // NOT
+	img.ColOp(OpAND, 7, 0, 0) // copy
 	for r := 0; r < 8; r++ {
 		x, y := r&1 != 0, r&2 != 0
 		if img.Bit(r, 2) != (x && y) || img.Bit(r, 3) != (x || y) ||
 			img.Bit(r, 4) != (x != y) || img.Bit(r, 5) != !(x || y) ||
 			img.Bit(r, 6) != !x || img.Bit(r, 7) != x {
 			t.Fatalf("row %d column ops wrong", r)
-		}
-	}
-}
-
-func TestRowOp(t *testing.T) {
-	b := mem.NewBacking()
-	img := LoadArray(b, 0, testGeom(), 0)
-	for c := 0; c < 16; c++ {
-		img.SetBit(0, c, c%2 == 0)
-		img.SetBit(1, c, c%3 == 0)
-	}
-	img.RowOp(OpAND, 2, 0, 1)
-	for c := 0; c < 16; c++ {
-		want := (c%2 == 0) && (c%3 == 0)
-		if img.Bit(2, c) != want {
-			t.Fatalf("row AND at col %d", c)
 		}
 	}
 }
@@ -124,7 +108,10 @@ func TestTransposeColToRow(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		img.SetBit(r, 9, r%3 == 0)
 	}
-	img.TransposeColToRow(7, 9, 8)
+	// The gather's transpose: column 9's packed plane is row 7's bits.
+	p := make([]uint64, img.PlaneWords())
+	img.LoadPlane(9, p)
+	img.SetRowBits(7, p, 8)
 	for i := 0; i < 8; i++ {
 		if img.Bit(7, i) != (i%3 == 0) {
 			t.Fatalf("transpose bit %d wrong", i)
@@ -181,7 +168,7 @@ func TestModuleExecutesAndAppliesFunctionally(t *testing.T) {
 		Scope: 3,
 		Prog: &mem.PIMProgram{
 			Name: "t", MicroOps: 10,
-			Apply: func(bk *mem.Backing, w uint64) {
+			Apply: func(bk *mem.Backing, _ mem.Addr, w uint64) {
 				applied = true
 				bk.WriteWord(0, 99)
 			},

@@ -54,6 +54,3 @@ func (g Geometry) LineOf(base mem.Addr, array, row int) mem.LineAddr {
 func (g Geometry) RowAddr(base mem.Addr, array, row int) mem.Addr {
 	return base + mem.Addr((array*g.Rows+row)*mem.LineSize)
 }
-
-// ArrayBytes returns the storage of one array.
-func (g Geometry) ArrayBytes() int { return g.Rows * mem.LineSize }

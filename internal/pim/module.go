@@ -246,7 +246,7 @@ func (m *Module) execLatency(req *mem.Request) sim.Tick {
 
 func (m *Module) complete(req *mem.Request) {
 	if m.Functional && req.Prog != nil && req.Prog.Apply != nil {
-		req.Prog.Apply(m.Backing, req.Writer)
+		req.Prog.Apply(m.Backing, req.Line.Addr(), req.Writer)
 	}
 	if m.Tracer.Enabled(trace.CatPIM) {
 		m.Tracer.Emit(trace.CatPIM, "pim", "complete scope=%d", req.Scope)

@@ -10,10 +10,13 @@ import (
 // Bulk-bitwise PIM instruction sets are fine-grained (AND, OR, compare
 // steps; §IV-A), so one database operation compiles to SEVERAL PIM ops per
 // scope — the temporal locality the scope buffer exploits. The compilers
-// below return the op sequence for one scope; the same sequence must be
+// below return the op sequence for one scope. The same sequence must be
 // issued to every scope holding data ("If data in multiple scopes require
 // the same processing, the required PIM ops should be duplicated for each
-// scope", §III).
+// scope", §III), and it can be: a program names no scope, and its Apply
+// works on the scope whose base the module passes it. So an operation is
+// compiled once and its programs are shared by every scope, thread and
+// run.
 
 // GatherMicroOpsPerArray is the cost of packing one data array's match
 // column into its result row (inter-array column-to-row move).
@@ -22,37 +25,15 @@ const GatherMicroOpsPerArray = 2
 // CompileRangeScan builds the PIM ops that scan one scope for records with
 // key in [lo, hi]: a >=lo compare, a <=hi compare, and an AND+gather that
 // packs per-record match bits into the result rows.
-func (l Layout) CompileRangeScan(scopeBase mem.Addr, lo, hi uint64, functional bool) []*mem.PIMProgram {
-	geGather := func(b *mem.Backing, writer uint64) {
-		l.forEachDataArray(b, scopeBase, writer, func(img *pim.ArrayImage) {
-			img.CmpConst(pim.PredGE, 0, l.KeyBits, lo, l.MatchCols[0], l.TmpGT, l.TmpEQ)
-		})
+func (l Layout) CompileRangeScan(lo, hi uint64) []*mem.PIMProgram {
+	return []*mem.PIMProgram{
+		{Name: "cmp_ge(key)", MicroOps: pim.CmpMicroOps(pim.PredGE, l.KeyBits, lo),
+			Apply: l.compareApply(pim.PredGE, 0, l.KeyBits, lo, 0)},
+		{Name: "cmp_le(key)", MicroOps: pim.CmpMicroOps(pim.PredLE, l.KeyBits, hi),
+			Apply: l.compareApply(pim.PredLE, 0, l.KeyBits, hi, 1)},
+		{Name: "and", MicroOps: 1, Apply: l.combineApply(CombineOp{Op: pim.OpAND, A: 0, B: 1, To: 2})},
+		l.CompileGather(2),
 	}
-	leApply := func(b *mem.Backing, writer uint64) {
-		l.forEachDataArray(b, scopeBase, writer, func(img *pim.ArrayImage) {
-			img.CmpConst(pim.PredLE, 0, l.KeyBits, hi, l.MatchCols[1], l.TmpGT, l.TmpEQ)
-		})
-	}
-	andApply := func(b *mem.Backing, writer uint64) {
-		l.forEachDataArray(b, scopeBase, writer, func(img *pim.ArrayImage) {
-			img.ColOp(pim.OpAND, l.MatchCols[2], l.MatchCols[0], l.MatchCols[1])
-		})
-	}
-	gather := l.gatherApply(scopeBase, 2)
-
-	ops := []*mem.PIMProgram{
-		{Name: "cmp_ge(key)", MicroOps: pim.CmpMicroOps(pim.PredGE, l.KeyBits, lo)},
-		{Name: "cmp_le(key)", MicroOps: pim.CmpMicroOps(pim.PredLE, l.KeyBits, hi)},
-		{Name: "and", MicroOps: 1},
-		{Name: "gather", MicroOps: GatherMicroOpsPerArray * l.DataArrays},
-	}
-	if functional {
-		ops[0].Apply = geGather
-		ops[1].Apply = leApply
-		ops[2].Apply = andApply
-		ops[3].Apply = gather
-	}
-	return ops
 }
 
 // CompareSpec is one predicate term of a filter (TPC-H WHERE clauses).
@@ -69,23 +50,25 @@ type CompareSpec struct {
 
 // CompileCompare builds the PIM op for one predicate term on every record
 // of a scope.
-func (l Layout) CompileCompare(scopeBase mem.Addr, spec CompareSpec, functional bool) *mem.PIMProgram {
+func (l Layout) CompileCompare(spec CompareSpec) *mem.PIMProgram {
 	if spec.WidthBits <= 0 || spec.WidthBits > 64 {
 		panic(fmt.Sprintf("pimdb: compare width %d", spec.WidthBits))
 	}
-	op := &mem.PIMProgram{
+	return &mem.PIMProgram{
 		Name:     fmt.Sprintf("cmp(f%d%s%d)", spec.Field, spec.Pred, spec.Const),
 		MicroOps: pim.CmpMicroOps(spec.Pred, spec.WidthBits, spec.Const),
+		Apply:    l.compareApply(spec.Pred, l.FieldCol(spec.Field), spec.WidthBits, spec.Const, spec.Dst),
 	}
-	if functional {
-		col := l.FieldCol(spec.Field)
-		op.Apply = func(b *mem.Backing, writer uint64) {
-			l.forEachDataArray(b, scopeBase, writer, func(img *pim.ArrayImage) {
-				img.CmpConst(spec.Pred, col, spec.WidthBits, spec.Const, l.MatchCols[spec.Dst], l.TmpGT, l.TmpEQ)
-			})
-		}
+}
+
+// compareApply compares the width-bit field at column col of every record
+// with k, into match column dst.
+func (l Layout) compareApply(pred pim.Predicate, col, width int, k uint64, dst int) func(*mem.Backing, mem.Addr, uint64) {
+	return func(b *mem.Backing, base mem.Addr, writer uint64) {
+		l.forEachDataArray(b, base, writer, func(img *pim.ArrayImage) {
+			img.CmpConst(pred, col, width, k, l.MatchCols[dst], l.TmpGT, l.TmpEQ)
+		})
 	}
-	return op
 }
 
 // CombineOp merges match columns.
@@ -96,31 +79,42 @@ type CombineOp struct {
 }
 
 // CompileCombine builds one column-combine PIM op (AND/OR of two terms).
-func (l Layout) CompileCombine(scopeBase mem.Addr, c CombineOp, functional bool) *mem.PIMProgram {
-	op := &mem.PIMProgram{
+func (l Layout) CompileCombine(c CombineOp) *mem.PIMProgram {
+	return &mem.PIMProgram{
 		Name:     fmt.Sprintf("combine(%s m%d m%d->m%d)", c.OpName, c.A, c.B, c.To),
 		MicroOps: 1,
+		Apply:    l.combineApply(c),
 	}
-	if functional {
-		op.Apply = func(b *mem.Backing, writer uint64) {
-			l.forEachDataArray(b, scopeBase, writer, func(img *pim.ArrayImage) {
-				img.ColOp(c.Op, l.MatchCols[c.To], l.MatchCols[c.A], l.MatchCols[c.B])
-			})
-		}
-	}
-	return op
 }
 
-// CompileGather packs match column src into the result rows.
-func (l Layout) CompileGather(scopeBase mem.Addr, src int, functional bool) *mem.PIMProgram {
-	op := &mem.PIMProgram{
+// combineApply combines match columns c.A and c.B into c.To.
+func (l Layout) combineApply(c CombineOp) func(*mem.Backing, mem.Addr, uint64) {
+	return func(b *mem.Backing, base mem.Addr, writer uint64) {
+		l.forEachDataArray(b, base, writer, func(img *pim.ArrayImage) {
+			img.ColOp(c.Op, l.MatchCols[c.To], l.MatchCols[c.A], l.MatchCols[c.B])
+		})
+	}
+}
+
+// CompileGather packs match column src into the result rows. The packed
+// bit plane of a match column is exactly the result row's bit pattern, so
+// each array's 512 match bits move as eight word stores instead of 512
+// single-bit copies.
+func (l Layout) CompileGather(src int) *mem.PIMProgram {
+	return &mem.PIMProgram{
 		Name:     "gather",
 		MicroOps: GatherMicroOpsPerArray * l.DataArrays,
+		Apply: func(b *mem.Backing, base mem.Addr, writer uint64) {
+			res := pim.LoadArray(b, base, l.Geom, l.ResultArray)
+			plane := make([]uint64, res.PlaneWords())
+			for a := 0; a < l.DataArrays; a++ {
+				img := pim.LoadArray(b, base, l.Geom, a)
+				img.LoadPlane(l.MatchCols[src], plane)
+				res.SetRowBits(a, plane, l.Geom.Rows)
+			}
+			res.Store(b, writer)
+		},
 	}
-	if functional {
-		op.Apply = l.gatherApply(scopeBase, src)
-	}
-	return op
 }
 
 // CompileAggregate models the in-PIM aggregation of full-query sections
@@ -128,80 +122,32 @@ func (l Layout) CompileGather(scopeBase mem.Addr, src int, functional bool) *mem
 // matched records. Functionally it sums the 32-bit prefix of field
 // `field` over records whose match bit (column src) is set, writing the
 // total to the scope's aggregate line.
-func (l Layout) CompileAggregate(scopeBase mem.Addr, src, field, microOps int, functional bool) *mem.PIMProgram {
-	op := &mem.PIMProgram{Name: "aggregate", MicroOps: microOps}
-	if functional {
-		col := l.FieldCol(field)
-		op.Apply = func(b *mem.Backing, writer uint64) {
+func (l Layout) CompileAggregate(src, field, microOps int) *mem.PIMProgram {
+	col := l.FieldCol(field)
+	return &mem.PIMProgram{
+		Name:     "aggregate",
+		MicroOps: microOps,
+		Apply: func(b *mem.Backing, base mem.Addr, writer uint64) {
 			var sum uint64
 			for a := 0; a < l.DataArrays; a++ {
-				img := pim.LoadArray(b, scopeBase, l.Geom, a)
+				img := pim.LoadArray(b, base, l.Geom, a)
 				for r := 0; r < l.Geom.Rows; r++ {
 					if img.Bit(r, l.MatchCols[src]) {
 						sum += img.FieldBE(r, col, 32)
 					}
 				}
 			}
-			line := l.AggLine(scopeBase)
+			line := l.AggLine(base)
 			b.WriteWord(line.Addr(), sum)
 			b.SetWriter(line, writer)
-		}
-	}
-	return op
-}
-
-// CompileCount builds the in-PIM COUNT aggregate: a per-array popcount of
-// the match column reduced across arrays, with the scope total written to
-// the aggregate line.
-func (l Layout) CompileCount(scopeBase mem.Addr, src int, functional bool) *mem.PIMProgram {
-	micro := l.DataArrays * (2*9*8 + 8) // log2(512)=9 reduction levels + accumulate
-	op := &mem.PIMProgram{Name: "count", MicroOps: micro}
-	if functional {
-		op.Apply = func(b *mem.Backing, writer uint64) {
-			var total uint64
-			for a := 0; a < l.DataArrays; a++ {
-				img := pim.LoadArray(b, scopeBase, l.Geom, a)
-				n, _ := img.PopCountColumn(l.MatchCols[src], l.Geom.Rows)
-				total += uint64(n)
-			}
-			line := l.AggLine(scopeBase)
-			b.WriteWord(line.Addr(), total)
-			b.SetWriter(line, writer)
-		}
-	}
-	return op
-}
-
-// gatherApply moves match column src of every data array into the result
-// array rows. The packed bit plane of a match column is exactly the
-// result row's bit pattern, so each array's 512 match bits move as eight
-// word stores instead of 512 single-bit copies.
-func (l Layout) gatherApply(scopeBase mem.Addr, src int) func(*mem.Backing, uint64) {
-	return func(b *mem.Backing, writer uint64) {
-		res := pim.LoadArray(b, scopeBase, l.Geom, l.ResultArray)
-		plane := make([]uint64, res.PlaneWords())
-		for a := 0; a < l.DataArrays; a++ {
-			img := pim.LoadArray(b, scopeBase, l.Geom, a)
-			img.LoadPlane(l.MatchCols[src], plane)
-			res.SetRowBits(a, plane, l.Geom.Rows)
-		}
-		res.Store(b, writer)
+		},
 	}
 }
 
-func (l Layout) forEachDataArray(b *mem.Backing, scopeBase mem.Addr, writer uint64, fn func(*pim.ArrayImage)) {
+func (l Layout) forEachDataArray(b *mem.Backing, base mem.Addr, writer uint64, fn func(*pim.ArrayImage)) {
 	for a := 0; a < l.DataArrays; a++ {
-		img := pim.LoadArray(b, scopeBase, l.Geom, a)
+		img := pim.LoadArray(b, base, l.Geom, a)
 		fn(img)
 		img.Store(b, writer)
 	}
-}
-
-// TotalMicroOps sums a program sequence's micro-ops (latency estimation).
-func TotalMicroOps(ops []*mem.PIMProgram) int {
-	n := 0
-	for _, op := range ops {
-		n += op.MicroOps
-	}
-	return n
 }

@@ -176,7 +176,7 @@ func TestScopeModelPIMWaitsForSameScopeStore(t *testing.T) {
 	addr := s.Scopes.ScopeBase(scope) + 64
 	var seen byte = 0xFF
 	prog := &mem.PIMProgram{Name: "read", MicroOps: 4,
-		Apply: func(b *mem.Backing, w uint64) { seen = b.ByteAt(addr) }}
+		Apply: func(b *mem.Backing, _ mem.Addr, w uint64) { seen = b.ByteAt(addr) }}
 	th := &cpu.SliceThread{Instrs: []cpu.Instr{
 		{Kind: cpu.InstrStore, Addr: addr, Data: []byte{0x31}},
 		{Kind: cpu.InstrPIMOp, Scope: scope, Prog: prog},
@@ -198,7 +198,7 @@ func TestScopeRelaxedPIMMayPassStore(t *testing.T) {
 	addr := s.Scopes.ScopeBase(scope) + 64
 	var seen byte = 0xFF
 	prog := &mem.PIMProgram{Name: "read", MicroOps: 4,
-		Apply: func(b *mem.Backing, w uint64) { seen = b.ByteAt(addr) }}
+		Apply: func(b *mem.Backing, _ mem.Addr, w uint64) { seen = b.ByteAt(addr) }}
 	th := &cpu.SliceThread{Instrs: []cpu.Instr{
 		{Kind: cpu.InstrStore, Addr: addr, Data: []byte{0x31}},
 		{Kind: cpu.InstrPIMOp, Scope: scope, Prog: prog},

@@ -60,7 +60,7 @@ func TestMultiModuleFunctionalRouting(t *testing.T) {
 		i := i
 		instrs = append(instrs, cpu.Instr{Kind: cpu.InstrPIMOp,
 			Scope: mem.ScopeID(i % 3),
-			Prog: &mem.PIMProgram{MicroOps: 2, Apply: func(b *mem.Backing, w uint64) {
+			Prog: &mem.PIMProgram{MicroOps: 2, Apply: func(b *mem.Backing, _ mem.Addr, w uint64) {
 				order = append(order, i)
 			}}})
 	}

@@ -23,7 +23,7 @@ func incProgram(addr mem.Addr) *mem.PIMProgram {
 	return &mem.PIMProgram{
 		Name:     "inc",
 		MicroOps: 8,
-		Apply: func(b *mem.Backing, w uint64) {
+		Apply: func(b *mem.Backing, _ mem.Addr, w uint64) {
 			b.SetByte(addr, b.ByteAt(addr)+1)
 			b.SetWriter(mem.LineOf(addr), w)
 		},
@@ -263,7 +263,7 @@ func TestCrossThreadInsertThenPIMScan(t *testing.T) {
 		result := s.Scopes.ScopeBase(scope) + 8192
 		prog := &mem.PIMProgram{
 			Name: "copy", MicroOps: 16,
-			Apply: func(b *mem.Backing, w uint64) {
+			Apply: func(b *mem.Backing, _ mem.Addr, w uint64) {
 				b.SetByte(result, b.ByteAt(rec))
 				b.SetWriter(mem.LineOf(result), w)
 			},

@@ -74,10 +74,11 @@ func config(model core.Model, cores int, seed uint64) system.Config {
 }
 
 // mark is a PIM program of microOps micro-ops that writes pimVal at each
-// of addrs and stamps their lines with the op as writer; with hb set it
-// also records those writes for the happens-before check.
+// of addrs, whatever scope it is issued to, and stamps their lines with
+// the op as writer; with hb set it also records those writes for the
+// happens-before check.
 func mark(name string, microOps int, hb *core.Recorder, addrs ...mem.Addr) *mem.PIMProgram {
-	return &mem.PIMProgram{Name: name, MicroOps: microOps, Apply: func(bk *mem.Backing, w uint64) {
+	return &mem.PIMProgram{Name: name, MicroOps: microOps, Apply: func(bk *mem.Backing, _ mem.Addr, w uint64) {
 		for _, a := range addrs {
 			bk.SetByte(a, pimVal)
 			bk.SetWriter(mem.LineOf(a), w)

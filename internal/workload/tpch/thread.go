@@ -17,9 +17,8 @@ type Workload struct {
 	Threads int
 	Verify  bool
 
-	// progs is the query's op sequence for a timing-only run. It carries
-	// no Apply closure, so one compilation serves every scope of every
-	// run.
+	// progs is the query's op sequence, compiled once and issued to every
+	// scope of every run.
 	progs []*mem.PIMProgram
 }
 
@@ -35,7 +34,7 @@ func NewWorkload(q QuerySpec, nThreads int, scale float64, verify bool) *Workloa
 		Q: q, Layout: pimdb.DefaultLayout(), Scopes: scopes,
 		Runs: runs, Threads: nThreads, Verify: verify,
 	}
-	w.progs = q.Compile(w.Layout, 0, false)
+	w.progs = q.Compile(w.Layout)
 	return w
 }
 
@@ -59,12 +58,8 @@ func (w *Workload) BuildThreads(sys *system.System) []cpu.Thread {
 	bar := cpu.NewBarrier(w.Threads)
 	out := make([]cpu.Thread, w.Threads)
 	for t := 0; t < w.Threads; t++ {
-		th := &thread{w: w, sys: sys, bar: bar, id: t,
+		out[t] = &thread{w: w, sys: sys, bar: bar, id: t,
 			owned: (w.Scopes + w.Threads - 1 - t) / w.Threads}
-		if !sys.Cfg.Functional {
-			th.progs = w.progs
-		}
-		out[t] = th
 	}
 	return out
 }
@@ -96,11 +91,6 @@ type thread struct {
 	// The thread owns scopes id, id+Threads, id+2*Threads, ...: owned
 	// of them.
 	id, owned int
-
-	// progs is the op sequence of the scope being issued: the workload's
-	// on a timing-only machine, compiled per scope and run on a
-	// functional one.
-	progs []*mem.PIMProgram
 
 	run, step int
 
@@ -137,12 +127,8 @@ func (th *thread) instr(step int) (cpu.Instr, bool) {
 	}
 	ops := w.Q.OpsPerScope()
 	if step < n*ops {
-		s := th.scope(step / ops)
-		if th.sys.Cfg.Functional && step%ops == 0 {
-			th.progs = w.Q.Compile(w.Layout, th.sys.Scopes.ScopeBase(s), true)
-		}
-		p := th.progs[step%ops]
-		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name}, true
+		p := w.progs[step%ops]
+		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: th.scope(step / ops), Prog: p, Label: p.Name}, true
 	}
 	step -= n * ops
 	per := 1

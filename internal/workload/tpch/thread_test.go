@@ -161,7 +161,6 @@ func (th *refThread) touch(scope mem.ScopeID, line mem.LineAddr) {
 
 func (th *refThread) emitRun() {
 	w := th.w
-	functional := th.sys.Cfg.Functional
 	if th.touched != nil {
 		for _, s := range th.owned {
 			if lines := th.touched[s]; len(lines) > 0 {
@@ -173,15 +172,8 @@ func (th *refThread) emitRun() {
 			}
 		}
 	}
-	var shared []*mem.PIMProgram
-	if !functional {
-		shared = w.Q.Compile(w.Layout, 0, false)
-	}
+	progs := w.Q.Compile(w.Layout)
 	for _, s := range th.owned {
-		progs := shared
-		if functional {
-			progs = w.Q.Compile(w.Layout, th.sys.Scopes.ScopeBase(s), true)
-		}
 		for _, p := range progs {
 			th.emit(cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name})
 		}
@@ -243,8 +235,8 @@ func stream(t *testing.T, th cpu.Thread) []streamed {
 }
 
 // sameInstr compares two streamed instructions field by field. Programs
-// compare by name and length, since a functional thread compiles fresh
-// ones; barriers by presence, since each set of threads has its own.
+// compare by name and length, since refThread compiles its own; barriers
+// by presence, since each set of threads has its own.
 func sameInstr(a, b streamed) bool {
 	x, y := a.in, b.in
 	if x.Kind != y.Kind || x.Scope != y.Scope || x.Label != y.Label || (x.Barrier == nil) != (y.Barrier == nil) ||
@@ -302,6 +294,34 @@ func TestCursorMatchesBufferedThread(t *testing.T) {
 	}
 }
 
+// A verified run issues the programs the workload compiled once, to
+// every scope of every run, like a timing-only run: no thread compiles
+// its own.
+func TestVerifyRunSharesPrograms(t *testing.T) {
+	for _, name := range []string{"q6", "q12"} {
+		q, _ := QueryByName(name)
+		w := NewWorkload(q, 2, 1.0, true)
+		w.Scopes, w.Runs = 4, 2
+		sys := system.New(w.SystemConfig(system.Default()))
+		pims := 0
+		for i, th := range w.BuildThreads(sys) {
+			for _, s := range stream(t, th) {
+				if s.in.Kind != cpu.InstrPIMOp {
+					continue
+				}
+				pims++
+				if !slices.Contains(w.progs, s.in.Prog) {
+					t.Fatalf("%s thread %d: PIM op %q on scope %d is not one of the workload's programs",
+						name, i, s.in.Label, s.in.Scope)
+				}
+			}
+		}
+		if want := w.Runs * w.Scopes * len(w.progs); pims != want {
+			t.Fatalf("%s: %d PIM ops issued, want %d", name, pims, want)
+		}
+	}
+}
+
 // A TPC-H point on a released machine allocates little: the threads
 // emit from a cursor, PIM requests come from the machine's pool, and the
 // kernel, the pool and the cache arrays come back from the free lists.
@@ -328,9 +348,8 @@ func TestRunAllocBound(t *testing.T) {
 }
 
 // A warm pass over the Fig. 8 grid allocates little: every machine is
-// built on the structures the previous one released, the timing-only
-// programs are compiled with the workload, and the threads emit from a
-// cursor. What is left is each point's Result and threads, and each
+// built on the structures the previous one released, the programs are
+// compiled with the workload, and the threads emit from a cursor. What is left is each point's Result and threads, and each
 // machine's System and wiring.
 func TestGridAllocBound(t *testing.T) {
 	const maxBytes = 1500 << 10

@@ -213,11 +213,11 @@ func (q QuerySpec) Eval(scope mem.ScopeID, pos int) bool {
 	return result
 }
 
-// Compile builds the per-scope PIM op sequence of the query: one compare
-// op per term, a combine per extra term, the gather, and the aggregate for
-// full-query sections — the fine-grained sequence §IV-A's scope buffer
-// exploits.
-func (q QuerySpec) Compile(layout pimdb.Layout, scopeBase mem.Addr, functional bool) []*mem.PIMProgram {
+// Compile builds the PIM op sequence the query issues to every scope: one
+// compare op per term, a combine per extra term, the gather, and the
+// aggregate for full-query sections — the fine-grained sequence §IV-A's
+// scope buffer exploits.
+func (q QuerySpec) Compile(layout pimdb.Layout) []*mem.PIMProgram {
 	var ops []*mem.PIMProgram
 	for i, t := range q.Terms {
 		dst := 0
@@ -225,7 +225,7 @@ func (q QuerySpec) Compile(layout pimdb.Layout, scopeBase mem.Addr, functional b
 			dst = 1
 		}
 		spec := pimdb.CompareSpec{Field: t.Field, Pred: t.Pred, WidthBits: t.Width, Const: t.Const, Dst: dst}
-		ops = append(ops, layout.CompileCompare(scopeBase, spec, functional))
+		ops = append(ops, layout.CompileCompare(spec))
 		if i > 0 {
 			op := pim.OpAND
 			name := "and"
@@ -233,12 +233,12 @@ func (q QuerySpec) Compile(layout pimdb.Layout, scopeBase mem.Addr, functional b
 				op = pim.OpOR
 				name = "or"
 			}
-			ops = append(ops, layout.CompileCombine(scopeBase, pimdb.CombineOp{Op: op, OpName: name, A: 0, B: 1, To: 0}, functional))
+			ops = append(ops, layout.CompileCombine(pimdb.CombineOp{Op: op, OpName: name, A: 0, B: 1, To: 0}))
 		}
 	}
-	ops = append(ops, layout.CompileGather(scopeBase, 0, functional))
+	ops = append(ops, layout.CompileGather(0))
 	if q.Full {
-		ops = append(ops, layout.CompileAggregate(scopeBase, 0, fDate2, q.AggMicroOps, functional))
+		ops = append(ops, layout.CompileAggregate(0, fDate2, q.AggMicroOps))
 	}
 	return ops
 }

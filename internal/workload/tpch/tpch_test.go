@@ -77,8 +77,8 @@ func TestCompiledFilterMatchesOracle(t *testing.T) {
 	InitScope(bk, layout, base, scope)
 	for _, name := range []string{"q6", "q12", "q19"} {
 		q, _ := QueryByName(name)
-		for _, op := range q.Compile(layout, base, true) {
-			op.Apply(bk, 1)
+		for _, op := range q.Compile(layout) {
+			op.Apply(bk, base, 1)
 		}
 		line := make([]byte, mem.LineSize)
 		matches := 0

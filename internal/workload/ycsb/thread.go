@@ -52,10 +52,6 @@ type thread struct {
 	// flush are exactly what prev read there.
 	prev *opSpec
 
-	// progs is a functional run's op sequence for the scope being
-	// issued; timing-only runs issue the scan's shared programs.
-	progs []*mem.PIMProgram
-
 	// burst and lines carry the payload of the instruction last
 	// returned; the core is done with it before it calls Next again.
 	burst []cpu.BurstRange
@@ -116,17 +112,8 @@ func (th *thread) instr(op *opSpec, step int) (cpu.Instr, bool) {
 	}
 	step -= f
 	if step < n*ops {
-		s := th.scope(step / ops)
-		progs := op.progs
-		if th.sys.Cfg.Functional {
-			if step%ops == 0 {
-				lo, hi := op.keyRange()
-				th.progs = th.w.Layout.CompileRangeScan(th.sys.Scopes.ScopeBase(s), lo, hi, true)
-			}
-			progs = th.progs
-		}
-		p := progs[step%ops]
-		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name}, true
+		p := op.progs[step%ops]
+		return cpu.Instr{Kind: cpu.InstrPIMOp, Scope: th.scope(step / ops), Prog: p, Label: p.Name}, true
 	}
 	step -= n * ops
 	s := th.scope(step / readSlots)

@@ -233,17 +233,8 @@ func (th *refThread) emitScan(op *opSpec) {
 			}
 		}
 	}
-	lo, hi := op.base+1, op.base+op.count
-	functional := th.sys.Cfg.Functional
-	var shared []*mem.PIMProgram
-	if !functional {
-		shared = w.Layout.CompileRangeScan(0, lo, hi, false)
-	}
+	progs := w.Layout.CompileRangeScan(op.base+1, op.base+op.count)
 	for _, s := range th.owned {
-		progs := shared
-		if functional {
-			progs = w.Layout.CompileRangeScan(th.sys.Scopes.ScopeBase(s), lo, hi, true)
-		}
 		for _, p := range progs {
 			th.emit(cpu.Instr{Kind: cpu.InstrPIMOp, Scope: s, Prog: p, Label: p.Name})
 		}
@@ -370,8 +361,8 @@ func stream(t *testing.T, th cpu.Thread) []streamed {
 
 // sameInstr compares two streamed instructions field by field. Programs
 // compare by name, micro-ops and whether they carry an Apply closure,
-// since a functional thread compiles fresh ones; barriers by presence,
-// since each set of threads has its own.
+// since refThread compiles its own; barriers by presence, since each set
+// of threads has its own.
 func sameInstr(a, b streamed) bool {
 	x, y := a.in, b.in
 	if x.Kind != y.Kind || x.Scope != y.Scope || x.Label != y.Label || (x.Barrier == nil) != (y.Barrier == nil) ||
@@ -480,8 +471,39 @@ func swFlushParams() (Params, system.Config) {
 	return p, cfg
 }
 
+// A verified run issues the programs each scan compiled once, to every
+// owned scope, like a timing-only run: no thread compiles its own.
+func TestVerifyRunSharesPrograms(t *testing.T) {
+	w := New(writeHeavy(100_000, 4, 1, true))
+	shared := map[*mem.PIMProgram]bool{}
+	want := 0
+	for _, op := range w.ops {
+		for _, p := range op.progs {
+			shared[p] = true
+		}
+		want += w.Scopes * len(op.progs)
+	}
+	sys := system.New(w.SystemConfig(system.Default()))
+	pims := 0
+	for i, th := range w.Threads(sys) {
+		for _, s := range stream(t, th) {
+			if s.in.Kind != cpu.InstrPIMOp {
+				continue
+			}
+			pims++
+			if !shared[s.in.Prog] {
+				t.Fatalf("thread %d: PIM op %q on scope %d is not one of the workload's programs",
+					i, s.in.Label, s.in.Scope)
+			}
+		}
+	}
+	if pims != want {
+		t.Fatalf("%d PIM ops issued, want %d", pims, want)
+	}
+}
+
 // A YCSB point on a released machine allocates little: the threads emit
-// from a cursor, the scans' timing-only programs are compiled with the
+// from a cursor, the scans' programs are compiled with the
 // workload, and the machine's buffers come back from the free lists.
 func TestRunAllocBound(t *testing.T) {
 	const maxBytes = 256 << 10

@@ -58,8 +58,8 @@ type opSpec struct {
 	key   uint64 // insert
 	thr   int    // insert: executing thread
 
-	// progs is a scan's op sequence for a timing-only run. It carries no
-	// Apply closure, so every thread and run shares it read-only.
+	// progs is a scan's op sequence, compiled once; every thread issues
+	// it to each of its scopes.
 	progs []*mem.PIMProgram
 
 	// matches caches scope -> matched (key, localPos) pairs.
@@ -122,7 +122,7 @@ func New(p Params) *Workload {
 	w.permC = 0xD1B54A32D192ED03 % n
 
 	rng := sim.NewRand(p.Seed)
-	zipf := NewZipf(maxU64(1, n-uint64(p.MaxScanRecords)), p.ZipfTheta)
+	zipf := NewZipf(max(1, n-uint64(p.MaxScanRecords)), p.ZipfTheta)
 	nextInsert := n
 	for i := 0; i < p.Operations; i++ {
 		if rng.Float64() < p.ScanFraction {
@@ -130,7 +130,7 @@ func New(p Params) *Workload {
 			base := zipf.Next(rng)
 			op := &opSpec{kind: opScan, base: base, count: count, field: rng.Intn(p.Fields)}
 			lo, hi := op.keyRange()
-			op.progs = w.Layout.CompileRangeScan(0, lo, hi, false)
+			op.progs = w.Layout.CompileRangeScan(lo, hi)
 			w.ops = append(w.ops, op)
 		} else {
 			w.ops = append(w.ops, &opSpec{
@@ -152,13 +152,6 @@ func gcd(a, b uint64) uint64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Position maps a key to its global record position. Initial keys are
